@@ -62,3 +62,6 @@ assert isinstance(res, Unresolved)
 mids = sorted(set(round(float((b.lo[0] + b.hi[0]) / 2), 2) for b in res.boxes))
 print(f"at t = 19/100 < M = 1/5: {len(res.boxes)} surviving boxes cluster near",
       mids[:8], "... (the orbit of 1/5)")
+print(f"after {res.processed} boxes the search stopped on the witness "
+      f"{res.witness.as_rational()} with exact minimum "
+      f"{res.witness_minimum.value} >= 19/100: no covering at 19/100 exists")

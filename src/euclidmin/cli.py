@@ -103,17 +103,7 @@ class RunConfig:
                                         place_indices=place_indices or None)
         except EuclidMinError as exc:
             raise ValidationError(str(exc), "S")
-        ideal_spec = raw.get("ideal", {"gens": [[1] + [0] * (self.field.degree - 1)]})
-        gens = []
-        for i, vec in enumerate(ideal_spec.get("gens", [])):
-            path = f"ideal.gens[{i}]"
-            if not isinstance(vec, list) or len(vec) != self.field.degree:
-                raise ValidationError("generator has wrong length", path)
-            gens.append(self.field.element([str_to_rat(c, path) for c in vec]))
-        try:
-            self.ideal = ideal_from_gens(gens)
-        except EuclidMinError as exc:
-            raise ValidationError(str(exc), "ideal.gens")
+        self.ideal = _parse_ideal(self.field, raw)
         params = raw.get("params", {})
         self.t = str_to_rat(params.get("t", 1), "params.t")
         self.gap = str_to_rat(params.get("gap", "1/100"), "params.gap")
@@ -136,6 +126,21 @@ class RunConfig:
 
     def echo(self) -> dict:
         return self.raw
+
+
+def _parse_ideal(field, raw: dict):
+    """The ideal of a config (the unit ideal when none is given)."""
+    ideal_spec = raw.get("ideal", {"gens": [[1] + [0] * (field.degree - 1)]})
+    gens = []
+    for i, vec in enumerate(ideal_spec.get("gens", [])):
+        path = f"ideal.gens[{i}]"
+        if not isinstance(vec, list) or len(vec) != field.degree:
+            raise ValidationError("generator has wrong length", path)
+        gens.append(field.element([str_to_rat(c, path) for c in vec]))
+    try:
+        return ideal_from_gens(gens)
+    except EuclidMinError as exc:
+        raise ValidationError(str(exc), "ideal.gens")
 
 
 def parse_config(text: str) -> RunConfig:
@@ -255,9 +260,9 @@ def run_command(cfg: RunConfig, command: str) -> dict:
     elif command == "cover":
         res = covering_verify(cfg.ideal, sconfig, cfg.t, budget=cfg.budget,
                               workers=cfg.workers)
+        result["threshold"] = rat_to_str(cfg.t)
         if isinstance(res, CoveringCertificate):
             result["covered"] = True
-            result["threshold"] = rat_to_str(cfg.t)
             result["boxes"] = len(res.entries)
             doc["evidence"] = certificate_to_json(res)
         else:
@@ -265,6 +270,11 @@ def run_command(cfg: RunConfig, command: str) -> dict:
             result["surviving_boxes"] = len(res.boxes)
             doc["effort"]["processed"] = res.processed
             doc["exit_code"] = 2
+            if res.witness is not None:
+                # a class with minimum >= t: no covering at t can exist
+                result["witness_value"] = rat_to_str(res.witness_minimum.value)
+                doc["evidence"] = witness_to_json(res.witness,
+                                                  res.witness_minimum)
     elif command == "M":
         rep = compute_M(cfg.ideal, sconfig, cfg.gap, budget=cfg.budget,
                         workers=cfg.workers)
@@ -322,8 +332,51 @@ def run_command(cfg: RunConfig, command: str) -> dict:
     return doc
 
 
+def _config_mismatch(cfg: RunConfig, saved: dict):
+    """Which of field, S, units and ideal of a saved config differ from cfg."""
+    if not isinstance(saved, dict):
+        return "report carries no config"
+    for key, default in (("field", None), ("S", {}), ("units", None)):
+        if saved.get(key, default) != cfg.raw.get(key, default):
+            return f"report {key} differs from the given config"
+    try:
+        ideal = _parse_ideal(cfg.field, saved)
+    except (EuclidMinError, TypeError, ValueError, AttributeError):
+        return "report ideal does not parse under the given config"
+    if (ideal.hnf, ideal.den) != (cfg.ideal.hnf, cfg.ideal.den):
+        return "report ideal differs from the given config"
+    return None
+
+
+def _claim_mismatch(saved: dict, evidence: dict):
+    """Whether a decide or cover result claims more than its evidence."""
+    result = saved.get("result") or {}
+    kind = evidence.get("kind")
+    if saved.get("command") == "decide":
+        verdict = result.get("verdict")
+        if verdict == "euclidean" and not (
+                kind == "covering" and str_to_rat(evidence["threshold"]) <= 1):
+            return "verdict euclidean needs a covering at threshold <= 1"
+        if verdict == "not_euclidean" and not (
+                kind == "witness" and str_to_rat(evidence["value"]) >= 1):
+            return "verdict not_euclidean needs a witness with value >= 1"
+        if verdict not in ("euclidean", "not_euclidean"):
+            return f"verdict {verdict!r} carries evidence"
+    elif saved.get("command") == "cover":
+        t = str_to_rat(result.get("threshold"))
+        if result.get("covered") is True and not (
+                kind == "covering" and str_to_rat(evidence["threshold"]) <= t):
+            return "covered needs a covering at the threshold"
+        if result.get("covered") is False and not (
+                kind == "witness" and str_to_rat(evidence["value"]) >= t
+                and result.get("witness_value") == evidence["value"]):
+            return "not covered needs a witness with value >= the threshold"
+    return None
+
+
 def replay_report(cfg: RunConfig, path: str):
-    """Independently re-derive the evidence of a previously emitted report."""
+    """Re-derive a report's evidence under the given config, and check that
+    the report was made for that config and claims no more than it shows."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             saved = json.load(fh)
@@ -331,11 +384,20 @@ def replay_report(cfg: RunConfig, path: str):
         raise IoError(str(exc))
     except json.JSONDecodeError as exc:
         raise ParseError(f"malformed report: {exc}")
+    mismatch = _config_mismatch(cfg, saved.get("config"))
+    if mismatch:
+        return False, mismatch
     evidence = saved.get("evidence")
     if evidence is None:
         return False, "report carries no evidence"
-    saved_cfg = RunConfig(saved["config"])
-    ctx = torus_context(saved_cfg.ideal, saved_cfg.sconfig)
+    try:
+        claim = _claim_mismatch(saved, evidence)
+    except (EuclidMinError, KeyError, TypeError):
+        claim = "report result does not parse"
+    if claim:
+        return False, claim
+    field, sconfig = cfg.field, cfg.sconfig
+    ctx = torus_context(cfg.ideal, sconfig)
 
     def replay_one(ev):
         if ev.get("kind") == "covering":
@@ -346,14 +408,14 @@ def replay_report(cfg: RunConfig, path: str):
                 return False, f"covering replay failed: {exc}"
             return True, f"covering certificate with {len(cert.entries)} boxes"
         if ev.get("kind") == "witness":
-            xi = saved_cfg.field.element([str_to_rat(c) for c in ev["xi"]])
+            xi = field.element([str_to_rat(c) for c in ev["xi"]])
             claimed = str_to_rat(ev["value"])
-            shift = saved_cfg.field.element([str_to_rat(c) for c in ev["shift"]])
-            again = m_exact(saved_cfg.ideal, saved_cfg.sconfig, xi)
+            shift = field.element([str_to_rat(c) for c in ev["shift"]])
+            again = m_exact(cfg.ideal, sconfig, xi)
             if again.value != claimed:
                 return False, (f"witness value mismatch: recorded {ev['value']},"
                                f" recomputed {rat_to_str(again.value)}")
-            direct = s_norm(xi - shift, saved_cfg.sconfig) / ctx.s_norm_a
+            direct = s_norm(xi - shift, sconfig) / ctx.s_norm_a
             if direct != claimed:
                 return False, "recorded shift does not reproduce the value"
             return True, "witness replayed"

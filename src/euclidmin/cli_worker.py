@@ -48,13 +48,7 @@ def init_worker(payload):
     _T = Fraction(payload["t"])
 
 
-def certify_box_task(box_payload):
-    from .covering import CoverBox
+def certify_box_task(box):
     from .minima import _certify_box
 
-    lo, hi, center, exponents = box_payload
-    box = CoverBox(lo, hi, center, exponents)
-    entry, bound = _certify_box(_CTX, box, _T)
-    if entry is not None:
-        return ("certified", (entry.gamma_coords, entry.bound))
-    return ("split", bound)
+    return _certify_box(_CTX, box, _T)

@@ -418,15 +418,37 @@ class CoveringCertificate:
         return len(self.entries)
 
 
-class Unresolved:
-    """Covering attempt that ran out of budget; keeps the surviving boxes."""
+class CoveringState:
+    """Resumable branch-and-bound state: certified entries, open boxes."""
 
-    def __init__(self, boxes, processed: int):
-        self.boxes = list(boxes)
+    def __init__(self, entries=(), boxes=None, processed=0):
+        self.entries = list(entries)
+        self.boxes = list(boxes) if boxes is not None else None
         self.processed = processed
 
+
+class Unresolved:
+    """Covering attempt that stopped without a certificate.
+
+    Either the budget ran out, or a surviving box held a class `witness`
+    whose exact minimum `witness_minimum` is at least the threshold, which
+    proves that no certificate at that threshold exists. The surviving boxes
+    localize the high-minimum region; `state` resumes the covering.
+    """
+
+    def __init__(self, state: CoveringState, witness=None,
+                 witness_minimum=None):
+        self.state = state
+        self.boxes = state.boxes
+        self.processed = state.processed
+        self.witness = witness
+        self.witness_minimum = witness_minimum
+
     def __repr__(self):
-        return f"Unresolved({len(self.boxes)} boxes, processed={self.processed})"
+        found = ("" if self.witness_minimum is None
+                 else f", witness value {self.witness_minimum.value}")
+        return (f"Unresolved({len(self.boxes)} boxes, "
+                f"processed={self.processed}{found})")
 
 
 def gamma_in_s_ideal(ctx: TorusContext, gamma: FieldElement) -> bool:

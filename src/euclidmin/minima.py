@@ -21,18 +21,21 @@ from __future__ import annotations
 
 import heapq
 import itertools
+from contextlib import contextmanager
 from dataclasses import dataclass
 from fractions import Fraction
+from math import ceil, gcd
 
-from .covering import (CertEntry, CoverBox, CoveringCertificate, Unresolved,
-                       box_bound, candidate_shifts, initial_box,
-                       profiles_for_box, split_arch, split_finite)
+from .covering import (CertEntry, CoverBox, CoveringCertificate,
+                       CoveringState, Unresolved, box_bound, candidate_shifts,
+                       initial_box, profiles_for_box, split_arch,
+                       split_finite)
 from .enumerate import elements_in_box, real_box_targets
 from .errors import UnverifiedUnits
 from .fields import FieldElement, FractionalIdeal, embed
 from .places import s_norm, valuation
 from .qmath import nth_root_upper, sqrt_upper
-from .torus import (TorusContext, reduce_mod, shift_into_depths,
+from .torus import (TorusContext, orbit, reduce_mod, shift_into_depths,
                     torus_context)
 
 
@@ -149,6 +152,18 @@ def _s_norm_of_int(ctx: TorusContext, d: int) -> Fraction:
     return s_norm(ctx.field.from_rational(d), ctx.sconfig)
 
 
+def _corner_differences(ctx: TorusContext, rep: FieldElement):
+    """rep minus each of the 2^n corners of the basis cell, zero left out."""
+    for corner in itertools.product((0, -1), repeat=ctx.field.degree):
+        shift = ctx.field.zero()
+        for c, b in zip(corner, ctx.basis):
+            if c:
+                shift = shift + b * c
+        eta = rep + shift
+        if not eta.is_zero():
+            yield eta
+
+
 def m_exact(a: FractionalIdeal, sconfig, xi: FieldElement) -> MinimumValue:
     """The exact minimum of N_S(xi - gamma)/N_S(a) over the S-ideal of a."""
     if not sconfig.verified:
@@ -168,16 +183,8 @@ def m_exact(a: FractionalIdeal, sconfig, xi: FieldElement) -> MinimumValue:
     best_eta = None
     best_unit = None
     best_rep = None
-    corners = list(itertools.product((0, -1), repeat=field.degree))
     for rep, u in orbit_pairs:
-        for corner in corners:
-            shift = field.zero()
-            for c, b in zip(corner, ctx.basis):
-                if c:
-                    shift = shift + b * c
-            eta = rep + shift
-            if eta.is_zero():
-                continue
+        for eta in _corner_differences(ctx, rep):
             val = s_norm(eta, sconfig)
             if best_raw is None or val < best_raw:
                 best_raw, best_eta, best_unit, best_rep = val, eta, u, rep
@@ -302,23 +309,97 @@ def _split_box(ctx: TorusContext, box: CoverBox, max_depth: int = 24):
     return split_arch(box, axis)
 
 
-class CoveringState:
-    """Resumable branch-and-bound state."""
+# A box that fails to certify and covers at most PROBE_VOLUME of the domain is
+# searched for a class whose exact minimum reaches the threshold: its
+# K-points with coordinates k/m over the a-part basis, m <= PROBE_DENOM, at
+# most PROBE_POINTS of them per box.
+PROBE_VOLUME = Fraction(1, 2**8)
+PROBE_DENOM = 12
+PROBE_POINTS = 24
 
-    def __init__(self, entries=(), boxes=None, processed=0):
-        self.entries = list(entries)
-        self.boxes = list(boxes) if boxes is not None else None
-        self.processed = processed
+
+def _box_points(ctx: TorusContext, box: CoverBox):
+    """Low-height K-points of the box, smallest denominator first."""
+    tried = 0
+    for m in range(1, PROBE_DENOM + 1):
+        ranges = [range(ceil(lo * m), ceil(hi * m))
+                  for lo, hi in zip(box.lo, box.hi)]
+        for ks in itertools.product(*ranges):
+            if gcd(m, *ks) != 1:        # a smaller m gave this point
+                continue
+            if tried == PROBE_POINTS:
+                return
+            tried += 1
+            x = ctx.field.zero()
+            for k, b in zip(ks, ctx.basis):
+                if k:
+                    x = x + b * Fraction(k, m)
+            if box_contains_rational(ctx, box, x):
+                yield x
+
+
+def _probe_box(a: FractionalIdeal, ctx: TorusContext, box: CoverBox,
+               t: Fraction, tested: set, effort):
+    """A class in a small surviving box with exact minimum >= t, or None.
+
+    Returns (reduced representative, MinimumValue). `tested` holds the
+    classes already looked at in this covering. A corner shift whose norm
+    ratio is below t bounds the minimum below t, so m_exact only runs on
+    points that pass that screen.
+    """
+    if box.volume_fraction(ctx) > PROBE_VOLUME:
+        return None
+    sconfig = ctx.sconfig
+    for x in _box_points(ctx, box):
+        rho, _ = reduce_mod(a, sconfig, x)
+        if rho.is_zero() or rho.coords in tested:
+            continue
+        tested.add(rho.coords)
+        if any(s_norm(eta, sconfig) / ctx.s_norm_a < t
+               for eta in _corner_differences(ctx, rho)):
+            continue
+        if effort is not None:
+            effort["m_exact_calls"] += 1
+        mv = m_exact(a, sconfig, rho)
+        if mv.value >= t:
+            return rho, mv
+    return None
+
+
+@contextmanager
+def _box_certifier(ctx: TorusContext, a, sconfig, t: Fraction, workers: int):
+    """Yields (batch size, certify) with certify(boxes) -> [(entry, bound)].
+
+    One box at a time in this process, or 4 * workers boxes per round on a
+    process pool; the caller canonicalizes the order of the entries.
+    """
+    if workers <= 1:
+        yield 1, lambda boxes: [_certify_box(ctx, box, t) for box in boxes]
+        return
+    from concurrent.futures import ProcessPoolExecutor
+
+    from .cli_worker import certify_box_task, init_worker, worker_payload
+
+    payload = worker_payload(a, sconfig, t)
+    with ProcessPoolExecutor(max_workers=workers, initializer=init_worker,
+                             initargs=(payload,)) as pool:
+        yield 4 * workers, lambda boxes: list(pool.map(certify_box_task,
+                                                       boxes))
 
 
 def covering_verify(a: FractionalIdeal, sconfig, t, budget: int = 20000,
-                    workers: int = 1, resume: CoveringState | None = None):
+                    workers: int = 1, resume: CoveringState | None = None,
+                    effort: dict | None = None):
     """Prove that every adele class admits a shift with norm ratio below t.
 
     Worst-bound-first branch and bound over the fundamental domain. Returns
-    a CoveringCertificate on success, otherwise an Unresolved carrying the
-    surviving boxes (which localize the high-minimum region) and a resumable
-    state.
+    a CoveringCertificate on success. Otherwise returns an Unresolved with
+    the surviving boxes (which localize the high-minimum region) and a
+    resumable state: either the budget ran out, or a small surviving box
+    held a class with exact minimum >= t, which the Unresolved carries as a
+    replayable witness that t is not above the supremum. Such a box can
+    never be certified, so a covering that succeeds never stops early.
+    With `effort`, adds the boxes processed and the m_exact calls made.
     """
     t = Fraction(t)
     assert t > 0
@@ -331,80 +412,32 @@ def covering_verify(a: FractionalIdeal, sconfig, t, budget: int = 20000,
     for box in seeds:
         heapq.heappush(heap, (Fraction(0), next(counter), box))
     processed = 0
-    if workers > 1:
-        return _covering_parallel(ctx, a, sconfig, t, budget, workers,
-                                  heap, entries, counter)
-    while heap:
-        if processed >= budget:
-            boxes = [item[2] for item in heap]
-            state = CoveringState(entries, boxes, processed)
-            unres = Unresolved(boxes, processed)
-            unres.state = state
-            return unres
-        _, _, box = heapq.heappop(heap)
-        processed += 1
-        entry, bound = _certify_box(ctx, box, t)
-        if entry is not None:
-            entries.append(entry)
-            continue
-        for child in _split_box(ctx, box):
-            priority = -bound if bound is not None else Fraction(0)
-            heapq.heappush(heap, (priority, next(counter), child))
-    entries.sort(key=lambda e: e.box.sort_key())
-    return CoveringCertificate(threshold=t, entries=tuple(entries),
-                               ideal_hnf=ctx.a_part.hnf,
-                               ideal_den=ctx.a_part.den)
-
-
-def _covering_parallel(ctx, a, sconfig, t, budget, workers, heap, entries,
-                       counter):
-    """Round-synchronous worker pool; output is order-canonicalized."""
-    from concurrent.futures import ProcessPoolExecutor
-
-    from .cli_worker import certify_box_task, worker_payload
-
-    payload = worker_payload(a, sconfig, t)
-    processed = 0
-    with ProcessPoolExecutor(max_workers=workers,
-                             initializer=_worker_init,
-                             initargs=(payload,)) as pool:
-        while heap:
-            if processed >= budget:
-                boxes = [item[2] for item in heap]
-                state = CoveringState(entries, boxes, processed)
-                unres = Unresolved(boxes, processed)
-                unres.state = state
-                return unres
+    tested = set()
+    found = None
+    with _box_certifier(ctx, a, sconfig, t, workers) as (size, certify):
+        while heap and processed < budget and found is None:
             batch = []
-            while heap and len(batch) < 4 * workers and \
-                    processed + len(batch) < budget:
+            while heap and len(batch) < min(size, budget - processed):
                 batch.append(heapq.heappop(heap)[2])
-            results = list(pool.map(certify_box_task,
-                                    [_box_payload(b) for b in batch]))
             processed += len(batch)
-            for box, res in zip(batch, results):
-                status, data = res
-                if status == "certified":
-                    gamma_coords, bound = data
-                    entries.append(CertEntry(box, gamma_coords, bound))
-                else:
-                    bound = data
-                    for child in _split_box(ctx, box):
-                        priority = -bound if bound is not None else Fraction(0)
-                        heapq.heappush(heap, (priority, next(counter), child))
+            for box, (entry, bound) in zip(batch, certify(batch)):
+                if entry is not None:
+                    entries.append(entry)
+                    continue
+                if found is None:
+                    found = _probe_box(a, ctx, box, t, tested, effort)
+                priority = -bound if bound is not None else Fraction(0)
+                for child in _split_box(ctx, box):
+                    heapq.heappush(heap, (priority, next(counter), child))
+    if effort is not None:
+        effort["covering_boxes"] += processed
+    if heap:
+        state = CoveringState(entries, [item[2] for item in heap], processed)
+        return Unresolved(state, *(found or (None, None)))
     entries.sort(key=lambda e: e.box.sort_key())
     return CoveringCertificate(threshold=t, entries=tuple(entries),
                                ideal_hnf=ctx.a_part.hnf,
                                ideal_den=ctx.a_part.den)
-
-
-def _worker_init(payload):
-    from . import cli_worker
-    cli_worker.init_worker(payload)
-
-
-def _box_payload(box: CoverBox):
-    return (box.lo, box.hi, box.center, box.exponents)
 
 
 def box_contains_rational(ctx: TorusContext, box: CoverBox,
@@ -455,8 +488,6 @@ def search_lower(a: FractionalIdeal, sconfig, denom_bound: int,
     (witness, MinimumValue, orbit_size_of_witness).
     """
     ctx = torus_context(a, sconfig)
-    from .torus import orbit as orbit_fn
-
     seen = seen if seen is not None else set()
     best = None
     for m in range(1, denom_bound + 1):
@@ -464,7 +495,7 @@ def search_lower(a: FractionalIdeal, sconfig, denom_bound: int,
             rho, _ = reduce_mod(a, sconfig, rep)
             if rho.coords in seen:
                 continue
-            orb = orbit_fn(a, sconfig, rho)
+            orb = orbit(a, sconfig, rho)
             for o in orb:
                 seen.add(o.coords)
             if effort is not None:
@@ -484,6 +515,8 @@ def compute_M(a: FractionalIdeal, sconfig, gap, budget: int = 40000,
 
     Alternates wider witness searches with covering attempts at
     lower + gap_k, shrinking gap_k geometrically down to the requested gap.
+    A covering below the supremum stops at its first witness, which raises
+    the lower bound when it beats the search.
     The exact flag is set only under the conservative double condition:
     every covering attempt succeeded, and a deliberately under-budgeted run
     at a threshold slightly below the final upper bound leaves surviving
@@ -498,30 +531,31 @@ def compute_M(a: FractionalIdeal, sconfig, gap, budget: int = 40000,
     witness, best_mv, orbit_size = search_lower(a, sconfig, denom, seen, effort)
     upper = None
     certificate = None
-    spent = 0
     gap_k = Fraction(1, 2)
     failed_ts = []
-    while spent < budget:
+    while effort["covering_boxes"] < budget:
         t = best_mv.value + gap_k
-        slice_budget = min(max(400, budget // 8), budget - spent)
+        slice_budget = min(max(400, budget // 8),
+                           budget - effort["covering_boxes"])
         result = covering_verify(a, sconfig, t, budget=slice_budget,
-                                 workers=workers)
+                                 workers=workers, effort=effort)
         if isinstance(result, CoveringCertificate):
             upper = t
             certificate = result
-            effort["covering_boxes"] += len(result.entries)
-            spent += len(result.entries)
             if gap_k <= gap:
                 break
             gap_k = max(gap_k / 4, gap)
         else:
             failed_ts.append(t)
-            effort["covering_boxes"] += result.processed
-            spent += result.processed
             denom = min(denom * 2, 64)
             w2, mv2, orb2 = search_lower(a, sconfig, denom, seen, effort)
             if mv2.value > best_mv.value:
                 witness, best_mv, orbit_size = w2, mv2, orb2
+            # after the search, so that on a tie the search's pick stands
+            if result.witness is not None and \
+                    result.witness_minimum.value > best_mv.value:
+                witness, best_mv = result.witness, result.witness_minimum
+                orbit_size = len(orbit(a, sconfig, witness))
     exact = False
     if certificate is not None and upper == best_mv.value + gap and \
             all(ft <= best_mv.value for ft in failed_ts):
@@ -530,13 +564,15 @@ def compute_M(a: FractionalIdeal, sconfig, gap, budget: int = 40000,
         t_loc = best_mv.value + min(gap / 8, (upper - best_mv.value) / 8)
         probe_budget = max(32, len(certificate.entries) // 2)
         probe = covering_verify(a, sconfig, t_loc, budget=probe_budget,
-                                workers=workers)
-        if isinstance(probe, Unresolved) and probe.boxes:
-            from .torus import orbit as orbit_fn
-            orb = orbit_fn(a, sconfig, witness)
+                                workers=workers, effort=effort)
+        if isinstance(probe, Unresolved) and probe.witness is not None:
+            # the lower bound was not the supremum after all
+            witness, best_mv = probe.witness, probe.witness_minimum
+            orbit_size = len(orbit(a, sconfig, witness))
+        elif isinstance(probe, Unresolved) and probe.boxes:
             exact = all(
                 any(box_contains_rational(ctx, box, o) for box in probe.boxes)
-                for o in orb)
+                for o in orbit(a, sconfig, witness))
     return MReport(lower=best_mv.value, witness=witness,
                    witness_minimum=best_mv, upper=upper,
                    certificate=certificate, exact=exact,
@@ -565,12 +601,13 @@ def decide_norm_euclidean(a: FractionalIdeal, sconfig,
             return EuclideanVerdict("not_euclidean", None, witness, mv, effort)
         result = covering_verify(a, sconfig, Fraction(1),
                                  budget=cover_slice, workers=workers,
-                                 resume=cover_state)
+                                 resume=cover_state, effort=effort)
         if isinstance(result, CoveringCertificate):
-            effort["covering_boxes"] += len(result.entries)
             return EuclideanVerdict("euclidean", result, None, None, effort)
+        if result.witness is not None:
+            return EuclideanVerdict("not_euclidean", None, result.witness,
+                                    result.witness_minimum, effort)
         cover_state = result.state
-        effort["covering_boxes"] += result.processed
         denom = min(denom * 2, 64)
         cover_slice = min(cover_slice * 2, budget)
     return EuclideanVerdict("undecided", None, None, None, effort)

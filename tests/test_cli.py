@@ -135,3 +135,61 @@ def test_cli_payload_byte_identical(tmp_path):
     p1 = {k: v for k, v in outs[0].items() if k != "timing"}
     p2 = {k: v for k, v in outs[1].items() if k != "timing"}
     assert json.dumps(p1, sort_keys=True) == json.dumps(p2, sort_keys=True)
+
+
+ZM5 = {"field": {"poly": [5, 0, 1]}, "S": {"primes": []},
+       "ideal": {"gens": [[1, 0]]}}
+
+
+def replay_code(tmp_path, cfg_path, report):
+    path = tmp_path / "edited.json"
+    path.write_text(json.dumps(report))
+    return main(["--config", cfg_path, "--command", "verify-cert",
+                 "--cert", str(path), "--output", str(tmp_path / "v.json")])
+
+
+def test_cli_cover_witness_evidence(tmp_path):
+    cfg_path = make_cfg(tmp_path, "z16.json", Z16)
+    out = tmp_path / "cover.json"
+    code = main(["--config", cfg_path, "--command", "cover",
+                 "--t", "19/100", "--budget", "1500", "--output", str(out)])
+    assert code == 2
+    doc = json.loads(out.read_text())
+    assert doc["result"]["covered"] is False
+    assert doc["result"]["witness_value"] == "1/5"
+    assert doc["evidence"]["kind"] == "witness"
+    assert replay_code(tmp_path, cfg_path, doc) == 0
+    edited = json.loads(out.read_text())
+    edited["result"]["covered"] = True
+    assert replay_code(tmp_path, cfg_path, edited) == 3
+    edited = json.loads(out.read_text())
+    edited["result"]["threshold"] = "21/100"
+    assert replay_code(tmp_path, cfg_path, edited) == 3
+
+
+def test_verify_cert_rejects_edited_verdict(tmp_path):
+    cfg_path = make_cfg(tmp_path, "zm5.json", ZM5)
+    out = tmp_path / "decide.json"
+    assert main(["--config", cfg_path, "--command", "decide",
+                 "--output", str(out)]) == 0
+    doc = json.loads(out.read_text())
+    assert doc["result"]["verdict"] == "not_euclidean"
+    assert replay_code(tmp_path, cfg_path, doc) == 0
+    doc["result"]["verdict"] = "euclidean"
+    assert replay_code(tmp_path, cfg_path, doc) == 3
+
+
+def test_verify_cert_uses_given_config(tmp_path):
+    cfg_path = make_cfg(tmp_path, "zm5.json", ZM5)
+    out = tmp_path / "decide.json"
+    assert main(["--config", cfg_path, "--command", "decide",
+                 "--output", str(out)]) == 0
+    doc = json.loads(out.read_text())
+    qi_path = make_cfg(tmp_path, "qi.json", QI)
+    assert replay_code(tmp_path, qi_path, doc) == 3
+    vout = json.loads((tmp_path / "v.json").read_text())
+    assert vout["result"]["replay"] == "fail"
+    # the same ideal given by other generators is the same config
+    same = dict(ZM5, ideal={"gens": [[-1, 0]]})
+    assert replay_code(tmp_path, make_cfg(tmp_path, "same.json", same),
+                       doc) == 0

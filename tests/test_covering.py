@@ -5,7 +5,7 @@ from fractions import Fraction as F
 import pytest
 
 from euclidmin import (CoveringCertificate, NoCandidates, Unresolved,
-                       covering_verify, m_upper_adele, s_norm,
+                       covering_verify, m_exact, m_upper_adele, s_norm,
                        verify_certificate)
 from euclidmin.covering import CoverBox, box_bound
 from euclidmin.intervals import Iv
@@ -130,3 +130,23 @@ def test_box_bound_replay_determinism(field_q, s_q_23):
     for entry in cert.entries[:5]:
         gamma = field_q.element(entry.gamma_coords)
         assert box_bound(ctx, entry.box, gamma) == entry.bound
+
+
+def test_covering_below_minimum_returns_witness(field_q, s_q_23):
+    Z = field_q.maximal_order()
+    res = covering_verify(Z, s_q_23, F(19, 100), budget=1500)
+    assert isinstance(res, Unresolved)
+    assert res.witness_minimum.value == F(1, 5)
+    assert res.processed <= 200
+    # the witness replays, and the state still resumes the covering
+    assert m_exact(Z, s_q_23, res.witness).value == F(1, 5)
+    assert len(res.state.boxes) == len(res.boxes)
+
+
+def test_covering_witness_schedule_independent(field_q, s_q_23):
+    Z = field_q.maximal_order()
+    for workers in (1, 2):
+        res = covering_verify(Z, s_q_23, F(1, 8), budget=400, workers=workers)
+        assert isinstance(res, Unresolved)
+        assert res.witness_minimum.value >= F(1, 8)
+        assert m_exact(Z, s_q_23, res.witness) == res.witness_minimum

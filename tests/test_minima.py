@@ -206,3 +206,39 @@ def test_decide_undecided_on_tiny_budget(field_sqrt2, s_sqrt2_inf):
     verdict = decide_norm_euclidean(field_sqrt2.maximal_order(), s_sqrt2_inf,
                                     budget=3)
     assert verdict.verdict in ("euclidean", "undecided")
+
+
+def test_compute_m_effort_counts_every_box(field_q, s_q_23, monkeypatch):
+    import euclidmin.minima as minima
+
+    calls = {"boxes": 0, "m_exact": 0}
+    certify, exact = minima._certify_box, minima.m_exact
+
+    def counting_certify(*args, **kwargs):
+        calls["boxes"] += 1
+        return certify(*args, **kwargs)
+
+    def counting_m_exact(*args, **kwargs):
+        calls["m_exact"] += 1
+        return exact(*args, **kwargs)
+
+    monkeypatch.setattr(minima, "_certify_box", counting_certify)
+    monkeypatch.setattr(minima, "m_exact", counting_m_exact)
+    rep = compute_M(field_q.maximal_order(), s_q_23, F(1, 100), budget=3200)
+    assert (rep.lower, rep.upper) == (F(1, 5), F(21, 100))
+    assert rep.effort["covering_boxes"] == calls["boxes"]
+    assert rep.effort["m_exact_calls"] == calls["m_exact"]
+
+
+def test_decide_verdict_from_covering_witness(field_sqrtm5, s_sqrtm5_inf,
+                                              monkeypatch):
+    import euclidmin.minima as minima
+
+    zero = field_sqrtm5.zero()
+    blind = (zero, minima.MinimumValue(F(0), zero, {"trivial": True}), 1)
+    monkeypatch.setattr(minima, "search_lower", lambda *args: blind)
+    O = field_sqrtm5.maximal_order()
+    verdict = decide_norm_euclidean(O, s_sqrtm5_inf, budget=3000)
+    assert verdict.verdict == "not_euclidean"
+    assert verdict.witness_minimum.value >= 1
+    assert verdict.replays(O, s_sqrtm5_inf)
