@@ -50,6 +50,27 @@ def str_to_rat(s, path="") -> Fraction:
     raise ValidationError(f"not a rational: {s!r}", path)
 
 
+def _positive_rat(s, path) -> Fraction:
+    q = str_to_rat(s, path)
+    if q <= 0:
+        raise ValidationError(f"must be positive, got {s!r}", path)
+    return q
+
+
+def _positive_int(value, path) -> int:
+    if isinstance(value, bool) or not isinstance(value, int) or value < 1:
+        raise ValidationError(f"must be an integer >= 1, got {value!r}", path)
+    return value
+
+
+def _object(raw: dict, key: str) -> dict:
+    """The JSON object under key, {} when the key is absent."""
+    value = raw.get(key, {})
+    if not isinstance(value, dict):
+        raise ValidationError("must be a JSON object", key)
+    return value
+
+
 def coords_to_json(coords):
     return [rat_to_str(c) for c in coords]
 
@@ -75,10 +96,12 @@ class RunConfig:
             self.field = make_field(poly)
         except EuclidMinError as exc:
             raise ValidationError(str(exc), "field.poly")
-        s_spec = raw.get("S", {})
+        prime_specs = _object(raw, "S").get("primes", [])
+        if not isinstance(prime_specs, list):
+            raise ValidationError("primes must be a list", "S.primes")
         primes = []
         place_indices = {}
-        for i, entry in enumerate(s_spec.get("primes", [])):
+        for i, entry in enumerate(prime_specs):
             path = f"S.primes[{i}]"
             if isinstance(entry, int):
                 p = entry
@@ -93,7 +116,7 @@ class RunConfig:
                 raise ValidationError(f"duplicate prime {p}", path)
             primes.append(p)
         unit_gens = None
-        if "units" in raw and raw["units"].get("gens"):
+        if _object(raw, "units").get("gens"):
             unit_gens = [self.field.element(
                 [str_to_rat(c, f"units.gens[{i}]") for c in vec])
                 for i, vec in enumerate(raw["units"]["gens"])]
@@ -104,12 +127,13 @@ class RunConfig:
         except EuclidMinError as exc:
             raise ValidationError(str(exc), "S")
         self.ideal = _parse_ideal(self.field, raw)
-        params = raw.get("params", {})
-        self.t = str_to_rat(params.get("t", 1), "params.t")
-        self.gap = str_to_rat(params.get("gap", "1/100"), "params.gap")
-        self.denom_bound = int(params.get("denom_bound", 20))
-        self.budget = int(params.get("budget", 20000))
-        self.workers = int(params.get("workers", 1))
+        params = _object(raw, "params")
+        self.t = _positive_rat(params.get("t", 1), "params.t")
+        self.gap = _positive_rat(params.get("gap", "1/100"), "params.gap")
+        self.denom_bound = _positive_int(params.get("denom_bound", 20),
+                                        "params.denom_bound")
+        self.budget = _positive_int(params.get("budget", 20000), "params.budget")
+        self.workers = _positive_int(params.get("workers", 1), "params.workers")
         self.xi = None
         if "xi" in params:
             self.xi = self.field.element(
@@ -131,6 +155,8 @@ class RunConfig:
 def _parse_ideal(field, raw: dict):
     """The ideal of a config (the unit ideal when none is given)."""
     ideal_spec = raw.get("ideal", {"gens": [[1] + [0] * (field.degree - 1)]})
+    if not isinstance(ideal_spec, dict):
+        raise ValidationError("must be a JSON object", "ideal")
     gens = []
     for i, vec in enumerate(ideal_spec.get("gens", [])):
         path = f"ideal.gens[{i}]"
@@ -488,15 +514,15 @@ def main(argv=None) -> int:
             raise IoError(f"cannot read config: {exc}")
         cfg = parse_config(text)
         if args.t is not None:
-            cfg.t = str_to_rat(args.t, "--t")
+            cfg.t = _positive_rat(args.t, "--t")
         if args.gap is not None:
-            cfg.gap = str_to_rat(args.gap, "--gap")
+            cfg.gap = _positive_rat(args.gap, "--gap")
         if args.denom_bound is not None:
-            cfg.denom_bound = args.denom_bound
+            cfg.denom_bound = _positive_int(args.denom_bound, "--denom-bound")
         if args.budget is not None:
-            cfg.budget = args.budget
+            cfg.budget = _positive_int(args.budget, "--budget")
         if args.workers is not None:
-            cfg.workers = args.workers
+            cfg.workers = _positive_int(args.workers, "--workers")
         if args.cert is not None:
             cfg.cert_path = args.cert
         doc = run_command(cfg, args.command)

@@ -10,14 +10,22 @@ anyone from the box data alone, which is what makes certificates replayable.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from fractions import Fraction
+from math import floor
 
+from .enumerate import embedding_rows
 from .errors import NoCandidates, SearchExhausted
-from .fields import FieldElement, embed
+from .fields import FieldElement
 from .intervals import Iv
-from .places import valuation
-from .torus import AdelePoint, TorusContext, _solve_affine
+from .places import s_norm, valuation
+from .qmath import int_valuation
+from .torus import (AdelePoint, TorusContext, congruent_lattice_point,
+                    torus_context)
+
+# width of the embedding enclosures behind every recorded bound
+BOUND_WIDTH = Fraction(1, 2**24)
 
 
 @dataclass(frozen=True)
@@ -54,13 +62,9 @@ def initial_box(ctx: TorusContext) -> CoverBox:
 def normalize_center(ctx: TorusContext, center: FieldElement,
                      exponents) -> tuple:
     """Canonical representative of the center modulo prod P_v^{k_v}."""
-    modulus = ctx.field.maximal_order()
-    for v, k in zip(ctx.sconfig.finite_places, exponents):
-        if k:
-            modulus = modulus * v.ideal_power(k)
+    modulus = ctx.s_lattice(exponents, over_order=True)
     coords = modulus.coords_in_basis(center)
     shift = ctx.field.zero()
-    from math import floor
     for c, b in zip(coords, modulus.basis_elements()):
         f = floor(c)
         if f:
@@ -80,48 +84,32 @@ def split_arch(box: CoverBox, axis: int) -> list[CoverBox]:
 
 
 def _residue_reps(ctx: TorusContext, place) -> list[FieldElement]:
-    cache = ctx._aux.setdefault("residues", {})
     key = (place.p, place.gen_poly)
-    if key not in cache:
-        prime = place.prime_ideal()
-        n = ctx.field.degree
-        h = prime.hnf
-        reps = []
-
-        def rec(i, acc):
-            if i == n:
-                reps.append(ctx.field.element(list(acc)))
-                return
-            for c in range(h[i][i]):
-                acc.append(Fraction(c))
-                rec(i + 1, acc)
-                acc.pop()
-
-        rec(0, [])
-        assert len(reps) == place.residue_norm()
-        cache[key] = reps
-    return cache[key]
+    if key not in ctx.residue_reps:
+        h = place.prime_ideal().hnf
+        ranges = [range(h[i][i]) for i in range(ctx.field.degree)]
+        reps = [ctx.field.element([Fraction(c) for c in coords])
+                for coords in itertools.product(*ranges)]
+        if len(reps) != place.residue_norm():
+            raise AssertionError("residue representatives miscounted")
+        ctx.residue_reps[key] = reps
+    return ctx.residue_reps[key]
 
 
 def _split_scale_element(ctx: TorusContext, place_idx: int,
                          exponents) -> FieldElement:
     """t with v(t) = k_v exactly and w(t) >= k_w at the other S-places."""
-    cache = ctx._aux.setdefault("split_scale", {})
     key = (place_idx, tuple(exponents))
-    if key not in cache:
-        places = ctx.sconfig.finite_places
-        v = places[place_idx]
-        ideal = ctx.field.maximal_order()
-        for w, k in zip(places, exponents):
-            if k:
-                ideal = ideal * w.ideal_power(k)
+    if key not in ctx.split_scales:
+        v = ctx.sconfig.finite_places[place_idx]
+        ideal = ctx.s_lattice(exponents, over_order=True)
         for b in ideal.basis_elements():
             if valuation(b, v) == exponents[place_idx]:
-                cache[key] = b
+                ctx.split_scales[key] = b
                 break
         else:
             raise SearchExhausted("no exact-valuation element in split ideal")
-    return cache[key]
+    return ctx.split_scales[key]
 
 
 def split_finite(ctx: TorusContext, box: CoverBox, place_idx: int) -> list[CoverBox]:
@@ -144,18 +132,11 @@ def split_finite(ctx: TorusContext, box: CoverBox, place_idx: int) -> list[Cover
 # -- bounds --------------------------------------------------------------------
 
 
-def _basis_rows(ctx: TorusContext, width: Fraction):
-    from .enumerate import _embedding_rows
-
-    cache = ctx._aux.setdefault("basis_rows", {})
-    if width not in cache:
-        cache[width] = [_embedding_rows(b, width) for b in ctx.basis]
-    return cache[width]
-
-
 def arch_intervals_for_box(ctx: TorusContext, box: CoverBox, width: Fraction):
     """Per-real-coordinate enclosures of the box's archimedean image."""
-    basis_rows = _basis_rows(ctx, width)
+    if width not in ctx.basis_rows:
+        ctx.basis_rows[width] = [embedding_rows(b, width) for b in ctx.basis]
+    basis_rows = ctx.basis_rows[width]
     n = ctx.field.degree
     out = []
     for coord in range(n):
@@ -166,126 +147,95 @@ def arch_intervals_for_box(ctx: TorusContext, box: CoverBox, width: Fraction):
     return out
 
 
-def _finite_factor(ctx: TorusContext, box: CoverBox, gamma: FieldElement) -> Fraction:
-    """Exact upper bound on the product of finite absolute values of x-gamma."""
+def _shift_rows(ctx: TorusContext, gamma: FieldElement, width: Fraction):
+    key = (gamma.coords, width)
+    if key not in ctx.shift_rows:
+        if len(ctx.shift_rows) > 4096:
+            ctx.shift_rows.clear()
+        ctx.shift_rows[key] = embedding_rows(gamma, width)
+    return ctx.shift_rows[key]
+
+
+def norm_bound(ctx: TorusContext, arch, gamma: FieldElement,
+               finite: Fraction, width: Fraction = BOUND_WIDTH) -> Fraction:
+    """Certified upper bound of N_S(x - gamma)/N_S(a) over a region.
+
+    arch encloses the real coordinates of the archimedean image of x (the
+    real places, then re and im per complex place); finite bounds the
+    product of |x - gamma|_v over the finite places of S. Every norm bound
+    of this module is this product, deterministic in its inputs.
+    """
+    g = _shift_rows(ctx, gamma, width)
+    r1, r2 = ctx.field.signature
+    bound = finite
+    for i in range(r1):
+        bound *= (arch[i] - g[i]).abs().hi
+    for i in range(r1, r1 + 2 * r2, 2):
+        bound *= ((arch[i] - g[i]).sq() + (arch[i + 1] - g[i + 1]).sq()).hi
+    return bound / ctx.s_norm_a
+
+
+def _finite_factor(terms) -> Fraction:
+    """Exact upper bound of prod |x - gamma|_v for x = center mod P_v^k,
+    over the (place, center - gamma, k) terms."""
     out = Fraction(1)
-    center = box.center_element(ctx)
-    diff = center - gamma
-    for v, k in zip(ctx.sconfig.finite_places, box.exponents):
-        if diff.is_zero():
-            m = k
-        else:
-            m = min(k, valuation(diff, v))
+    for v, diff, k in terms:
+        m = k if diff.is_zero() else min(k, valuation(diff, v))
         out *= Fraction(v.residue_norm()) ** (-m)
     return out
 
 
-def _gamma_embedding(ctx: TorusContext, gamma: FieldElement, width: Fraction):
-    cache = ctx._aux.setdefault("gamma_embed", {})
-    key = (gamma.coords, width)
-    if key not in cache:
-        if len(cache) > 4096:
-            cache.clear()
-        cache[key] = embed(gamma, width)
-    return cache[key]
-
-
 def box_bound(ctx: TorusContext, box: CoverBox, gamma: FieldElement,
-              width=Fraction(1, 2**24)) -> Fraction:
+              width=BOUND_WIDTH) -> Fraction:
     """Certified upper bound on sup over the box of N_S(x - gamma) / N_S(a).
 
     Deterministic in (box, gamma, width), which is what certificate replay
     relies on.
     """
-    arch = arch_intervals_for_box(ctx, box, width)
-    gbox = _gamma_embedding(ctx, gamma, width)
-    r1, r2 = ctx.field.signature
-    bound = _finite_factor(ctx, box, gamma)
-    idx = 0
-    for i in range(r1):
-        iv = arch[idx] - gbox.reals[i]
-        bound *= iv.abs().hi
-        idx += 1
-    for i in range(r2):
-        re = arch[idx] - gbox.complexes[i].re
-        im = arch[idx + 1] - gbox.complexes[i].im
-        bound *= (re.sq() + im.sq()).hi
-        idx += 2
-    return bound / ctx.s_norm_a
-
-
-def region_bound(ctx: TorusContext, region: AdelePoint, gamma: FieldElement,
-                 width=Fraction(1, 2**24)) -> Fraction:
-    """Upper bound of N_S(x - gamma)/N_S(a) over an adele region.
-
-    Exact when the region is the diagonal image of a tagged field element.
-    """
-    from .places import s_norm
-
-    if region.exact_tag is not None:
-        return s_norm(region.exact_tag - gamma, ctx.sconfig) / ctx.s_norm_a
-    gbox = embed(gamma, width)
-    bound = Fraction(1)
-    for iv, g in zip(region.arch_real, gbox.reals):
-        bound *= (iv - g).abs().hi
-    for civ, g in zip(region.arch_complex, gbox.complexes):
-        bound *= ((civ.re - g.re).sq() + (civ.im - g.im).sq()).hi
-    for place, center, k in region.finite:
-        diff = center - gamma
-        m = k if diff.is_zero() else min(k, valuation(diff, place))
-        bound *= Fraction(place.residue_norm()) ** (-m)
-    return bound / ctx.s_norm_a
-
-
-def box_to_region(ctx: TorusContext, box: CoverBox,
-                  width=Fraction(1, 2**24)) -> AdelePoint:
-    arch = arch_intervals_for_box(ctx, box, width)
-    r1, r2 = ctx.field.signature
-    from .intervals import CIv
-    reals = tuple(arch[:r1])
-    comps = tuple(CIv(arch[r1 + 2 * i], arch[r1 + 2 * i + 1]) for i in range(r2))
-    center = box.center_element(ctx)
-    finite = tuple((v, center, k)
-                   for v, k in zip(ctx.sconfig.finite_places, box.exponents))
-    return AdelePoint(reals, comps, finite)
+    diff = box.center_element(ctx) - gamma
+    finite = _finite_factor((v, diff, k) for v, k in
+                            zip(ctx.sconfig.finite_places, box.exponents))
+    return norm_bound(ctx, arch_intervals_for_box(ctx, box, width), gamma,
+                      finite, width)
 
 
 def m_upper_adele(a, sconfig, region: AdelePoint, candidates) -> Fraction:
-    """Least certified upper bound over the candidate shifts."""
-    from .torus import torus_context
-
+    """Least certified upper bound of N_S(x - gamma)/N_S(a) over an adele
+    region and the candidate shifts; exact when the region is the diagonal
+    image of a tagged field element."""
     if not candidates:
         raise NoCandidates("no candidate shifts supplied")
     ctx = torus_context(a, sconfig)
-    return min(region_bound(ctx, region, g) for g in candidates)
+    if region.exact_tag is not None:
+        return min(s_norm(region.exact_tag - g, sconfig) / ctx.s_norm_a
+                   for g in candidates)
+    arch = list(region.arch_real)
+    for z in region.arch_complex:
+        arch += [z.re, z.im]
+
+    def bound(g):
+        finite = _finite_factor((v, center - g, k)
+                                for v, center, k in region.finite)
+        return norm_bound(ctx, arch, g, finite)
+
+    return min(bound(g) for g in candidates)
 
 
 # -- candidate shifts ----------------------------------------------------------
 
 
-def _profile_lattice(ctx: TorusContext, profile) -> tuple:
-    """Affine candidate family for a congruence/denominator profile.
+def candidate_shifts(ctx: TorusContext, box: CoverBox, profile,
+                     corner_radius: int = 1) -> list[FieldElement]:
+    """Nearby elements of the S-ideal matching a congruence profile.
 
     profile[v] = m_v: m_v > 0 demands gamma = center mod P_v^{m_v} (and then
     |x-gamma|_v <= Np^{-m_v} over a box of depth k_v >= m_v); m_v <= 0 allows
-    a denominator, with |x-gamma|_v <= Np^{-m_v}.
+    a denominator, with |x-gamma|_v <= Np^{-m_v}. The candidates lie in the
+    affine family of the a-part times prod P_v^{m_v}.
     """
-    cache = ctx._aux.setdefault("profile_lattice", {})
-    if profile not in cache:
-        lattice = ctx.a_part
-        for v, m in zip(ctx.sconfig.finite_places, profile):
-            if m:
-                lattice = lattice * v.ideal_power(m)
-        cache[profile] = lattice
-    return cache[profile]
-
-
-def candidate_shifts(ctx: TorusContext, box: CoverBox, profile,
-                     corner_radius: int = 1) -> list[FieldElement]:
-    """Nearby elements of the S-ideal matching a congruence profile."""
     field = ctx.field
     n = field.degree
-    lattice = _profile_lattice(ctx, profile)
+    lattice = ctx.s_lattice(profile)
     pos = {v: m for v, m in zip(ctx.sconfig.finite_places, profile) if m > 0}
     if pos:
         center = box.center_element(ctx)
@@ -322,46 +272,18 @@ def candidate_shifts(ctx: TorusContext, box: CoverBox, profile,
 
 def _congruent_point(ctx: TorusContext, center: FieldElement, profile):
     """Element of the S-ideal congruent to center at the positive depths."""
-    cache = ctx._aux.setdefault("congruent", {})
     key = (tuple(center.coords), profile)
-    if key in cache:
-        return cache[key]
-    field = ctx.field
-    neg_lattice = ctx.a_part
-    for v, m in zip(ctx.sconfig.finite_places, profile):
-        if m < 0:
-            neg_lattice = neg_lattice * v.ideal_power(m)
-    modulus = field.maximal_order()
-    for v, m in zip(ctx.sconfig.finite_places, profile):
-        if m > 0:
-            modulus = modulus * v.ideal_power(m)
-    d0 = neg_lattice.den
-    mod_scaled = modulus
-    if d0 > 1:
-        extra = field.maximal_order()
-        for v, m in zip(ctx.sconfig.finite_places, profile):
-            if m > 0:
-                k = 0
-                dd = d0
-                while dd % v.p == 0:
-                    dd //= v.p
-                    k += 1
-                if k:
-                    extra = extra * v.ideal_power(k * v.e)
-        mod_scaled = modulus * extra
-    a_cols = [[c * d0 for c in b.coords] for b in neg_lattice.basis_elements()]
-    w_cols = [list(b.coords) for b in mod_scaled.basis_elements()]
-    target = [c * d0 for c in center.coords]
-    u = _solve_affine(a_cols, w_cols, target)
-    if u is None:
-        cache[key] = None
-        return None
-    g = field.zero()
-    for coef, b in zip(u, neg_lattice.basis_elements()):
-        if coef:
-            g = g + b * coef
-    cache[key] = g
-    return g
+    if key not in ctx.congruent_points:
+        places = ctx.sconfig.finite_places
+        lattice = ctx.s_lattice([min(m, 0) for m in profile])
+        d0 = lattice.den
+        # d0 * gamma = d0 * center modulo P_v^{m_v + e * v_p(d0)}, m_v > 0
+        modulus = ctx.s_lattice(
+            [m + int_valuation(d0, v.p) * v.e if m > 0 else 0
+             for v, m in zip(places, profile)], over_order=True)
+        ctx.congruent_points[key] = congruent_lattice_point(
+            lattice, d0, modulus, center * d0)
+    return ctx.congruent_points[key]
 
 
 def profiles_for_box(ctx: TorusContext, box: CoverBox, neg_depth: int = 2,
@@ -455,11 +377,8 @@ def gamma_in_s_ideal(ctx: TorusContext, gamma: FieldElement) -> bool:
     """Membership of gamma in the S-ideal generated by the a-part."""
     if gamma.is_zero():
         return True
-    lattice = ctx.a_part
-    for v in ctx.sconfig.finite_places:
-        w = valuation(gamma, v)
-        if w < 0:
-            lattice = lattice * v.ideal_power(w)
+    lattice = ctx.s_lattice([min(valuation(gamma, v), 0)
+                             for v in ctx.sconfig.finite_places])
     return lattice.contains(gamma)
 
 

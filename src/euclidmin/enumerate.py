@@ -13,38 +13,24 @@ from math import ceil, floor
 
 from .errors import SearchExhausted
 from .fields import FieldElement, embed
-from .intervals import Iv
+from .intervals import Iv, interval_det
 from .qmath import sqrt_upper
-
-
-def _interval_det(m):
-    n = len(m)
-    if n == 1:
-        return m[0][0]
-    out = None
-    for j in range(n):
-        minor = [row[:j] + row[j + 1:] for row in m[1:]]
-        term = m[0][j] * _interval_det(minor)
-        if j % 2:
-            term = -term
-        out = term if out is None else out + term
-    return out
 
 
 def _interval_solve(a, b):
     """Enclosures of the solution of A x = b by Cramer's rule."""
     n = len(a)
-    det = _interval_det(a)
+    det = interval_det(a)
     if det.contains(0):
         raise ZeroDivisionError("interval determinant contains zero")
     out = []
     for j in range(n):
         col = [[a[i][k] if k != j else b[i] for k in range(n)] for i in range(n)]
-        out.append(_interval_det(col) / det)
+        out.append(interval_det(col) / det)
     return out
 
 
-def _embedding_rows(elem: FieldElement, width: Fraction):
+def embedding_rows(elem: FieldElement, width: Fraction):
     """Real coordinates of an embedding vector: reals, then (re, im) pairs."""
     box = embed(elem, width)
     row = list(box.reals)
@@ -79,10 +65,10 @@ def lattice_points_in_box(basis: list[FieldElement], offset: FieldElement,
     width = Fraction(1, 2**24)
     for _ in range(12):
         try:
-            a_rows = [_embedding_rows(b, width) for b in basis]
+            a_rows = [embedding_rows(b, width) for b in basis]
             # columns of A are basis embedding vectors: A z = target - offset
             a = [[a_rows[j][i] for j in range(n)] for i in range(n)]
-            o = _embedding_rows(offset, width)
+            o = embedding_rows(offset, width)
             rhs = [targets[i] - o[i] for i in range(n)]
             ranges = _interval_solve(a, rhs)
             break

@@ -67,14 +67,6 @@ class NoCandidates(EuclidMinError):
     pass
 
 
-class BudgetExceeded(EuclidMinError):
-    """Raised when a budgeted computation runs out; carries partial state."""
-
-    def __init__(self, message, partial=None):
-        super().__init__(message)
-        self.partial = partial
-
-
 # -- forms -------------------------------------------------------------------
 
 class NotQuadratic(EuclidMinError):
@@ -110,8 +102,4 @@ class ValidationError(EuclidMinError):
 
 
 class IoError(EuclidMinError):
-    pass
-
-
-class ReplayFailure(EuclidMinError):
     pass

@@ -113,12 +113,6 @@ def mat_vec(m, v):
     return [sum(mi[j] * v[j] for j in range(len(v))) for mi in m]
 
 
-def mat_mul(a, b):
-    rows, inner, cols = len(a), len(b), len(b[0])
-    return [[sum(a[i][k] * b[k][j] for k in range(inner)) for j in range(cols)]
-            for i in range(rows)]
-
-
 def mat_det(m) -> Fraction:
     """Determinant by fraction-based Gaussian elimination."""
     n = len(m)

@@ -9,7 +9,6 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Union
 
-from .qmath import sqrt_lower, sqrt_upper
 
 Rat = Union[int, Fraction]
 
@@ -117,23 +116,6 @@ class Iv:
             return -self
         return Iv(0, max(-self.lo, self.hi))
 
-    def sqrt(self) -> "Iv":
-        if self.lo < 0:
-            raise ValueError("sqrt of interval with negative part")
-        return Iv(sqrt_lower(self.lo), sqrt_upper(self.hi))
-
-    def __pow__(self, k: int) -> "Iv":
-        if k == 0:
-            return Iv.point(1)
-        if k < 0:
-            return (self ** (-k)).inverse()
-        out = self
-        for _ in range(k - 1):
-            out = out * self
-        # even powers through repeated mul can overshoot below 0; tighten
-        if k % 2 == 0 and out.lo < 0:
-            out = Iv(0, out.hi)
-        return out
 
 
 class CIv:
@@ -194,3 +176,20 @@ class CIv:
 
     def intersect(self, other: "CIv") -> "CIv":
         return CIv(self.re.intersect(other.re), self.im.intersect(other.im))
+
+
+def interval_det(m):
+    """Enclosure of the determinant of a square matrix of intervals."""
+    n = len(m)
+    if n == 0:
+        return Iv.point(1)
+    if n == 1:
+        return m[0][0]
+    out = None
+    for j in range(n):
+        minor = [row[:j] + row[j + 1:] for row in m[1:]]
+        term = m[0][j] * interval_det(minor)
+        if j % 2:
+            term = -term
+        out = term if out is None else out + term
+    return out

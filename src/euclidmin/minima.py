@@ -26,17 +26,19 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import ceil, gcd
 
-from .covering import (CertEntry, CoverBox, CoveringCertificate,
-                       CoveringState, Unresolved, box_bound, candidate_shifts,
-                       initial_box, profiles_for_box, split_arch,
-                       split_finite)
+from .covering import (BOUND_WIDTH, CertEntry, CoverBox, CoveringCertificate,
+                       CoveringState, Unresolved, arch_intervals_for_box,
+                       box_bound, candidate_shifts, gamma_in_s_ideal,
+                       initial_box, norm_bound, profiles_for_box, split_arch,
+                       split_finite, verify_certificate)
 from .enumerate import elements_in_box, real_box_targets
 from .errors import UnverifiedUnits
-from .fields import FieldElement, FractionalIdeal, embed
-from .places import s_norm, valuation
+from .fields import FieldElement, FractionalIdeal, embed, make_field
+from .hnf import lcm_list
+from .places import Place, SConfig, s_norm, valuation
 from .qmath import nth_root_upper, sqrt_upper
-from .torus import (TorusContext, orbit, reduce_mod, shift_into_depths,
-                    torus_context)
+from .torus import (TorusContext, orbit, orbit_with_units, reduce_mod,
+                    shift_into_depths, torsion_reps, torus_context)
 
 
 @dataclass(frozen=True)
@@ -67,8 +69,6 @@ class EuclideanVerdict:
     effort: dict
 
     def replays(self, a, sconfig) -> bool:
-        from .covering import verify_certificate
-
         ctx = torus_context(a, sconfig)
         if self.verdict == "euclidean":
             verify_certificate(ctx, self.certificate, Fraction(1))
@@ -82,28 +82,6 @@ class EuclideanVerdict:
 # -- the exact minimum ---------------------------------------------------------
 
 
-def _orbit_with_units(ctx: TorusContext, xi: FieldElement):
-    """Reduced orbit representatives with the unit carrying xi onto each."""
-    sconfig = ctx.sconfig
-    rho0, _ = reduce_mod(ctx.a_part, sconfig, xi)
-    gens = list(sconfig.unit_gens)
-    if sconfig.torsion is not None:
-        gens.append(sconfig.torsion[0])
-    seen = {rho0.coords: (rho0, ctx.field.one())}
-    frontier = [(rho0, ctx.field.one())]
-    while frontier:
-        nxt = []
-        for x, u in frontier:
-            for g in gens:
-                y, _ = reduce_mod(ctx.a_part, sconfig, g * x)
-                if y.coords not in seen:
-                    pair = (y, g * u)
-                    seen[y.coords] = pair
-                    nxt.append(pair)
-        frontier = nxt
-    return sorted(seen.values(), key=lambda t: t[0].coords)
-
-
 def _unit_box_factors(ctx: TorusContext) -> list[Fraction]:
     """Per place: certified upper bound of prod_i max(|u_i|_v, 1/|u_i|_v)^(1/2).
 
@@ -112,9 +90,8 @@ def _unit_box_factors(ctx: TorusContext) -> list[Fraction]:
     every unit orbit in log space.
     """
     sconfig = ctx.sconfig
-    cache = ctx._aux.setdefault("unit_factors", None)
-    if cache is not None:
-        return cache
+    if ctx.unit_factors is not None:
+        return ctx.unit_factors
     factors = []
     for place in sconfig.places:
         f = Fraction(1)
@@ -133,7 +110,7 @@ def _unit_box_factors(ctx: TorusContext) -> list[Fraction]:
                     prec /= 16
                 f *= sqrt_upper(max(iv.hi, 1 / iv.lo))
         factors.append(f)
-    ctx._aux["unit_factors"] = factors
+    ctx.unit_factors = factors
     return factors
 
 
@@ -173,9 +150,8 @@ def m_exact(a: FractionalIdeal, sconfig, xi: FieldElement) -> MinimumValue:
     rho0, gamma0 = reduce_mod(a, sconfig, xi)
     if rho0.is_zero():
         return MinimumValue(Fraction(0), gamma0, {"trivial": True})
-    orbit_pairs = _orbit_with_units(ctx, xi)
+    orbit_pairs = orbit_with_units(a, sconfig, xi)
     # discreteness floor: d * rho0 lands in the a-part lattice
-    from .hnf import lcm_list
     d = lcm_list([c.denominator for c in ctx.a_part.coords_in_basis(rho0)])
     floor_raw = ctx.s_norm_a / _s_norm_of_int(ctx, d)
     # initial best: corner shifts of every orbit representative
@@ -202,12 +178,8 @@ def m_exact(a: FractionalIdeal, sconfig, xi: FieldElement) -> MinimumValue:
         for i, v in enumerate(sconfig.finite_places):
             c_v = root * factors[r1 + r2 + i]
             depths.append(_min_exponent(v.residue_norm(), c_v))
-        lattice = ctx.a_part
-        for v, k in zip(sconfig.finite_places, depths):
-            if k:
-                lattice = lattice * v.ideal_power(k)
         targets = real_box_targets(field, real_bounds, cplx_bounds)
-        basis = lattice.basis_elements()
+        basis = ctx.s_lattice(depths).basis_elements()
         search_info = {
             "branch": "box-enumeration",
             "orbit_size": len(orbit_pairs),
@@ -233,10 +205,10 @@ def m_exact(a: FractionalIdeal, sconfig, xi: FieldElement) -> MinimumValue:
     # transport the best difference back to xi's own coset
     gamma = xi - best_eta * best_unit.inverse()
     value = best_raw / ctx.s_norm_a
-    check = s_norm(xi - gamma, sconfig) / ctx.s_norm_a
-    assert check == value, "attaining shift does not replay"
-    from .covering import gamma_in_s_ideal
-    assert gamma_in_s_ideal(ctx, gamma), "shift left the S-ideal"
+    if s_norm(xi - gamma, sconfig) / ctx.s_norm_a != value:
+        raise AssertionError("attaining shift does not replay")
+    if not gamma_in_s_ideal(ctx, gamma):
+        raise AssertionError("shift left the S-ideal")
     # the balanced representative keeps a small attaining shift around
     search_info["rep_coords"] = best_rep.coords
     search_info["rep_shift_coords"] = (best_rep - best_eta).coords
@@ -246,27 +218,8 @@ def m_exact(a: FractionalIdeal, sconfig, xi: FieldElement) -> MinimumValue:
 # -- covering proofs -----------------------------------------------------------
 
 
-def _arch_factor(ctx, arch, gamma, width):
-    """Product over archimedean places of the sup absolute value."""
-    from .covering import _gamma_embedding
-
-    gbox = _gamma_embedding(ctx, gamma, width)
-    r1, r2 = ctx.field.signature
-    out = Fraction(1)
-    idx = 0
-    for i in range(r1):
-        out *= (arch[idx] - gbox.reals[i]).abs().hi
-        idx += 1
-    for i in range(r2):
-        re = arch[idx] - gbox.complexes[i].re
-        im = arch[idx + 1] - gbox.complexes[i].im
-        out *= (re.sq() + im.sq()).hi
-        idx += 2
-    return out
-
-
 def _certify_box(ctx: TorusContext, box: CoverBox, t: Fraction,
-                 width=Fraction(1, 2**24)):
+                 width=BOUND_WIDTH):
     """Try to certify one box below t; returns (entry | None, best bound).
 
     Candidates are screened with the cheap profile factor (the congruence
@@ -274,8 +227,6 @@ def _certify_box(ctx: TorusContext, box: CoverBox, t: Fraction,
     winning candidate gets the canonical exact-valuation bound that the
     certificate records, which is never larger than the screening bound.
     """
-    from .covering import arch_intervals_for_box
-
     arch = arch_intervals_for_box(ctx, box, width)
     places = ctx.sconfig.finite_places
     best = None
@@ -284,12 +235,13 @@ def _certify_box(ctx: TorusContext, box: CoverBox, t: Fraction,
         for v, m in zip(places, profile):
             fin *= Fraction(v.residue_norm()) ** (-m)
         for gamma in candidate_shifts(ctx, box, profile):
-            quick = _arch_factor(ctx, arch, gamma, width) * fin / ctx.s_norm_a
+            quick = norm_bound(ctx, arch, gamma, fin, width)
             if best is None or quick < best:
                 best = quick
             if quick < t:
                 canonical = box_bound(ctx, box, gamma, width)
-                assert canonical <= quick
+                if canonical > quick:
+                    raise AssertionError("canonical bound exceeds screening")
                 return CertEntry(box, tuple(gamma.coords), canonical), canonical
     return None, best
 
@@ -378,13 +330,49 @@ def _box_certifier(ctx: TorusContext, a, sconfig, t: Fraction, workers: int):
         return
     from concurrent.futures import ProcessPoolExecutor
 
-    from .cli_worker import certify_box_task, init_worker, worker_payload
-
-    payload = worker_payload(a, sconfig, t)
-    with ProcessPoolExecutor(max_workers=workers, initializer=init_worker,
-                             initargs=(payload,)) as pool:
-        yield 4 * workers, lambda boxes: list(pool.map(certify_box_task,
+    with ProcessPoolExecutor(max_workers=workers, initializer=_init_worker,
+                             initargs=(_worker_payload(a, sconfig, t),)) as pool:
+        yield 4 * workers, lambda boxes: list(pool.map(_certify_box_task,
                                                        boxes))
+
+
+# Each pool worker rebuilds the immutable context once from a picklable
+# description of the field, the S-configuration, the ideal and the threshold.
+_WORKER_CTX = None
+_WORKER_T = None
+
+
+def _worker_payload(a, sconfig, t):
+    return {
+        "coeffs": list(a.field.coeffs),
+        "places": [(v.p, tuple(v.gen_poly), v.e, v.f)
+                   for v in sconfig.finite_places],
+        "unit_gens": [tuple(u.coords) for u in sconfig.unit_gens],
+        "torsion": (tuple(sconfig.torsion[0].coords), sconfig.torsion[1])
+        if sconfig.torsion else None,
+        "ideal": ([list(r) for r in a.hnf], a.den),
+        "t": t,
+    }
+
+
+def _init_worker(payload):
+    global _WORKER_CTX, _WORKER_T
+    field = make_field(payload["coeffs"])
+    places = [Place(field, "finite", p=p, gen_poly=g, e=e, f=f)
+              for p, g, e, f in payload["places"]]
+    gens = [field.element(c) for c in payload["unit_gens"]]
+    torsion = None
+    if payload["torsion"]:
+        torsion = (field.element(payload["torsion"][0]), payload["torsion"][1])
+    sconfig = SConfig(field, places, unit_gens=gens, torsion=torsion,
+                      verified=True)
+    hnf, den = payload["ideal"]
+    _WORKER_CTX = torus_context(FractionalIdeal(field, hnf, den), sconfig)
+    _WORKER_T = Fraction(payload["t"])
+
+
+def _certify_box_task(box):
+    return _certify_box(_WORKER_CTX, box, _WORKER_T)
 
 
 def covering_verify(a: FractionalIdeal, sconfig, t, budget: int = 20000,
@@ -402,7 +390,8 @@ def covering_verify(a: FractionalIdeal, sconfig, t, budget: int = 20000,
     With `effort`, adds the boxes processed and the m_exact calls made.
     """
     t = Fraction(t)
-    assert t > 0
+    if t <= 0:
+        raise ValueError("covering threshold must be positive")
     ctx = torus_context(a, sconfig)
     entries = list(resume.entries) if resume else []
     heap = []
@@ -461,25 +450,6 @@ def box_contains_rational(ctx: TorusContext, box: CoverBox,
 # -- search and the two-sided report -------------------------------------------
 
 
-def _primitive_torsion_classes(ctx: TorusContext, m: int):
-    """One representative per new class of denominator exactly m."""
-    from math import gcd
-
-    field = ctx.field
-    n = field.degree
-    out = []
-    for coords in itertools.product(range(m), repeat=n):
-        g = gcd(m, *coords) if coords else m
-        if g != 1:
-            continue
-        elem = field.zero()
-        for c, b in zip(coords, ctx.basis):
-            if c:
-                elem = elem + b * Fraction(c, m)
-        out.append(elem)
-    return out
-
-
 def search_lower(a: FractionalIdeal, sconfig, denom_bound: int,
                  seen=None, effort=None):
     """Best exact minimum over torsion classes with denominator <= bound.
@@ -491,7 +461,7 @@ def search_lower(a: FractionalIdeal, sconfig, denom_bound: int,
     seen = seen if seen is not None else set()
     best = None
     for m in range(1, denom_bound + 1):
-        for rep in _primitive_torsion_classes(ctx, m):
+        for rep in torsion_reps(a, m, sconfig, primitive=True):
             rho, _ = reduce_mod(a, sconfig, rep)
             if rho.coords in seen:
                 continue
@@ -523,7 +493,8 @@ def compute_M(a: FractionalIdeal, sconfig, gap, budget: int = 40000,
     boxes that still contain the whole witness orbit.
     """
     gap = Fraction(gap)
-    assert gap > 0
+    if gap <= 0:
+        raise ValueError("gap must be positive")
     ctx = torus_context(a, sconfig)
     effort = {"covering_boxes": 0, "m_exact_calls": 0}
     seen = set()

@@ -15,9 +15,9 @@ from .errors import (IndexDivisor, NotAnSUnit, NotPrime, RankDeficient,
                      RankUndetermined, SearchExhausted, ZeroElement)
 from .fields import (FieldElement, FractionalIdeal, NumberField, embed,
                      ideal_from_gens, ideal_norm)
-from .intervals import Iv
+from .intervals import Iv, interval_det
 from .polynomials import deg, factor_mod_p
-from .qmath import is_prime, ln_enclosure
+from .qmath import int_valuation, is_prime, ln_enclosure
 
 
 @dataclass(frozen=True)
@@ -149,18 +149,10 @@ def valuation(x: FieldElement, place: Place) -> int:
     assert place.is_finite()
     d = x.denominator()
     y = x * d
-    vp_d = 0
-    while d % place.p == 0:
-        d //= place.p
-        vp_d += 1
-    v_den = place.e * vp_d
+    v_den = place.e * int_valuation(d, place.p)
     nrm = abs(y.norm())
     assert nrm.denominator == 1
-    a = 0
-    num = nrm.numerator
-    while num % place.p == 0:
-        num //= place.p
-        a += 1
+    a = int_valuation(nrm.numerator, place.p)
     if a == 0:
         return -v_den
     k = 0
@@ -182,12 +174,6 @@ def s_norm(x: FieldElement, sconfig: "SConfig") -> Fraction:
     for v in sconfig.finite_places:
         out *= v.abs_value(x)
     return out
-
-
-def s_norm_ideal(ideal: FractionalIdeal, sconfig: "SConfig") -> Fraction:
-    """S-norm of an ideal: norm of its prime-to-S part."""
-    stripped = strip_s_part(ideal, sconfig)
-    return ideal_norm(stripped)
 
 
 def ideal_place_valuation(ideal: FractionalIdeal, place: Place) -> int:
@@ -224,7 +210,7 @@ class SConfig:
         self.unit_gens = tuple(unit_gens) if unit_gens else ()
         self.torsion = torsion  # (generator, order)
         self.verified = verified
-        self._log_cache = {}
+        self.torus_contexts = {}  # (hnf, den) -> TorusContext, see torus
 
     @property
     def size(self) -> int:
@@ -350,27 +336,11 @@ def _certify_log_rank(sconfig: SConfig, gens):
         for u in gens:
             rows.append([_log_abs_interval(sconfig, u, v, err)
                          for v in sconfig.places[:-1]])
-        det = _interval_det_iv(rows)
+        det = interval_det(rows)
         if not det.contains(0):
             return
         err /= 256
     raise RankUndetermined("log-rank certification ran out of precision")
-
-
-def _interval_det_iv(m):
-    n = len(m)
-    if n == 0:
-        return Iv.point(1)
-    if n == 1:
-        return m[0][0]
-    out = None
-    for j in range(n):
-        minor = [row[:j] + row[j + 1:] for row in m[1:]]
-        term = m[0][j] * _interval_det_iv(minor)
-        if j % 2:
-            term = -term
-        out = term if out is None else out + term
-    return out
 
 
 def shrinking_unit(sconfig: SConfig, w: Place) -> FieldElement:
@@ -403,18 +373,10 @@ def shrinking_unit(sconfig: SConfig, w: Place) -> FieldElement:
             eps = sconfig.field.one()
             for k, u in zip(ks, gens):
                 if k:
-                    eps = eps * _unit_power(u, k)
+                    eps = eps * u ** k
             if _certify_small_everywhere(sconfig, eps, w):
                 return eps
     raise SearchExhausted("no shrinking unit in the exponent search box")
-
-
-def _unit_power(u: FieldElement, k: int) -> FieldElement:
-    out = u.field.one()
-    base = u if k > 0 else u.inverse()
-    for _ in range(abs(k)):
-        out = out * base
-    return out
 
 
 def _exponent_vectors(dim, radius):

@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
-from math import gcd
 
 from .errors import NonMonic, ReduciblePolynomial, UnsupportedDegree
 
@@ -48,10 +47,6 @@ def poly_mul(f, g):
     return trim(out)
 
 
-def poly_scale(f, c):
-    return trim([a * c for a in f])
-
-
 def poly_divmod(f, g):
     """Division with remainder over a field (Fraction coefficients)."""
     f = [Fraction(c) for c in f]
@@ -87,13 +82,6 @@ def derivative(f):
     if len(f) == 1:
         return [0 * f[0]]
     return [i * f[i] for i in range(1, len(f))]
-
-
-def content(f) -> int:
-    g = 0
-    for c in f:
-        g = gcd(g, abs(c))
-    return g or 1
 
 
 def resultant(f, g) -> Fraction:

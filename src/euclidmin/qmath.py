@@ -184,6 +184,15 @@ def factorize(n: int) -> dict[int, int]:
     return out
 
 
+def int_valuation(n: int, p: int) -> int:
+    """Exponent of the prime p in the nonzero integer n."""
+    out = 0
+    while n % p == 0:
+        n //= p
+        out += 1
+    return out
+
+
 def squarefree_part(n: int) -> int:
     """Largest squarefree divisor of |n|, with the sign of n."""
     sign = -1 if n < 0 else 1

@@ -8,16 +8,18 @@ character pairing into Q/Z, and the trace-dual ideal.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from math import floor
+from math import floor, gcd
 
-from .errors import SearchExhausted
+from .errors import SearchExhausted, UnverifiedUnits
 from .fields import (FieldElement, FractionalIdeal, NumberField,
                      ideal_from_gens, ideal_norm, mat_inverse)
 from .hnf import lcm_list, solve_linear_mod_lattice
 from .places import Place, SConfig, places_above, strip_s_part, valuation
 from .polynomials import hensel_lift_blocks, pmod, pmul, trace_mod_pk
+from .qmath import int_valuation
 
 
 class QmodZ:
@@ -91,7 +93,11 @@ class AdelePoint:
 
 
 class TorusContext:
-    """Cached working data for one (ideal, S) pair."""
+    """Cached working data for one (ideal, S) pair.
+
+    Besides the a-part and its basis, it holds the caches that the covering
+    and minima modules fill for this pair; each depends on (ideal, S) alone.
+    """
 
     def __init__(self, a: FractionalIdeal, sconfig: SConfig):
         self.sconfig = sconfig
@@ -99,42 +105,61 @@ class TorusContext:
         self.a_part = strip_s_part(a, sconfig)
         self.basis = self.a_part.basis_elements()
         self.s_norm_a = ideal_norm(self.a_part)
-        self.domain = FundamentalDomain(self.a_part, sconfig)
-        self._aux = {}
+        self.lattices = {}          # (over_order, exponents) -> s_lattice
+        self.residue_reps = {}      # (p, gen_poly) -> representatives of O/P
+        self.split_scales = {}      # (place index, exponents) -> element
+        self.basis_rows = {}        # width -> embedding rows of the basis
+        self.shift_rows = {}        # (coords, width) -> embedding row
+        self.congruent_points = {}  # (center coords, profile) -> shift | None
+        self.unit_factors = None    # per-place unit box factors of m_exact
 
-    def crt_lattice(self, exponents: dict) -> FractionalIdeal:
-        """a-part times prod of P_v^{k_v} over the finite places of S."""
-        key = tuple(sorted((v.p, v.gen_poly, k) for v, k in exponents.items()))
-        cache = self._aux.setdefault("crt", {})
-        if key not in cache:
-            out = self.a_part
-            for v, k in exponents.items():
+    def s_lattice(self, exponents, over_order: bool = False) -> FractionalIdeal:
+        """a-part (or O) times prod of P_v^{k_v} over the finite places of S.
+
+        exponents follow sconfig.finite_places and may be negative.
+        """
+        key = (over_order, tuple(exponents))
+        out = self.lattices.get(key)
+        if out is None:
+            out = self.field.maximal_order() if over_order else self.a_part
+            for v, k in zip(self.sconfig.finite_places, exponents):
                 if k:
                     out = out * v.ideal_power(k)
-            cache[key] = out
-        return cache[key]
+            self.lattices[key] = out
+        return out
 
 
 def torus_context(a: FractionalIdeal, sconfig: SConfig) -> TorusContext:
-    cache = getattr(sconfig, "_torus_cache", None)
-    if cache is None:
-        cache = {}
-        sconfig._torus_cache = cache
     key = (a.hnf, a.den)
-    if key not in cache:
-        cache[key] = TorusContext(a, sconfig)
-    return cache[key]
+    ctx = sconfig.torus_contexts.get(key)
+    if ctx is None:
+        ctx = sconfig.torus_contexts[key] = TorusContext(a, sconfig)
+    return ctx
 
 
-def _solve_affine(col_lattice_a, col_lattice_w, target):
-    """Integer solution u of A u = target - W w, all columns rational."""
-    den = lcm_list([c.denominator for col in col_lattice_a for c in col]
-                   + [c.denominator for col in col_lattice_w for c in col]
-                   + [c.denominator for c in target])
-    a_cols = [[int(c * den) for c in col] for col in col_lattice_a]
-    w_cols = [[int(c * den) for c in col] for col in col_lattice_w]
-    tgt = [int(c * den) for c in target]
-    return solve_linear_mod_lattice(a_cols, w_cols, tgt)
+def congruent_lattice_point(lattice: FractionalIdeal, scale,
+                            modulus: FractionalIdeal, target: FieldElement):
+    """g in the lattice with scale * g - target in the integral modulus.
+
+    Solved as an integer linear system over the integral basis; returns
+    None when no such g exists.
+    """
+    basis = lattice.basis_elements()
+    a_cols = [[c * scale for c in b.coords] for b in basis]
+    w_cols = [list(b.coords) for b in modulus.basis_elements()]
+    den = lcm_list([c.denominator for col in a_cols + w_cols for c in col]
+                   + [c.denominator for c in target.coords])
+    u = solve_linear_mod_lattice(
+        [[int(c * den) for c in col] for col in a_cols],
+        [[int(c * den) for c in col] for col in w_cols],
+        [int(c * den) for c in target.coords])
+    if u is None:
+        return None
+    g = lattice.field.zero()
+    for coef, b in zip(u, basis):
+        if coef:
+            g = g + b * coef
+    return g
 
 
 def reduce_mod(a: FractionalIdeal, sconfig: SConfig, xi: FieldElement):
@@ -153,9 +178,9 @@ def reduce_mod(a: FractionalIdeal, sconfig: SConfig, xi: FieldElement):
     if neg:
         gamma = _clear_denominators(ctx, xi)
         rho = xi - gamma
-        for v in sconfig.finite_places:
-            assert rho.is_zero() or valuation(rho, v) >= 0, \
-                "finite reduction failed"
+        if not rho.is_zero() and any(valuation(rho, v) < 0
+                                     for v in sconfig.finite_places):
+            raise AssertionError("finite reduction failed")
     coords = ctx.a_part.coords_in_basis(rho)
     shift = field.zero()
     for c, b in zip(coords, ctx.basis):
@@ -165,14 +190,6 @@ def reduce_mod(a: FractionalIdeal, sconfig: SConfig, xi: FieldElement):
     rho = rho - shift
     gamma = gamma + shift
     return rho, gamma
-
-
-def _vp(n: int, p: int) -> int:
-    out = 0
-    while n % p == 0:
-        n //= p
-        out += 1
-    return out
 
 
 def _clear_denominators(ctx: TorusContext, xi: FieldElement) -> FieldElement:
@@ -197,10 +214,10 @@ def shift_into_depths(ctx: TorusContext, xi: FieldElement,
     s_primes = sorted({v.p for v in sconfig.finite_places})
     t = 1
     for p in s_primes:
-        need = _vp(d, p)
+        need = int_valuation(d, p)
         for v, depth in zip(sconfig.finite_places, depths):
             if v.p == p and depth > 0:
-                need = max(need, -(-depth // v.e) + _vp(d, p))
+                need = max(need, -(-depth // v.e) + int_valuation(d, p))
         t *= p**need
     d_rest = d
     for p in s_primes:
@@ -209,7 +226,7 @@ def shift_into_depths(ctx: TorusContext, xi: FieldElement,
     # lattice for g: a-part, extra divisibility at sibling places above t
     lattice_a = ctx.a_part
     for p in s_primes:
-        vp_t = _vp(t, p)
+        vp_t = int_valuation(t, p)
         if vp_t == 0:
             continue
         for w in places_above(field, p):
@@ -219,36 +236,31 @@ def shift_into_depths(ctx: TorusContext, xi: FieldElement,
             lattice_a = lattice_a * w.ideal_power(vp_t * w.e)
     d0 = lattice_a.den
     # congruence modulus: P_v^{max(depth_v + v(t*d0), 0)} over v in S_0
-    modulus = field.maximal_order()
-    for v, depth in zip(sconfig.finite_places, depths):
-        k = max(depth + (_vp(t, v.p) + _vp(d0, v.p)) * v.e, 0)
-        if k:
-            modulus = modulus * v.ideal_power(k)
-    assert modulus.den == 1
-    scale = d_rest * d0
-    a_cols = [[c * scale for c in b.coords] for b in lattice_a.basis_elements()]
-    w_cols = [list(b.coords) for b in modulus.basis_elements()]
-    target = [c * (t * d_rest * d0) for c in xi.coords]
-    u = _solve_affine(a_cols, w_cols, target)
-    if u is None:
+    modulus = ctx.s_lattice(
+        [max(depth + int_valuation(t * d0, v.p) * v.e, 0)
+         for v, depth in zip(sconfig.finite_places, depths)], over_order=True)
+    if modulus.den != 1:
+        raise AssertionError("finite shift modulus is not integral")
+    g = congruent_lattice_point(lattice_a, d_rest * d0, modulus,
+                                xi * (t * d_rest * d0))
+    if g is None:
         raise SearchExhausted("finite shift system unsolvable (bug)")
-    g = field.zero()
-    for coef, b in zip(u, lattice_a.basis_elements()):
-        if coef:
-            g = g + b * coef
     gamma = g / t
-    for v, depth in zip(sconfig.finite_places, depths):
-        diff = xi - gamma
-        assert diff.is_zero() or valuation(diff, v) >= depth
+    diff = xi - gamma
+    if not diff.is_zero() and any(valuation(diff, v) < depth for v, depth
+                                  in zip(sconfig.finite_places, depths)):
+        raise AssertionError("finite shift misses the requested depths")
     return gamma
 
 
-def torsion_reps(a: FractionalIdeal, m: int, sconfig: SConfig = None):
+def torsion_reps(a: FractionalIdeal, m: int, sconfig: SConfig = None,
+                 primitive: bool = False):
     """The m^n coset representatives of (1/m)a modulo a.
 
     Pure lattice quotient over the ideal's O-part: representatives have
     coordinates c/m in [0, 1) over the HNF basis, so they are exactly m^n
-    distinct reduced points of the parallelepiped.
+    distinct reduced points of the parallelepiped, in lexicographic order of
+    c. With primitive, only the classes of exact order m (gcd(m, c) = 1).
     """
     if m < 1:
         raise ValueError("m must be >= 1")
@@ -257,50 +269,50 @@ def torsion_reps(a: FractionalIdeal, m: int, sconfig: SConfig = None):
     else:
         basis = a.basis_elements()
     field = basis[0].field
-    n = field.degree
     out = []
-
-    def rec(j, acc):
-        if j == n:
-            elem = field.zero()
-            for c, b in zip(acc, basis):
-                if c:
-                    elem = elem + b * Fraction(c, m)
-            out.append(elem)
-            return
-        for c in range(m):
-            acc.append(c)
-            rec(j + 1, acc)
-            acc.pop()
-
-    rec(0, [])
+    for coords in itertools.product(range(m), repeat=field.degree):
+        if primitive and gcd(m, *coords) != 1:
+            continue
+        elem = field.zero()
+        for c, b in zip(coords, basis):
+            if c:
+                elem = elem + b * Fraction(c, m)
+        out.append(elem)
     return out
 
 
-def orbit(a: FractionalIdeal, sconfig: SConfig, xi: FieldElement):
-    """The finite orbit of [xi] under the verified S-units, as reduced reps.
+def orbit_with_units(a: FractionalIdeal, sconfig: SConfig, xi: FieldElement):
+    """The finite orbit of [xi] under the verified S-units.
 
-    Closure under forward multiplication by the generators and the torsion
-    generator; this reaches the full group orbit because every generator
-    permutes the finite set of classes with bounded denominator.
+    Returns (rep, unit) pairs sorted by the reduced representative, where
+    unit carries the reduced class of xi onto rep. Closure under forward
+    multiplication by the generators and the torsion generator; this
+    reaches the full group orbit because every generator permutes the
+    finite set of classes with bounded denominator.
     """
-    assert sconfig.verified, "orbit needs a verified S-unit basis"
+    if not sconfig.verified:
+        raise UnverifiedUnits("orbit needs a verified S-unit basis")
     rho0, _ = reduce_mod(a, sconfig, xi)
     gens = list(sconfig.unit_gens)
     if sconfig.torsion is not None:
         gens.append(sconfig.torsion[0])
-    seen = {rho0.coords: rho0}
-    frontier = [rho0]
+    seen = {rho0.coords: (rho0, sconfig.field.one())}
+    frontier = [(rho0, sconfig.field.one())]
     while frontier:
         nxt = []
-        for x in frontier:
-            for u in gens:
-                y, _ = reduce_mod(a, sconfig, u * x)
+        for x, u in frontier:
+            for g in gens:
+                y, _ = reduce_mod(a, sconfig, g * x)
                 if y.coords not in seen:
-                    seen[y.coords] = y
-                    nxt.append(y)
+                    seen[y.coords] = (y, g * u)
+                    nxt.append(seen[y.coords])
         frontier = nxt
-    return sorted(seen.values(), key=lambda e: e.coords)
+    return sorted(seen.values(), key=lambda pair: pair[0].coords)
+
+
+def orbit(a: FractionalIdeal, sconfig: SConfig, xi: FieldElement):
+    """The finite orbit of [xi] under the verified S-units, as sorted reps."""
+    return [rep for rep, _ in orbit_with_units(a, sconfig, xi)]
 
 
 # -- character layer ----------------------------------------------------------
@@ -333,18 +345,14 @@ def local_trace_polar(x: FieldElement, place: Place) -> Fraction:
     pb = x.power_basis()
     den = lcm_list([c.denominator for c in pb])
     p = place.p
-    a = 0
-    dd = den
-    while dd % p == 0:
-        dd //= p
-        a += 1
+    a = int_valuation(den, p)
     if a == 0:
         return Fraction(0)
     h = [int(c * den) for c in pb]
     block = _hensel_block_for_place(place, a)
     t = trace_mod_pk(h, block, p, a)
-    m_prime = dd  # den / p^a, invertible mod p^a
     pk = p**a
+    m_prime = den // pk  # invertible mod p^a
     polar = (t * pow(m_prime, -1, pk)) % pk
     return Fraction(polar, pk)
 

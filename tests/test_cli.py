@@ -41,6 +41,18 @@ def test_parse_config_errors():
                                  "S": {"primes": [2, 2]},
                                  "ideal": {"gens": [[1]]}}))
     assert "S.primes[1]" in str(err.value)
+    for key, value, path in (("S", [2, 3], "S"), ("units", [], "units"),
+                             ("params", {"workers": "two"}, "params.workers"),
+                             ("params", {"workers": 0}, "params.workers"),
+                             ("params", {"budget": 1.5}, "params.budget"),
+                             ("params", {"budget": True}, "params.budget"),
+                             ("params", {"denom_bound": 0},
+                              "params.denom_bound"),
+                             ("params", {"t": "0"}, "params.t"),
+                             ("params", {"gap": "-1/100"}, "params.gap")):
+        with pytest.raises(ValidationError) as err:
+            parse_config(json.dumps(dict(Z16, **{key: value})))
+        assert path in str(err.value)
 
 
 def test_run_command_m_and_snorm():
@@ -120,6 +132,15 @@ def test_cli_error_exit(tmp_path):
     code = main(["--config", bad, "--command", "info", "--output", str(out)])
     assert code == 1
     assert json.loads(out.read_text())["error"]["type"] == "ValidationError"
+
+
+def test_cli_rejects_nonpositive_threshold(tmp_path):
+    cfg_path = make_cfg(tmp_path, "z16.json", Z16)
+    out = tmp_path / "err.json"
+    assert main(["--config", cfg_path, "--command", "cover", "--t", "0",
+                 "--output", str(out)]) == 1
+    error = json.loads(out.read_text())["error"]
+    assert error["type"] == "ValidationError" and "--t" in error["message"]
 
 
 def test_cli_payload_byte_identical(tmp_path):

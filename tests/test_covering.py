@@ -150,3 +150,30 @@ def test_covering_witness_schedule_independent(field_q, s_q_23):
         assert isinstance(res, Unresolved)
         assert res.witness_minimum.value >= F(1, 8)
         assert m_exact(Z, s_q_23, res.witness) == res.witness_minimum
+
+
+def test_threshold_check_survives_optimize():
+    # `python -O` strips assert statements; the input checks must still run
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    import euclidmin
+
+    script = (
+        "from euclidmin import covering_verify, make_field, make_sconfig\n"
+        "field = make_field([-1, 1])\n"
+        "sconfig = make_sconfig(field, [2, 3])\n"
+        "try:\n"
+        "    covering_verify(field.maximal_order(), sconfig, 0, budget=5)\n"
+        "except ValueError:\n"
+        "    raise SystemExit(0)\n"
+        "raise SystemExit(1)\n")
+    src = str(Path(euclidmin.__file__).resolve().parent.parent)
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src, env.get("PYTHONPATH")) if p)
+    done = subprocess.run([sys.executable, "-O", "-c", script], env=env,
+                          capture_output=True, timeout=120)
+    assert done.returncode == 0, done.stderr.decode()

@@ -1,0 +1,48 @@
+"""Pinned content hashes of canonical reports.
+
+A refactor must leave every answer, certificate and report byte-identical;
+any drift in a report's result, evidence or effort changes these hashes.
+"""
+
+import hashlib
+import json
+from fractions import Fraction as F
+
+import pytest
+
+from euclidmin.cli import RunConfig, canonical_payload_bytes, run_command
+
+Z16 = {"field": {"poly": [-1, 1]}, "S": {"primes": [2, 3]},
+       "ideal": {"gens": [[1]]}}
+QI = {"field": {"poly": [1, 0, 1]}, "S": {"primes": []},
+      "ideal": {"gens": [[1, 0]]}}
+ZM5 = {"field": {"poly": [5, 0, 1]}, "S": {"primes": []},
+       "ideal": {"gens": [[1, 0]]}}
+ZM5_CLASS = {"field": {"poly": [5, 0, 1]}, "S": {"primes": []},
+             "ideal": {"gens": [[2, 0], [1, 1]]}}
+
+PINNED = [
+    ("cover", Z16, {"t": F(21, 100)},
+     "ca25c11fb664bce97b4f45bdb872872458bf74bd790fe74d0e3b4b479c8a2861"),
+    ("M", Z16, {"gap": F(1, 100)},
+     "65cdac893daa71e8210ca13f59a3cf3fefbb27b61b018fa9691190ebf3ffc2d7"),
+    ("decide", Z16, {},
+     "6f9f8668be386ebef18fff873b637a6c601c6becc686910167406b9d46e7d476"),
+    ("decide", QI, {},
+     "0e60908074083f461e0a2082f7204ab70eaf521b12e61f277066af690ec823ac"),
+    ("decide", ZM5, {},
+     "51a6719f975ee1542b60d6f1447ddb4801848d35402ac11dd5eadae938b44ee2"),
+    ("decide", ZM5_CLASS, {},
+     "3f26959f96f298aca5ff08b9f43e27eaf3d8d5a58785685157ec2a0ac565ff9f"),
+]
+
+
+@pytest.mark.parametrize("command,raw,overrides,digest", PINNED,
+                         ids=["cover-z16", "M-z16", "decide-z16", "decide-qi",
+                              "decide-m5", "decide-m5class"])
+def test_report_content_hash_pinned(command, raw, overrides, digest):
+    cfg = RunConfig(json.loads(json.dumps(raw)))
+    for key, value in overrides.items():
+        setattr(cfg, key, value)
+    doc = run_command(cfg, command)
+    assert hashlib.sha256(canonical_payload_bytes(doc)).hexdigest() == digest

@@ -1,0 +1,33 @@
+"""Module boundaries of the package, checked on its source.
+
+A name with a leading underscore is private to the module that defines it;
+no other euclidmin module may import it.
+"""
+
+import ast
+from pathlib import Path
+
+import euclidmin
+
+PACKAGE = Path(euclidmin.__file__).parent
+
+
+def _private_imports(path):
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.ImportFrom):
+            continue
+        internal = node.level > 0 or (node.module or "").split(".")[0] == \
+            "euclidmin"
+        if not internal:
+            continue
+        for alias in node.names:
+            if alias.name.startswith("_"):
+                yield f"{path.name}:{node.lineno} imports {alias.name}"
+
+
+def test_no_cross_module_private_imports():
+    modules = sorted(PACKAGE.glob("*.py"))
+    assert modules
+    found = [hit for path in modules for hit in _private_imports(path)]
+    assert found == []
