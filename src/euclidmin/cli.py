@@ -22,7 +22,7 @@ from .fields import ideal_from_gens, ideal_norm, make_field
 from .forms import form_from_ideal, m_form
 from .minima import (compute_M, covering_verify, decide_norm_euclidean,
                      m_exact, search_lower)
-from .places import make_sconfig, s_norm
+from .places import make_sconfig, places_above, s_norm
 from .torus import orbit, s_trace_dual, torus_context
 
 FORMAT_VERSION = 1
@@ -71,6 +71,20 @@ def _object(raw: dict, key: str) -> dict:
     return value
 
 
+def _element(field, vec, path):
+    """The field element with the given coordinate list of a config."""
+    if not isinstance(vec, list) or len(vec) != field.degree:
+        raise ValidationError(
+            f"must be a list of {field.degree} rationals", path)
+    return field.element([str_to_rat(c, path) for c in vec])
+
+
+def _list(value, path) -> list:
+    if not isinstance(value, list):
+        raise ValidationError("must be a list", path)
+    return value
+
+
 def coords_to_json(coords):
     return [rat_to_str(c) for c in coords]
 
@@ -96,30 +110,29 @@ class RunConfig:
             self.field = make_field(poly)
         except EuclidMinError as exc:
             raise ValidationError(str(exc), "field.poly")
-        prime_specs = _object(raw, "S").get("primes", [])
-        if not isinstance(prime_specs, list):
-            raise ValidationError("primes must be a list", "S.primes")
+        prime_specs = _list(_object(raw, "S").get("primes", []), "S.primes")
         primes = []
         place_indices = {}
         for i, entry in enumerate(prime_specs):
             path = f"S.primes[{i}]"
-            if isinstance(entry, int):
-                p = entry
-            elif isinstance(entry, dict) and "p" in entry:
+            if isinstance(entry, dict) and "p" in entry:
                 p = entry["p"]
-                if "indices" in entry:
-                    place_indices[p] = list(entry["indices"])
             else:
+                p = entry
+            if isinstance(p, bool) or not isinstance(p, int):
                 raise ValidationError("prime entries are ints or {p, indices}",
                                       path)
             if p in primes:
                 raise ValidationError(f"duplicate prime {p}", path)
+            if isinstance(entry, dict) and "indices" in entry:
+                place_indices[p] = self._place_indices(p, entry["indices"],
+                                                       f"{path}.indices")
             primes.append(p)
         unit_gens = None
-        if _object(raw, "units").get("gens"):
-            unit_gens = [self.field.element(
-                [str_to_rat(c, f"units.gens[{i}]") for c in vec])
-                for i, vec in enumerate(raw["units"]["gens"])]
+        gens = _list(_object(raw, "units").get("gens") or [], "units.gens")
+        if gens:
+            unit_gens = [_element(self.field, vec, f"units.gens[{i}]")
+                         for i, vec in enumerate(gens)]
         try:
             self.sconfig = make_sconfig(self.field, primes,
                                         unit_gens=unit_gens,
@@ -136,17 +149,33 @@ class RunConfig:
         self.workers = _positive_int(params.get("workers", 1), "params.workers")
         self.xi = None
         if "xi" in params:
-            self.xi = self.field.element(
-                [str_to_rat(c, "params.xi") for c in params["xi"]])
+            self.xi = _element(self.field, params["xi"], "params.xi")
         self.x = None
         if "x" in params:
-            self.x = self.field.element(
-                [str_to_rat(c, "params.x") for c in params["x"]])
+            self.x = _element(self.field, params["x"], "params.x")
         self.point = None
         if "point" in params:
-            self.point = tuple(str_to_rat(c, "params.point")
-                               for c in params["point"])
+            point = params["point"]
+            if not isinstance(point, list) or len(point) != 2:
+                raise ValidationError("must be a list of 2 rationals",
+                                      "params.point")
+            self.point = tuple(str_to_rat(c, "params.point") for c in point)
         self.cert_path = params.get("cert_path")
+
+    def _place_indices(self, p, indices, path) -> list:
+        """Indices into places_above(field, p): distinct and in range."""
+        try:
+            count = len(places_above(self.field, p))
+        except EuclidMinError as exc:
+            raise ValidationError(str(exc), "S")
+        if (not isinstance(indices, list)
+                or not all(isinstance(k, int) and not isinstance(k, bool)
+                           and 0 <= k < count for k in indices)
+                or len(set(indices)) != len(indices)):
+            raise ValidationError(
+                f"must be a list of distinct place indices below {count}",
+                path)
+        return indices
 
     def echo(self) -> dict:
         return self.raw
@@ -157,12 +186,8 @@ def _parse_ideal(field, raw: dict):
     ideal_spec = raw.get("ideal", {"gens": [[1] + [0] * (field.degree - 1)]})
     if not isinstance(ideal_spec, dict):
         raise ValidationError("must be a JSON object", "ideal")
-    gens = []
-    for i, vec in enumerate(ideal_spec.get("gens", [])):
-        path = f"ideal.gens[{i}]"
-        if not isinstance(vec, list) or len(vec) != field.degree:
-            raise ValidationError("generator has wrong length", path)
-        gens.append(field.element([str_to_rat(c, path) for c in vec]))
+    gens = [_element(field, vec, f"ideal.gens[{i}]") for i, vec in
+            enumerate(_list(ideal_spec.get("gens", []), "ideal.gens"))]
     try:
         return ideal_from_gens(gens)
     except EuclidMinError as exc:

@@ -6,9 +6,14 @@ the polynomial discriminant, and its correctness is certified afterwards:
 the multiplication table over the integral basis must be integral and the
 trace-pairing Gram determinant must equal the field discriminant.
 
-Elements carry exact rational coordinates over the integral basis, so all
-arithmetic (including norms, traces and ideal operations) is rounding-free.
-Archimedean data lives in certified interval boxes only.
+An element is a tuple of integer numerators over one positive denominator
+(its coordinates over the integral basis, in lowest terms), so all
+arithmetic is exact and runs on integers: products contract the integer
+multiplication table, sums work over the common denominator, norms are
+Bareiss determinants of the integer multiplication matrix, and ideal
+membership is integer back-substitution on the HNF. `coords` gives the
+same coordinates as Fractions. Archimedean data lives in certified interval
+boxes only.
 """
 
 from __future__ import annotations
@@ -19,8 +24,8 @@ from functools import lru_cache
 from math import gcd
 
 from .errors import PrecisionUnreachable, UnsupportedDegree, ZeroIdeal
-from .hnf import (fp_kernel, hnf_columns, kernel_int, lcm_list, mat_det,
-                  mat_inverse, mat_vec, solve_upper)
+from .hnf import (fp_kernel, hnf_columns, int_det, int_solve, kernel_int,
+                  lcm_list, mat_inverse, mat_vec)
 from .intervals import Iv
 from .polynomials import (certify_irreducible, count_real_roots, deg,
                           poly_discriminant, poly_divmod, poly_mul, root_bound)
@@ -48,68 +53,91 @@ class NumberField:
               count_real_roots(list(coeffs), -bound, bound))
         self.signature = (r1, (n - r1) // 2)
         pd = poly_discriminant(list(coeffs))
-        assert pd.denominator == 1 and pd != 0
+        if pd.denominator != 1 or pd == 0:
+            raise AssertionError("poly discriminant is not a nonzero integer")
         self.poly_disc = int(pd)
         basis_pb = _maximal_order(list(self.coeffs), self.poly_disc)
         self.basis_pb = tuple(tuple(row) for row in basis_pb)
-        det_b = mat_det(basis_pb)
-        self.index = int(1 / abs(det_b))  # [O : Z[theta]]
+        # basis rows over the power basis, as integers over one denominator
+        den = lcm_list([c.denominator for row in basis_pb for c in row])
+        self._pb_den = den
+        self._pb_num = [[int(c * den) for c in row] for row in basis_pb]
+        self.index = den**n // abs(int_det(self._pb_num))  # [O : Z[theta]]
         self.discriminant = self.poly_disc // (self.index**2)
-        # conversion matrices between integral-basis and power-basis coords
-        bt = [[basis_pb[i][j] for i in range(n)] for j in range(n)]
-        self._bt = bt
-        self._bt_inv = mat_inverse(bt)
+        # power-basis to integral-basis coordinates: integral, as Z[theta] <= O
+        bt_inv = mat_inverse([[basis_pb[i][j] for i in range(n)]
+                              for j in range(n)])
+        if any(x.denominator != 1 for row in bt_inv for x in row):
+            raise AssertionError("Z[theta] is not inside the computed order")
+        self._ib_of_pb = [[int(x) for x in row] for row in bt_inv]
         # integer multiplication table over the integral basis
         table = []
         for i in range(n):
             row = []
             for j in range(n):
                 prod_pb = _pb_mul(list(self.coeffs), basis_pb[i], basis_pb[j])
-                c = mat_vec(self._bt_inv, prod_pb)
-                assert all(x.denominator == 1 for x in c), "basis not a ring"
+                c = mat_vec(bt_inv, prod_pb)
+                if any(x.denominator != 1 for x in c):
+                    raise AssertionError("basis not a ring")
                 row.append(tuple(int(x) for x in c))
             table.append(tuple(row))
         self.mult_table = tuple(table)
-        self._mt_by_basis = [self._mult_matrix_int(i) for i in range(n)]
+        self._traces = tuple(sum(table[i][k][k] for k in range(n))
+                             for i in range(n))
         # trace of omega_i * omega_j certifies the discriminant
-        gram = [[self._trace_int_coords(self.mult_table[i][j])
-                 for j in range(n)] for i in range(n)]
+        gram = [[self._int_trace(table[i][j]) for j in range(n)]
+                for i in range(n)]
         self.trace_gram = tuple(tuple(row) for row in gram)
-        assert int(mat_det(gram)) == self.discriminant, \
-            "trace Gram determinant does not certify the discriminant"
+        if int_det(gram) != self.discriminant:
+            raise AssertionError(
+                "trace Gram determinant does not certify the discriminant")
+        self.integral_basis = tuple(
+            FieldElement(self, tuple(int(i == j) for j in range(n)), 1)
+            for i in range(n))
         self._roots: RootEnclosures | None = None
         self._pow_cache: dict = {}
 
-    # -- low-level helpers -----------------------------------------------------
+    # -- the integer kernel ----------------------------------------------------
+    # Integral elements given by integer coordinates over the integral basis.
 
-    def _mult_matrix_int(self, i):
-        n = self.degree
-        return [[self.mult_table[i][j][k] for j in range(n)] for k in range(n)]
+    def int_mul(self, a, b) -> tuple:
+        """Coordinates of the product of two integral elements."""
+        out = [0] * self.degree
+        for x, row in zip(a, self.mult_table):
+            if x:
+                for y, prod in zip(b, row):
+                    if y:
+                        xy = x * y
+                        for k, t in enumerate(prod):
+                            out[k] += xy * t
+        return tuple(out)
 
-    def _trace_int_coords(self, coords) -> int:
+    def int_mult_matrix(self, a) -> list[list[int]]:
+        """Matrix of multiplication by an integral element (column j is the
+        product with omega_j)."""
         n = self.degree
-        return sum(sum(coords[i] * self._mt_by_basis[i][k][k] for i in range(n))
-                   for k in range(n))
+        table = self.mult_table
+        return [[sum([a[i] * table[i][j][k] for i in range(n)])
+                 for j in range(n)] for k in range(n)]
 
-    def mult_matrix(self, coords):
-        """Matrix of multiplication by the element with the given ib-coords."""
-        n = self.degree
-        return [[sum(Fraction(coords[i]) * self._mt_by_basis[i][k][j]
-                     for i in range(n)) for j in range(n)] for k in range(n)]
+    def _int_trace(self, a) -> int:
+        return sum([x * t for x, t in zip(a, self._traces)])
 
     # -- public ----------------------------------------------------------------
 
     def element(self, coords) -> "FieldElement":
-        coords = tuple(Fraction(c) for c in coords)
+        coords = [Fraction(c) for c in coords]
         if len(coords) != self.degree:
             raise ValueError("coordinate length mismatch")
-        return FieldElement(self, coords)
+        den = lcm_list([c.denominator for c in coords])
+        return FieldElement(self, tuple(c.numerator * (den // c.denominator)
+                                        for c in coords), den)
 
     def zero(self):
-        return self.element([0] * self.degree)
+        return FieldElement(self, (0,) * self.degree, 1)
 
     def one(self):
-        return self.element([1] + [0] * (self.degree - 1))
+        return FieldElement(self, (1,) + (0,) * (self.degree - 1), 1)
 
     def gen(self) -> "FieldElement":
         """The root of the defining polynomial as a field element."""
@@ -120,11 +148,15 @@ class NumberField:
         return self.from_power_basis(pb)
 
     def from_power_basis(self, pb_coords) -> "FieldElement":
-        c = mat_vec(self._bt_inv, [Fraction(x) for x in pb_coords])
-        return FieldElement(self, tuple(c))
+        pb = [Fraction(x) for x in pb_coords]
+        den = lcm_list([c.denominator for c in pb])
+        nums = [c.numerator * (den // c.denominator) for c in pb]
+        return FieldElement(self, tuple(mat_vec(self._ib_of_pb, nums)), den)
 
     def from_rational(self, q) -> "FieldElement":
-        return self.element([Fraction(q)] + [0] * (self.degree - 1))
+        q = Fraction(q)
+        return FieldElement(self, (q.numerator,) + (0,) * (self.degree - 1),
+                            q.denominator)
 
     def roots(self) -> RootEnclosures:
         if self._roots is None:
@@ -210,7 +242,8 @@ def _enlarge_at_p(f_coeffs, basis, p):
                 acc = order_mul(acc, base)
             base = order_mul(base, base)
             e >>= 1
-        assert all(x.denominator == 1 for x in acc)
+        if any(x.denominator != 1 for x in acc):
+            raise AssertionError("Frobenius power left the order")
         frob_cols.append([int(x) % p for x in acc])
     frob_rows = [[frob_cols[j][i] for j in range(n)] for i in range(n)]
     rad_kernel = fp_kernel(frob_rows, p)
@@ -229,7 +262,8 @@ def _enlarge_at_p(f_coeffs, basis, p):
             ei = [Fraction(1 if k == i else 0) for k in range(n)]
             prod = order_mul(ei, [Fraction(c) for c in rj])
             rc = mat_vec(rad_inv, prod)
-            assert all(x.denominator == 1 for x in rc), "radical is not an ideal"
+            if any(x.denominator != 1 for x in rc):
+                raise AssertionError("radical is not an ideal")
             images.append([int(x) for x in rc])
         for k in range(n):
             rows.append([images[i][k] % p for i in range(n)])
@@ -262,44 +296,66 @@ def _hnf_basis(rows) -> list[list[Fraction]]:
 
 
 class FieldElement:
-    """Element with exact rational coordinates over the integral basis."""
+    """Element of a number field: integer numerators over one denominator.
 
-    __slots__ = ("field", "coords")
+    The coordinates over the integral basis are nums[i] / den with den > 0
+    and gcd(den, *nums) = 1, so equal elements have equal representations.
+    coords is the same vector as Fractions.
+    """
 
-    def __init__(self, field: NumberField, coords: tuple):
+    __slots__ = ("field", "nums", "den")
+
+    def __init__(self, field: NumberField, nums: tuple, den: int):
+        g = gcd(den, *nums)
+        if g != 1:
+            nums = tuple([a // g for a in nums])
+            den //= g
         self.field = field
-        self.coords = coords
+        self.nums = nums
+        self.den = den
+
+    @property
+    def coords(self) -> tuple:
+        den = self.den
+        return tuple([Fraction(a, den) for a in self.nums])
 
     def __repr__(self):
         return f"FieldElement({list(self.coords)})"
 
     def __eq__(self, other):
         return (isinstance(other, FieldElement) and self.field == other.field
-                and self.coords == other.coords)
+                and self.nums == other.nums and self.den == other.den)
 
     def __hash__(self):
-        return hash(self.coords)
+        return hash((self.nums, self.den))
 
     def is_zero(self) -> bool:
-        return all(c == 0 for c in self.coords)
+        return not any(self.nums)
 
     def __add__(self, other):
-        return FieldElement(self.field, tuple(a + b for a, b in
-                                              zip(self.coords, other.coords)))
+        # over the common denominator lcm(den, other.den) = den * ma
+        g = gcd(self.den, other.den)
+        ma, mb = other.den // g, self.den // g
+        return FieldElement(self.field, tuple([
+            a * ma + b * mb for a, b in zip(self.nums, other.nums)]),
+            self.den * ma)
 
     def __sub__(self, other):
-        return FieldElement(self.field, tuple(a - b for a, b in
-                                              zip(self.coords, other.coords)))
+        return self + (-other)
 
     def __neg__(self):
-        return FieldElement(self.field, tuple(-a for a in self.coords))
+        return FieldElement(self.field, tuple([-a for a in self.nums]),
+                            self.den)
 
     def __mul__(self, other):
         if isinstance(other, FieldElement):
-            m = self.field.mult_matrix(self.coords)
-            return FieldElement(self.field, tuple(mat_vec(m, other.coords)))
+            return FieldElement(self.field,
+                                self.field.int_mul(self.nums, other.nums),
+                                self.den * other.den)
         q = Fraction(other)
-        return FieldElement(self.field, tuple(c * q for c in self.coords))
+        num = q.numerator
+        return FieldElement(self.field, tuple([a * num for a in self.nums]),
+                            self.den * q.denominator)
 
     __rmul__ = __mul__
 
@@ -313,32 +369,42 @@ class FieldElement:
     def inverse(self) -> "FieldElement":
         if self.is_zero():
             raise ZeroDivisionError("inverse of zero field element")
-        m = self.field.mult_matrix(self.coords)
-        inv = mat_inverse(m)
-        one = [Fraction(1)] + [Fraction(0)] * (self.field.degree - 1)
-        return FieldElement(self.field, tuple(mat_vec(inv, one)))
+        # (den * x) y = d * 1, so x^-1 = den * y / d
+        one = (1,) + (0,) * (self.field.degree - 1)
+        y, d = int_solve(self.field.int_mult_matrix(self.nums), one)
+        if d < 0:
+            y, d = [-c for c in y], -d
+        return FieldElement(self.field, tuple([c * self.den for c in y]), d)
 
     def __truediv__(self, other):
         if isinstance(other, FieldElement):
             return self * other.inverse()
         return self * (Fraction(1) / Fraction(other))
 
+    def numerator_norm(self) -> int:
+        """N(den * x): the norm of the integral numerator, an integer."""
+        return int_det(self.field.int_mult_matrix(self.nums))
+
     def norm(self) -> Fraction:
-        return mat_det(self.field.mult_matrix(self.coords))
+        return Fraction(self.numerator_norm(), self.den**self.field.degree)
 
     def trace(self) -> Fraction:
-        m = self.field.mult_matrix(self.coords)
-        return sum(m[k][k] for k in range(self.field.degree))
+        return Fraction(self.field._int_trace(self.nums), self.den)
 
     def power_basis(self) -> list[Fraction]:
-        return mat_vec(self.field._bt, list(self.coords))
+        field = self.field
+        n = field.degree
+        den = self.den * field._pb_den
+        rows = field._pb_num
+        return [Fraction(sum([a * row[j] for a, row in zip(self.nums, rows)]),
+                         den) for j in range(n)]
 
     def denominator(self) -> int:
         """Least d > 0 with d * self integral."""
-        return lcm_list([c.denominator for c in self.coords] or [1])
+        return self.den
 
     def is_integral(self) -> bool:
-        return all(c.denominator == 1 for c in self.coords)
+        return self.den == 1
 
     def as_rational(self) -> Fraction:
         """The value when the element lies in Q; raises otherwise."""
@@ -406,7 +472,6 @@ class FractionalIdeal:
     __slots__ = ("field", "hnf", "den")
 
     def __init__(self, field: NumberField, hnf_matrix, den: int, _checked=False):
-        n = field.degree
         self.field = field
         g = den
         for row in hnf_matrix:
@@ -429,28 +494,47 @@ class FractionalIdeal:
                 if not 0 <= self.hnf[i][j] < self.hnf[i][i]:
                     raise ValueError("entries right of diagonal not reduced")
         # O-module check: omega_i * b_j stays inside the lattice
-        for j in range(n):
-            bj = self.basis_element(j)
-            for i in range(n):
-                ei = self.field.element([1 if k == i else 0 for k in range(n)])
+        for bj in self.basis_elements():
+            for ei in self.field.integral_basis:
                 if not self.contains(ei * bj):
                     raise ValueError("lattice is not an O-module")
 
     def basis_element(self, j) -> FieldElement:
-        n = self.field.degree
-        return self.field.element([Fraction(self.hnf[i][j], self.den)
-                                   for i in range(n)])
+        return FieldElement(self.field, tuple([row[j] for row in self.hnf]),
+                            self.den)
 
     def basis_elements(self) -> list[FieldElement]:
         return [self.basis_element(j) for j in range(self.field.degree)]
 
     def contains(self, x: FieldElement) -> bool:
-        t = solve_upper(self.hnf, [Fraction(c) * self.den for c in x.coords])
-        return all(v.denominator == 1 for v in t)
+        # H t = den * x.nums / x.den, back-substituted over the integers
+        h = self.hnf
+        n = len(h)
+        dx = x.den
+        t = [0] * n
+        for i in range(n - 1, -1, -1):
+            r = self.den * x.nums[i] - dx * sum(
+                [h[i][j] * t[j] for j in range(i + 1, n)])
+            q, rem = divmod(r, dx * h[i][i])
+            if rem:
+                return False
+            t[i] = q
+        return True
 
     def coords_in_basis(self, x: FieldElement) -> list[Fraction]:
         """Exact coordinates of x over this ideal's HNF basis."""
-        return solve_upper(self.hnf, [Fraction(c) * self.den for c in x.coords])
+        # w = scale * H^-1 (den * x.nums) is integral for scale = det H
+        h = self.hnf
+        n = len(h)
+        scale = 1
+        for i in range(n):
+            scale *= h[i][i]
+        w = [0] * n
+        for i in range(n - 1, -1, -1):
+            w[i] = (scale * self.den * x.nums[i] - sum(
+                [h[i][j] * w[j] for j in range(i + 1, n)])) // h[i][i]
+        d = scale * x.den
+        return [Fraction(c, d) for c in w]
 
     def norm(self) -> Fraction:
         n = self.field.degree
@@ -501,14 +585,9 @@ def ideal_from_gens(gens) -> FractionalIdeal:
     if not gens:
         raise ZeroIdeal("all generators are zero")
     field = gens[0].field
-    n = field.degree
-    elems = []
-    for g in gens:
-        for i in range(n):
-            ei = field.element([1 if k == i else 0 for k in range(n)])
-            elems.append(g * ei)
-    den = lcm_list([c.denominator for e in elems for c in e.coords])
-    cols = [[int(c * den) for c in e.coords] for e in elems]
+    elems = [g * w for g in gens for w in field.integral_basis]
+    den = lcm_list([e.den for e in elems])
+    cols = [[a * (den // e.den) for a in e.nums] for e in elems]
     h = hnf_columns(cols)
     return FractionalIdeal(field, h, den)
 
@@ -545,28 +624,21 @@ def ideal_invert(ideal: FractionalIdeal) -> FractionalIdeal:
         b = ideal.basis_element(0)
         inv = ideal_from_gens([b.inverse()])
     else:
-        det_h = 1
+        m0 = 1
         for i in range(n):
-            det_h *= ideal.hnf[i][i]
+            m0 *= ideal.hnf[i][i]
+        # basis element j is column j of the HNF over den, so x = v / m0 lies
+        # in the inverse when B_j v is in den * m0 * Z^n for every j, with
+        # B_j the integer multiplication matrix of column j
         rows = []
-        q = 1
-        muls = []
         for j in range(n):
-            m = field.mult_matrix(ideal.basis_element(j).coords)
-            muls.append(m)
-            q = lcm_list([q] + [c.denominator for row in m for c in row])
-        m0 = det_h
-        for m in muls:
-            for row in m:
-                rows.append([int(c * q) for c in row])
-        # x = v / m0 satisfies B v in q*m0*Z for every stacked row block
-        kern = kernel_int([row + [0] * 0 for row in _augment(rows, q * m0)])
+            rows += field.int_mult_matrix([ideal.hnf[i][j] for i in range(n)])
+        kern = kernel_int(_augment(rows, ideal.den * m0))
         vs = [k[:n] for k in kern]
-        vs = [v for v in vs if any(v)]
-        cols = vs
-        h = hnf_columns(cols)
+        h = hnf_columns([v for v in vs if any(v)])
         inv = FractionalIdeal(field, h, m0)
-    assert ideal * inv == field.maximal_order(), "inverse verification failed"
+    if ideal * inv != field.maximal_order():
+        raise AssertionError("inverse verification failed")
     return inv
 
 

@@ -18,7 +18,7 @@ from .errors import (DegenerateForm, NonFundamental, NonFundamentalIndefinite,
 from .fields import (FieldElement, FractionalIdeal, NumberField,
                      ideal_from_gens, ideal_norm, make_field)
 from .hnf import hnf_columns, lcm_list
-from .minima import m_exact
+from .minima import m_exact_attained
 from .places import make_sconfig
 from .qmath import is_fundamental_discriminant, sqrt_upper
 
@@ -298,13 +298,11 @@ def m_form_reduced(f: BinaryQuadraticForm, p):
     g, q, u_mat = _transport_to_positive(f, p)
     field, ideal, alpha1, alpha2 = standard_module(g)
     xi = alpha1 * q[0] + alpha2 * q[1]
-    mv = m_exact(ideal, _sconfig_for(field), xi)
+    mv, rep, rep_shift = m_exact_attained(ideal, _sconfig_for(field), xi)
     from .hnf import mat_inverse, mat_vec
 
     mat = [[alpha1.coords[i], alpha2.coords[i]] for i in range(2)]
     mat_inv = mat_inverse(mat)
-    rep = field.element(mv.search_box["rep_coords"])
-    rep_shift = field.element(mv.search_box["rep_shift_coords"])
     q_red = mat_vec(mat_inv, list(rep.coords))
     q_shift = mat_vec(mat_inv, list(rep_shift.coords))
     assert all(v.denominator == 1 for v in q_shift), "shift is not a Z-pair"

@@ -135,6 +135,59 @@ def mat_det(m) -> Fraction:
     return det
 
 
+def int_det(m) -> int:
+    """Determinant of an integer matrix by Bareiss fraction-free elimination.
+
+    After step k every entry below the pivot row is a (k+2)-minor of m, so
+    each division by the previous pivot is exact (Cohen, GTM 138, sec. 2.2).
+    """
+    a = [list(row) for row in m]
+    n = len(a)
+    sign = 1
+    prev = 1
+    for k in range(n - 1):
+        if a[k][k] == 0:
+            swap = next((r for r in range(k + 1, n) if a[r][k]), None)
+            if swap is None:
+                return 0
+            a[k], a[swap] = a[swap], a[k]
+            sign = -sign
+        piv = a[k][k]
+        row_k = a[k]
+        for i in range(k + 1, n):
+            row_i = a[i]
+            f = row_i[k]
+            for j in range(k + 1, n):
+                row_i[j] = (piv * row_i[j] - f * row_k[j]) // prev
+        prev = piv
+    return sign * a[n - 1][n - 1]
+
+
+def int_solve(m, b) -> tuple[list[int], int]:
+    """(y, d) with m y = d b, d = +-det(m), for a regular integer matrix m.
+
+    Fraction-free Gauss-Jordan elimination: every row is reduced against each
+    pivot, so at the end the left block is d times the identity and the last
+    column is d times the solution; all divisions are exact, as in int_det.
+    """
+    n = len(m)
+    a = [list(row) + [v] for row, v in zip(m, b)]
+    prev = 1
+    for k in range(n):
+        p = next((r for r in range(k, n) if a[r][k]), None)
+        if p is None:
+            raise ValueError("singular matrix")
+        a[k], a[p] = a[p], a[k]
+        row_k = a[k]
+        piv = row_k[k]
+        for i in range(n):
+            if i != k:
+                f = a[i][k]
+                a[i] = [(piv * x - f * y) // prev for x, y in zip(a[i], row_k)]
+        prev = piv
+    return [a[i][n] for i in range(n)], prev
+
+
 def mat_inverse(m) -> list[list[Fraction]]:
     n = len(m)
     a = [[Fraction(x) for x in row] + [Fraction(1 if i == j else 0) for j in range(n)]
@@ -151,16 +204,6 @@ def mat_inverse(m) -> list[list[Fraction]]:
                 f = a[r][i]
                 a[r] = [x - f * y for x, y in zip(a[r], a[i])]
     return [row[n:] for row in a]
-
-
-def solve_upper(h, v):
-    """Solve H x = v for upper-triangular H with nonzero diagonal; exact."""
-    n = len(h)
-    x = [Fraction(0)] * n
-    for i in range(n - 1, -1, -1):
-        s = Fraction(v[i]) - sum(Fraction(h[i][j]) * x[j] for j in range(i + 1, n))
-        x[i] = s / h[i][i]
-    return x
 
 
 def solve_linear_mod_lattice(a_cols, w_cols, target):

@@ -21,10 +21,12 @@ from __future__ import annotations
 
 import heapq
 import itertools
+from collections.abc import Mapping
 from contextlib import contextmanager
 from dataclasses import dataclass
 from fractions import Fraction
 from math import ceil, gcd
+from types import MappingProxyType
 
 from .covering import (BOUND_WIDTH, CertEntry, CoverBox, CoveringCertificate,
                        CoveringState, Unresolved, arch_intervals_for_box,
@@ -41,11 +43,44 @@ from .torus import (TorusContext, orbit, orbit_with_units, reduce_mod,
                     shift_into_depths, torsion_reps, torus_context)
 
 
-@dataclass(frozen=True)
+@dataclass(init=False)
 class MinimumValue:
+    """An exact minimum and a shift that attains it.
+
+    Callers keep many results (a search keeps one per class), so a result
+    stores its numbers as one tuple of integers, (numerator and denominator
+    of value, denominator and numerators of attaining_shift), and shares a
+    read-only search_box with every result of the same branch. The fields
+    stay those of a dataclass (fields, replace, eq and repr see value,
+    attaining_shift and search_box); the properties below rebuild the first
+    two from the integers.
+    """
+
+    __slots__ = ("_field", "_ints", "search_box")
     value: Fraction                 # normalized: N_S(xi - shift) / N_S(a)
     attaining_shift: FieldElement   # gamma in the S-ideal
-    search_box: dict                # the certified enumeration region used
+    search_box: Mapping             # which search m_exact ran
+
+    def __init__(self, value, attaining_shift: FieldElement,
+                 search_box: Mapping):
+        value = Fraction(value)
+        self._field = attaining_shift.field
+        self._ints = ((value.numerator, value.denominator, attaining_shift.den)
+                      + attaining_shift.nums)
+        self.search_box = search_box
+
+    @property
+    def value(self) -> Fraction:
+        return Fraction(self._ints[0], self._ints[1])
+
+    @property
+    def attaining_shift(self) -> FieldElement:
+        return FieldElement(self._field, self._ints[3:], self._ints[2])
+
+
+_TRIVIAL = MappingProxyType({"trivial": True})
+_CORNER_SCAN = MappingProxyType({"branch": "corner-scan"})
+_BOX_ENUMERATION = MappingProxyType({"branch": "box-enumeration"})
 
 
 @dataclass(frozen=True)
@@ -143,13 +178,23 @@ def _corner_differences(ctx: TorusContext, rep: FieldElement):
 
 def m_exact(a: FractionalIdeal, sconfig, xi: FieldElement) -> MinimumValue:
     """The exact minimum of N_S(xi - gamma)/N_S(a) over the S-ideal of a."""
+    return m_exact_attained(a, sconfig, xi)[0]
+
+
+def m_exact_attained(a: FractionalIdeal, sconfig, xi: FieldElement):
+    """m_exact and where the search attained it: (MinimumValue, rep, shift).
+
+    rep is the reduced representative of the unit orbit of xi at which the
+    least S-norm difference rep - shift was found, and shift is a small
+    element of the S-ideal; both are None when xi lies in the S-ideal.
+    """
     if not sconfig.verified:
         raise UnverifiedUnits("m_exact requires a verified S-unit basis")
     ctx = torus_context(a, sconfig)
     field = ctx.field
     rho0, gamma0 = reduce_mod(a, sconfig, xi)
     if rho0.is_zero():
-        return MinimumValue(Fraction(0), gamma0, {"trivial": True})
+        return MinimumValue(Fraction(0), gamma0, _TRIVIAL), None, None
     orbit_pairs = orbit_with_units(a, sconfig, xi)
     # discreteness floor: d * rho0 lands in the a-part lattice
     d = lcm_list([c.denominator for c in ctx.a_part.coords_in_basis(rho0)])
@@ -164,8 +209,9 @@ def m_exact(a: FractionalIdeal, sconfig, xi: FieldElement) -> MinimumValue:
             val = s_norm(eta, sconfig)
             if best_raw is None or val < best_raw:
                 best_raw, best_eta, best_unit, best_rep = val, eta, u, rep
-    assert best_raw is not None
-    search_info = {"branch": "corner-scan"}
+    if best_raw is None:
+        raise AssertionError("no corner difference is nonzero")
+    search_info = _CORNER_SCAN
     if best_raw > floor_raw:
         # full certified enumeration below the current best
         factors = _unit_box_factors(ctx)
@@ -180,12 +226,7 @@ def m_exact(a: FractionalIdeal, sconfig, xi: FieldElement) -> MinimumValue:
             depths.append(_min_exponent(v.residue_norm(), c_v))
         targets = real_box_targets(field, real_bounds, cplx_bounds)
         basis = ctx.s_lattice(depths).basis_elements()
-        search_info = {
-            "branch": "box-enumeration",
-            "orbit_size": len(orbit_pairs),
-            "raw_bound": best_raw,
-            "finite_depths": tuple(depths),
-        }
+        search_info = _BOX_ENUMERATION
         for rep, u in orbit_pairs:
             if any(k > 0 for k in depths):
                 need = [max(k, 0) for k in depths]
@@ -209,10 +250,8 @@ def m_exact(a: FractionalIdeal, sconfig, xi: FieldElement) -> MinimumValue:
         raise AssertionError("attaining shift does not replay")
     if not gamma_in_s_ideal(ctx, gamma):
         raise AssertionError("shift left the S-ideal")
-    # the balanced representative keeps a small attaining shift around
-    search_info["rep_coords"] = best_rep.coords
-    search_info["rep_shift_coords"] = (best_rep - best_eta).coords
-    return MinimumValue(value, gamma, search_info)
+    return (MinimumValue(value, gamma, search_info), best_rep,
+            best_rep - best_eta)
 
 
 # -- covering proofs -----------------------------------------------------------
@@ -475,7 +514,7 @@ def search_lower(a: FractionalIdeal, sconfig, denom_bound: int,
                 best = (rho, mv, len(orb))
     if best is None:
         zero = ctx.field.zero()
-        best = (zero, MinimumValue(Fraction(0), zero, {"trivial": True}), 1)
+        best = (zero, MinimumValue(Fraction(0), zero, _TRIVIAL), 1)
     return best
 
 

@@ -15,6 +15,7 @@ from .errors import (IndexDivisor, NotAnSUnit, NotPrime, RankDeficient,
                      RankUndetermined, SearchExhausted, ZeroElement)
 from .fields import (FieldElement, FractionalIdeal, NumberField, embed,
                      ideal_from_gens, ideal_norm)
+from .hnf import fp_kernel
 from .intervals import Iv, interval_det
 from .polynomials import deg, factor_mod_p
 from .qmath import int_valuation, is_prime, ln_enclosure
@@ -86,9 +87,27 @@ class Place:
                 raise SearchExhausted("no uniformizer among standard candidates")
         return cache[key]
 
+    def beta(self) -> tuple:
+        """Integer coordinates of an integral beta with beta P <= pO and
+        beta not in pO (Cohen, GTM 138, section 4.8).
+
+        P = pO + gO, so beta is a nonzero kernel vector of multiplication
+        by the second generator g modulo p.
+        """
+        cache = self.field._pow_cache.setdefault(("beta",), {})
+        key = (self.p, self.gen_poly)
+        if key not in cache:
+            g = self.second_generator()
+            kernel = fp_kernel(self.field.int_mult_matrix(g.nums), self.p)
+            if g.den != 1 or not kernel:
+                raise AssertionError("no beta for this place")
+            cache[key] = tuple(kernel[0])
+        return cache[key]
+
     def abs_value(self, x: FieldElement) -> Fraction:
         """Exact normalized absolute value at a finite place."""
-        assert self.is_finite()
+        if not self.is_finite():
+            raise ValueError("abs_value needs a finite place")
         if x.is_zero():
             return Fraction(0)
         return Fraction(self.residue_norm()) ** (-valuation(x, self))
@@ -137,27 +156,40 @@ def places_above(field: NumberField, p: int) -> list[Place]:
         lifted = tuple(c - p if c > p // 2 else c for c in g)
         out.append(Place(field, "finite", p=p, gen_poly=lifted, e=e, f=deg(g)))
         total += e * deg(g)
-    assert total == field.degree, "sum of e*f does not match the degree"
+    if total != field.degree:
+        raise AssertionError("sum of e*f does not match the degree")
     out.sort(key=lambda v: v.sort_key())
     return out
 
 
-def valuation(x: FieldElement, place: Place) -> int:
-    """Exact valuation of x at a finite place, via prime power membership."""
+def valuation(x: FieldElement, place: Place,
+              norm_exp: int | None = None) -> int:
+    """Exact valuation of x at a finite place.
+
+    x = y / den with y integral, and v(x) = v(y) - e * v_p(den), where v(y)
+    counts how often y <- y * beta / p stays integral (Place.beta): each
+    step lowers v(y) by one and no other valuation above p. norm_exp, when
+    the caller knows it, is v_p(N(y)); since it is the sum over the places
+    w above p of f_w * w(y), it bounds v(y) by norm_exp // f, and 0 ends
+    the count before it starts.
+    """
     if x.is_zero():
         raise ZeroElement("valuation of zero")
-    assert place.is_finite()
-    d = x.denominator()
-    y = x * d
-    v_den = place.e * int_valuation(d, place.p)
-    nrm = abs(y.norm())
-    assert nrm.denominator == 1
-    a = int_valuation(nrm.numerator, place.p)
-    if a == 0:
+    if not place.is_finite():
+        raise ValueError("valuation needs a finite place")
+    p = place.p
+    v_den = place.e * int_valuation(x.den, p)
+    if norm_exp == 0:
         return -v_den
+    field = x.field
+    beta = place.beta()
+    y = x.nums
     k = 0
-    bound = a // place.f
-    while k < bound and place.ideal_power(k + 1).contains(y):
+    while norm_exp is None or k < norm_exp // place.f:
+        z = field.int_mul(y, beta)
+        if any([c % p for c in z]):
+            break
+        y = tuple([c // p for c in z])
         k += 1
     return k - v_den
 
@@ -170,10 +202,15 @@ def s_norm(x: FieldElement, sconfig: "SConfig") -> Fraction:
     """
     if x.is_zero():
         return Fraction(0)
-    out = abs(x.norm())
+    nrm = abs(x.numerator_norm())
+    num, den = nrm, x.den**x.field.degree
     for v in sconfig.finite_places:
-        out *= v.abs_value(x)
-    return out
+        w = valuation(x, v, int_valuation(nrm, v.p))
+        if w > 0:
+            den *= v.residue_norm()**w
+        elif w < 0:
+            num *= v.residue_norm()**-w
+    return Fraction(num, den)
 
 
 def ideal_place_valuation(ideal: FractionalIdeal, place: Place) -> int:

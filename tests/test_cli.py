@@ -49,7 +49,21 @@ def test_parse_config_errors():
                              ("params", {"denom_bound": 0},
                               "params.denom_bound"),
                              ("params", {"t": "0"}, "params.t"),
-                             ("params", {"gap": "-1/100"}, "params.gap")):
+                             ("params", {"gap": "-1/100"}, "params.gap"),
+                             ("units", {"gens": 5}, "units.gens"),
+                             ("units", {"gens": [["1/2", "3"]]},
+                              "units.gens[0]"),
+                             ("ideal", {"gens": 5}, "ideal.gens"),
+                             ("S", {"primes": [{"p": 5, "indices": 0}]},
+                              "S.primes[0].indices"),
+                             ("S", {"primes": [{"p": 5, "indices": [0, 0]}]},
+                              "S.primes[0].indices"),
+                             ("S", {"primes": [{"p": 5, "indices": [1]}]},
+                              "S.primes[0].indices"),
+                             ("S", {"primes": ["5"]}, "S.primes[0]"),
+                             ("params", {"xi": ["1/5", "1/3"]}, "params.xi"),
+                             ("params", {"x": "1/5"}, "params.x"),
+                             ("params", {"point": ["1/2"]}, "params.point")):
         with pytest.raises(ValidationError) as err:
             parse_config(json.dumps(dict(Z16, **{key: value})))
         assert path in str(err.value)

@@ -1,11 +1,13 @@
 import random
 from fractions import Fraction as F
+from math import gcd
 
 import pytest
 
-from euclidmin import (NonMonic, ReduciblePolynomial, UnsupportedDegree,
-                       ZeroIdeal, elem_norm_trace, embed, ideal_from_gens,
-                       ideal_invert, ideal_norm, make_field)
+from euclidmin import (NonMonic, ReduciblePolynomial, SConfig,
+                       UnsupportedDegree, ZeroIdeal, elem_norm_trace, embed,
+                       ideal_from_gens, ideal_invert, ideal_norm, make_field,
+                       places_above, s_norm, valuation)
 from euclidmin.hnf import mat_det
 
 
@@ -180,3 +182,135 @@ def test_ideal_invert_random_all_degrees():
             I = ideal_from_gens([x, field.from_rational(rng.randint(1, 6))])
             assert I * ideal_invert(I) == O
             count += 1
+
+
+# -- differential test of the integer element kernel ---------------------------
+# Every reference below is written here, over Fractions and the power basis:
+# products by polynomial multiplication mod f, norms by Gaussian elimination,
+# valuations by membership of the numerator in P^k.
+
+KERNEL_FIELDS = ([-1, 1], [1, 0, 1], [5, 0, 1], [-2, 0, 1], [-1, -1, 0, 1],
+                 [1, 1, 1, 1, 1])
+KERNEL_PRIMES = {1: (2, 3, 5), 2: (2, 3, 5, 7), 3: (5, 7, 23),
+                 4: (2, 5, 11, 19)}
+
+
+def _ref_mulmod(f, a, b):
+    """Power-basis product of a and b modulo the monic polynomial f."""
+    n = len(f) - 1
+    prod = [F(0)] * (2 * n - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            prod[i + j] += x * y
+    for k in range(len(prod) - 1, n - 1, -1):
+        c = prod[k]
+        for j in range(n + 1):
+            prod[k - n + j] -= c * f[j]
+    return prod[:n]
+
+
+def _ref_det(rows):
+    a = [[F(x) for x in row] for row in rows]
+    n = len(a)
+    det = F(1)
+    for i in range(n):
+        p = next((r for r in range(i, n) if a[r][i] != 0), None)
+        if p is None:
+            return F(0)
+        if p != i:
+            a[i], a[p] = a[p], a[i]
+            det = -det
+        det *= a[i][i]
+        for r in range(i + 1, n):
+            f = a[r][i] / a[i][i]
+            a[r] = [x - f * y for x, y in zip(a[r], a[i])]
+    return det
+
+
+def _ref_norm(f, a):
+    """det of multiplication by a on the power basis 1, theta, ..."""
+    n = len(a)
+    cols = [_ref_mulmod(f, a, [F(int(i == j)) for i in range(n)])
+            for j in range(n)]
+    return _ref_det([[cols[j][i] for j in range(n)] for i in range(n)])
+
+
+def _ref_coords(ideal, coords):
+    """Coordinates over the HNF basis by back-substitution, in Fractions."""
+    h, n = ideal.hnf, len(ideal.hnf)
+    t = [F(0)] * n
+    for i in range(n - 1, -1, -1):
+        s = coords[i] * ideal.den - sum(h[i][j] * t[j] for j in range(i + 1, n))
+        t[i] = s / h[i][i]
+    return t
+
+
+def _ref_in_ideal(ideal, coords):
+    return all(c.denominator == 1 for c in _ref_coords(ideal, coords))
+
+
+def _ref_valuation(x, place):
+    """Largest k with the numerator of x in P^k, less e * v_p(den)."""
+    d = 1
+    for c in x.coords:
+        d = d * c.denominator // gcd(d, c.denominator)
+    y = [c * d for c in x.coords]
+    k = 0
+    while _ref_in_ideal(place.ideal_power(k + 1), y):
+        k += 1
+    v_den = 0
+    while d % place.p == 0:
+        d //= place.p
+        v_den += 1
+    return k - place.e * v_den
+
+
+def _kernel_samples(rng, field):
+    """Power-basis coordinate vectors: zero, signed, large denominators, and
+    multiples of powers of small primes (so valuations are not all zero)."""
+    n = field.degree
+    out = [[F(0)] * n, [F(-1)] + [F(0)] * (n - 1)]
+    for _ in range(14):
+        den = rng.choice([1, 2, 6, 35, 2**40 * 3**7, 10**12 + 39])
+        out.append([F(rng.randint(-10**6, 10**6), den) for _ in range(n)])
+    for p in KERNEL_PRIMES[n]:
+        for _ in range(2):
+            scale = F(p) ** rng.randint(-3, 4)
+            out.append([F(rng.randint(-9, 9)) * scale for _ in range(n)])
+    return out
+
+
+@pytest.mark.parametrize("poly", KERNEL_FIELDS)
+def test_element_kernel_against_references(poly):
+    rng = random.Random(4201 + len(poly))
+    k = make_field(poly)
+    n = k.degree
+    samples = _kernel_samples(rng, k)
+    elems = [k.from_power_basis(pb) for pb in samples]
+    places = [v for p in KERNEL_PRIMES[n] if k.index % p
+              for v in places_above(k, p)]
+    sconfig = SConfig(k, places)
+    for pb, x in zip(samples, elems):
+        assert x.power_basis() == pb
+        norm = _ref_norm(poly, pb)
+        assert x.norm() == norm
+        if x.is_zero():
+            continue
+        assert x * x.inverse() == k.one()
+        s_part = F(1)
+        for v in places:
+            w = _ref_valuation(x, v)
+            assert valuation(x, v) == w
+            s_part *= F(v.residue_norm()) ** -w
+            for lattice in (v.ideal_power(1), v.ideal_power(-2)):
+                assert lattice.contains(x) == _ref_in_ideal(lattice, x.coords)
+                assert lattice.coords_in_basis(x) == _ref_coords(lattice,
+                                                                 x.coords)
+        assert s_norm(x, sconfig) == abs(norm) * s_part
+    for _ in range(40):
+        (pa, x), (pb, y) = rng.sample(list(zip(samples, elems)), 2)
+        assert (x * y).power_basis() == _ref_mulmod(poly, pa, pb)
+        assert (x + y).coords == tuple(a + b for a, b in zip(x.coords, y.coords))
+        assert (x - y).coords == tuple(a - b for a, b in zip(x.coords, y.coords))
+        q = F(rng.randint(-50, 50), rng.randint(1, 50))
+        assert (x * q).coords == tuple(a * q for a in x.coords)

@@ -31,3 +31,14 @@ def test_no_cross_module_private_imports():
     assert modules
     found = [hit for path in modules for hit in _private_imports(path)]
     assert found == []
+
+
+def test_no_assert_in_arithmetic_modules():
+    # soundness checks of the arithmetic must survive python -O
+    found = []
+    for name in ("fields.py", "places.py"):
+        path = PACKAGE / name
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        found += [f"{name}:{node.lineno}" for node in ast.walk(tree)
+                  if isinstance(node, ast.Assert)]
+    assert found == []
