@@ -264,6 +264,9 @@ def run_command(cfg: RunConfig, command: str) -> dict:
         raise ValidationError(f"unknown command {command!r}; "
                               f"choose from {', '.join(COMMANDS)}")
     field = cfg.field
+    if command == "form" and field.degree != 2:
+        raise ValidationError(f"form needs a quadratic field, not degree "
+                              f"{field.degree}", "field.poly")
     sconfig = cfg.sconfig
     doc = {
         "format_version": FORMAT_VERSION,

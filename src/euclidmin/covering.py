@@ -6,6 +6,11 @@ basis (the archimedean block) times one residue class per finite place of S
 interval evaluation at the archimedean places and ultrametric estimates at
 the finite ones; a recorded (box, shift, bound) triple can be re-derived by
 anyone from the box data alone, which is what makes certificates replayable.
+
+A covering only needs to know on which side of its threshold a screening
+bound lies, so it first encloses the bound between two floats, rounded
+outward (the bound screen below); floats decide comparisons only and never
+reach a recorded bound.
 """
 
 from __future__ import annotations
@@ -13,7 +18,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from math import floor
+from math import floor, inf, lcm, nextafter
 
 from .enumerate import embedding_rows
 from .errors import NoCandidates, SearchExhausted
@@ -28,7 +33,7 @@ from .torus import (AdelePoint, TorusContext, congruent_lattice_point,
 BOUND_WIDTH = Fraction(1, 2**24)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class CoverBox:
     """Half-open coordinate cell times finite residue classes."""
     lo: tuple        # Fractions, coordinates over the ideal basis
@@ -45,7 +50,9 @@ class CoverBox:
         return vol
 
     def center_element(self, ctx: TorusContext) -> FieldElement:
-        return ctx.field.element(self.center)
+        den = lcm(*[c.denominator for c in self.center])
+        return FieldElement(ctx.field, tuple([
+            c.numerator * (den // c.denominator) for c in self.center]), den)
 
     def sort_key(self):
         return (self.lo, self.hi, self.exponents, self.center)
@@ -132,11 +139,15 @@ def split_finite(ctx: TorusContext, box: CoverBox, place_idx: int) -> list[Cover
 # -- bounds --------------------------------------------------------------------
 
 
-def arch_intervals_for_box(ctx: TorusContext, box: CoverBox, width: Fraction):
-    """Per-real-coordinate enclosures of the box's archimedean image."""
+def _basis_rows(ctx: TorusContext, width: Fraction):
     if width not in ctx.basis_rows:
         ctx.basis_rows[width] = [embedding_rows(b, width) for b in ctx.basis]
-    basis_rows = ctx.basis_rows[width]
+    return ctx.basis_rows[width]
+
+
+def arch_intervals_for_box(ctx: TorusContext, box: CoverBox, width: Fraction):
+    """Per-real-coordinate enclosures of the box's archimedean image."""
+    basis_rows = _basis_rows(ctx, width)
     n = ctx.field.degree
     out = []
     for coord in range(n):
@@ -148,7 +159,7 @@ def arch_intervals_for_box(ctx: TorusContext, box: CoverBox, width: Fraction):
 
 
 def _shift_rows(ctx: TorusContext, gamma: FieldElement, width: Fraction):
-    key = (gamma.coords, width)
+    key = (gamma.nums, gamma.den, width)
     if key not in ctx.shift_rows:
         if len(ctx.shift_rows) > 4096:
             ctx.shift_rows.clear()
@@ -199,6 +210,22 @@ def box_bound(ctx: TorusContext, box: CoverBox, gamma: FieldElement,
                       finite, width)
 
 
+def box_entry(ctx: TorusContext, box: CoverBox,
+              gamma: FieldElement) -> CertEntry:
+    """The certificate entry of (box, gamma) with its box_bound.
+
+    box_bound is deterministic, so each (box, shift) pair's entry is built
+    once per context and shared by every covering that certifies the box
+    with that shift.
+    """
+    key = (box,) + gamma.nums + (gamma.den,)
+    entry = ctx.cert_entries.get(key)
+    if entry is None:
+        entry = ctx.cert_entries[key] = CertEntry(
+            box, gamma.coords, box_bound(ctx, box, gamma))
+    return entry
+
+
 def m_upper_adele(a, sconfig, region: AdelePoint, candidates) -> Fraction:
     """Least certified upper bound of N_S(x - gamma)/N_S(a) over an adele
     region and the candidate shifts; exact when the region is the diagonal
@@ -221,6 +248,148 @@ def m_upper_adele(a, sconfig, region: AdelePoint, candidates) -> Fraction:
     return min(bound(g) for g in candidates)
 
 
+# -- the bound screen ----------------------------------------------------------
+#
+# Floats lo <= q <= hi around an exact rational q: every operation is
+# rounded to nearest and then moved one ulp outward with nextafter, which
+# covers its rounding error. An enclosure that cannot be formed safely
+# (integers beyond 2^53, overflow) comes out as [0, inf], which decides
+# nothing and sends the caller to the exact value.
+
+_EXACT_INT = 2**53          # integers up to this size are exact floats
+# width of the integral-basis embeddings the screen encloses shifts from
+SCREEN_WIDTH = Fraction(1, 2**60)
+
+
+def enclose(q) -> tuple[float, float]:
+    """Floats lo <= q <= hi around a rational or an integer q."""
+    f = float(q)            # correctly rounded, so within half an ulp of q
+    return nextafter(f, -inf), nextafter(f, inf)
+
+
+def _screen_rows(ctx: TorusContext):
+    """Per context: the float rows the screen works from.
+
+    Returns (basis, omega, delta, inv_norm): basis[j][c] encloses the
+    endpoints of the exact rows of the a-part basis at BOUND_WIDTH (those
+    behind arch_intervals_for_box), omega[c][k] = (lo, hi) encloses real
+    coordinate c of the embedding of the k-th integral basis element, delta
+    bounds the width of a shift's exact rows (zero in degree one, where
+    embeddings are exact points), and inv_norm encloses 1 / N_S(a).
+    """
+    if ctx.screen_rows is None:
+        basis = [[enclose(iv.lo) + enclose(iv.hi) for iv in row]
+                 for row in _basis_rows(ctx, BOUND_WIDTH)]
+        rows = [embedding_rows(w, SCREEN_WIDTH)
+                for w in ctx.field.integral_basis]
+        omega = [[(enclose(row[c].lo)[0], enclose(row[c].hi)[1])
+                  for row in rows] for c in range(ctx.field.degree)]
+        delta = 0.0 if ctx.field.degree == 1 else float(BOUND_WIDTH)
+        ctx.screen_rows = (basis, omega, delta, enclose(1 / ctx.s_norm_a))
+    return ctx.screen_rows
+
+
+def _product_enclosure(x, y) -> tuple[float, float]:
+    """Enclosure of the product of two numbers enclosed by x and y."""
+    ps = (x[0] * y[0], x[0] * y[1], x[1] * y[0], x[1] * y[1])
+    return nextafter(min(ps), -inf), nextafter(max(ps), inf)
+
+
+def arch_enclosure(ctx: TorusContext, box: CoverBox) -> list:
+    """Per real coordinate, enclosures (lo_lo, lo_hi, hi_lo, hi_hi) of the
+    endpoints of arch_intervals_for_box(ctx, box, BOUND_WIDTH)."""
+    basis = _screen_rows(ctx)[0]
+    xs = [(enclose(lo), enclose(hi)) for lo, hi in zip(box.lo, box.hi)]
+    out = []
+    for c in range(ctx.field.degree):
+        lo_l = lo_h = hi_l = hi_h = 0.0
+        for (x1, x2), row in zip(xs, basis):
+            b = row[c]
+            # the exact product interval runs from the least to the
+            # greatest of the four corner products
+            corners = [_product_enclosure(x, y)
+                       for x in (x1, x2) for y in (b[:2], b[2:])]
+            lo_l = nextafter(lo_l + min(p[0] for p in corners), -inf)
+            lo_h = nextafter(lo_h + min(p[1] for p in corners), inf)
+            hi_l = nextafter(hi_l + max(p[0] for p in corners), -inf)
+            hi_h = nextafter(hi_h + max(p[1] for p in corners), inf)
+        out.append((lo_l, lo_h, hi_l, hi_h))
+    return out
+
+
+def profile_factor(ctx: TorusContext, profile) -> tuple[int, int]:
+    """Integers (num, den) with num / den = prod Np^-m_v, which bounds the
+    finite part of the norm over a box for shifts of a congruence profile."""
+    num = den = 1
+    for v, m in zip(ctx.sconfig.finite_places, profile):
+        if m > 0:
+            den *= v.residue_norm() ** m
+        elif m < 0:
+            num *= v.residue_norm() ** -m
+    return num, den
+
+
+def screen_scale(ctx: TorusContext, num: int, den: int) -> tuple[float, float]:
+    """Enclosure of (num / den) / N_S(a)."""
+    inv_lo, inv_hi = _screen_rows(ctx)[3]
+    f = num / den           # correctly rounded, so within half an ulp
+    return (nextafter(nextafter(f, -inf) * inv_lo, -inf),
+            nextafter(nextafter(f, inf) * inv_hi, inf))
+
+
+def bound_enclosure(ctx: TorusContext, arch, gamma: FieldElement,
+                    scale) -> tuple[float, float]:
+    """Floats lo <= norm_bound(ctx, exact arch, gamma, finite) <= hi.
+
+    arch is arch_enclosure of the box and scale encloses finite / N_S(a).
+    The shift's exact rows come from embed at BOUND_WIDTH: they hold the
+    true embedding and are at most delta wide, so each endpoint lies within
+    delta of the enclosure of the true embedding computed here.
+    """
+    _, omega, delta, _ = _screen_rows(ctx)
+    den = gamma.den
+    nums = gamma.nums
+    if den > _EXACT_INT or any(abs(a) > _EXACT_INT for a in nums):
+        return 0.0, inf
+    r1, _ = ctx.field.signature
+    lo, hi = scale
+    sq_lo = sq_hi = 0.0
+    for c, (rows, (al_l, al_h, ah_l, ah_h)) in enumerate(zip(omega, arch)):
+        s_lo = s_hi = 0.0
+        for a, (wl, wh) in zip(nums, rows):
+            if a > 0:
+                s_lo = nextafter(s_lo + nextafter(a * wl, -inf), -inf)
+                s_hi = nextafter(s_hi + nextafter(a * wh, inf), inf)
+            elif a < 0:
+                s_lo = nextafter(s_lo + nextafter(a * wh, -inf), -inf)
+                s_hi = nextafter(s_hi + nextafter(a * wl, inf), inf)
+        gl = nextafter(s_lo / den, -inf)
+        gh = nextafter(s_hi / den, inf)
+        # exact rows [g_lo, g_hi]: g_lo in [gl - delta, gh], g_hi in
+        # [gl, gh + delta]; norm_bound takes max(|a_lo - g_hi|,
+        # |a_hi - g_lo|) per coordinate
+        d1l = nextafter(al_l - nextafter(gh + delta, inf), -inf)
+        d1h = nextafter(al_h - gl, inf)
+        d2l = nextafter(ah_l - gh, -inf)
+        d2h = nextafter(ah_h - nextafter(gl - delta, -inf), inf)
+        t_lo = max(d1l, -d1h, d2l, -d2h, 0.0)
+        t_hi = max(-d1l, d1h, -d2l, d2h)
+        if c < r1:
+            lo = nextafter(lo * t_lo, -inf)
+            hi = nextafter(hi * t_hi, inf)
+        else:
+            # a complex place: the sum of the squares of its two coordinates
+            sq_lo = nextafter(sq_lo + nextafter(t_lo * t_lo, -inf), -inf)
+            sq_hi = nextafter(sq_hi + nextafter(t_hi * t_hi, inf), inf)
+            if (c - r1) % 2:
+                lo = nextafter(lo * sq_lo, -inf)
+                hi = nextafter(hi * sq_hi, inf)
+                sq_lo = sq_hi = 0.0
+    if not 0.0 <= lo <= hi < inf:
+        return 0.0, inf
+    return lo, hi
+
+
 # -- candidate shifts ----------------------------------------------------------
 
 
@@ -234,45 +403,52 @@ def candidate_shifts(ctx: TorusContext, box: CoverBox, profile,
     affine family of the a-part times prod P_v^{m_v}.
     """
     field = ctx.field
-    n = field.degree
     lattice = ctx.s_lattice(profile)
-    pos = {v: m for v, m in zip(ctx.sconfig.finite_places, profile) if m > 0}
-    if pos:
-        center = box.center_element(ctx)
-        gamma0 = _congruent_point(ctx, center, profile)
+    if any(m > 0 for m in profile):
+        gamma0 = _congruent_point(ctx, box.center_element(ctx), profile)
         if gamma0 is None:
             return []
     else:
         gamma0 = field.zero()
-    # arch target: the box midpoint as an exact element
-    target = field.zero()
-    for j, b in enumerate(ctx.basis):
-        target = target + b * ((box.lo[j] + box.hi[j]) / 2)
-    rel = target - gamma0
-    coords = lattice.coords_in_basis(rel)
-    base = [round(c) for c in coords]
+    # arch target: the box midpoint, sum_j (lo_j + hi_j) / 2 * basis_j
+    mid_den = lcm(*[x.denominator for x in box.lo + box.hi])
+    mids = [lo.numerator * (mid_den // lo.denominator)
+            + hi.numerator * (mid_den // hi.denominator)
+            for lo, hi in zip(box.lo, box.hi)]
+    target = FieldElement(field, tuple([
+        sum([m * h for m, h in zip(mids, row)]) for row in ctx.a_part.hnf]),
+        2 * mid_den * ctx.a_part.den)
+    w, d = lattice.int_coords(target - gamma0)
+    base = [_round_half_even(c, d) for c in w]
+    # gamma0 + H z / den over the common denominator, z = base + offsets,
+    # the last coordinate of z running fastest
+    den = lcm(gamma0.den, lattice.den)
+    scale = den // lattice.den
+    cols = [[row[j] * scale for row in lattice.hnf] for j in range(len(base))]
+    start = [a * (den // gamma0.den) for a in gamma0.nums]
     out = []
-
-    def rec(j, acc):
-        if j == n:
-            g = gamma0
-            for z, b in zip(acc, lattice.basis_elements()):
-                if z:
-                    g = g + b * z
-            out.append(g)
-            return
-        for d in range(-corner_radius, corner_radius + 1):
-            acc.append(base[j] + d)
-            rec(j + 1, acc)
-            acc.pop()
-
-    rec(0, [])
+    steps = range(-corner_radius, corner_radius + 1)
+    for offsets in itertools.product(steps, repeat=len(base)):
+        nums = start
+        for z0, dz, col in zip(base, offsets, cols):
+            z = z0 + dz
+            if z:
+                nums = [a + z * c for a, c in zip(nums, col)]
+        out.append(FieldElement(field, tuple(nums), den))
     return out
+
+
+def _round_half_even(num: int, den: int) -> int:
+    """round(Fraction(num, den)) for den > 0: nearest, ties to even."""
+    q, r = divmod(num, den)
+    if 2 * r > den or (2 * r == den and q % 2):
+        return q + 1
+    return q
 
 
 def _congruent_point(ctx: TorusContext, center: FieldElement, profile):
     """Element of the S-ideal congruent to center at the positive depths."""
-    key = (tuple(center.coords), profile)
+    key = center.nums + (center.den,) + profile
     if key not in ctx.congruent_points:
         places = ctx.sconfig.finite_places
         lattice = ctx.s_lattice([min(m, 0) for m in profile])
@@ -281,9 +457,13 @@ def _congruent_point(ctx: TorusContext, center: FieldElement, profile):
         modulus = ctx.s_lattice(
             [m + int_valuation(d0, v.p) * v.e if m > 0 else 0
              for v, m in zip(places, profile)], over_order=True)
-        ctx.congruent_points[key] = congruent_lattice_point(
-            lattice, d0, modulus, center * d0)
-    return ctx.congruent_points[key]
+        g = congruent_lattice_point(lattice, d0, modulus, center * d0)
+        # kept as integers (numerators, then the denominator), or None
+        ctx.congruent_points[key] = None if g is None else g.nums + (g.den,)
+    point = ctx.congruent_points[key]
+    if point is None:
+        return None
+    return FieldElement(ctx.field, point[:-1], point[-1])
 
 
 def profiles_for_box(ctx: TorusContext, box: CoverBox, neg_depth: int = 2,
@@ -322,7 +502,7 @@ def profiles_for_box(ctx: TorusContext, box: CoverBox, neg_depth: int = 2,
 # -- certificates ---------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class CertEntry:
     box: CoverBox
     gamma_coords: tuple     # integral-basis coordinates of the shift
@@ -400,7 +580,8 @@ def verify_certificate(ctx: TorusContext, cert: CoveringCertificate,
     nfin = len(ctx.sconfig.finite_places)
     for e in cert.entries:
         box = e.box
-        if len(box.lo) != n or len(box.exponents) != nfin:
+        if (len(box.lo) != n or len(box.hi) != n or len(box.center) != n
+                or len(box.exponents) != nfin):
             raise AssertionError("box shape mismatch")
         for a, b in zip(box.lo, box.hi):
             if not (0 <= a < b <= 1):

@@ -439,10 +439,10 @@ class EmbeddingBox:
 def embed(x: FieldElement, precision) -> EmbeddingBox:
     """Boxes of width <= precision around each embedding.
 
-    Deterministic in (x, precision): root enclosures only ever advance
-    through canonical refinement levels, so the result never depends on
-    what else has been computed in the process. Smaller precision gives
-    nested boxes.
+    Deterministic in (x, precision): the boxes are evaluated on the root
+    enclosures of the canonical refinement levels, which are kept per level,
+    so the result never depends on what else has been computed in the
+    process. Smaller precision gives nested boxes.
     """
     precision = Fraction(precision)
     if precision <= 0:
@@ -452,9 +452,9 @@ def embed(x: FieldElement, precision) -> EmbeddingBox:
     pb = x.power_basis()
     level = 16
     for _ in range(80):
-        roots.ensure_level(level)
-        reals = [eval_interval(pb, box) for box in roots.real]
-        comps = [eval_interval(pb, box) for box in roots.cplx]
+        real_roots, cplx_roots = roots.ensure_level(level)
+        reals = [eval_interval(pb, box) for box in real_roots]
+        comps = [eval_interval(pb, box) for box in cplx_roots]
         widths = [r.width for r in reals] + [c.width for c in comps]
         if not widths or max(widths) <= precision:
             return EmbeddingBox(tuple(reals), tuple(comps), precision)
@@ -521,8 +521,9 @@ class FractionalIdeal:
             t[i] = q
         return True
 
-    def coords_in_basis(self, x: FieldElement) -> list[Fraction]:
-        """Exact coordinates of x over this ideal's HNF basis."""
+    def int_coords(self, x: FieldElement) -> tuple[list[int], int]:
+        """Integers w and d > 0 with w / d the coordinates of x over this
+        ideal's HNF basis."""
         # w = scale * H^-1 (den * x.nums) is integral for scale = det H
         h = self.hnf
         n = len(h)
@@ -533,7 +534,11 @@ class FractionalIdeal:
         for i in range(n - 1, -1, -1):
             w[i] = (scale * self.den * x.nums[i] - sum(
                 [h[i][j] * w[j] for j in range(i + 1, n)])) // h[i][i]
-        d = scale * x.den
+        return w, scale * x.den
+
+    def coords_in_basis(self, x: FieldElement) -> list[Fraction]:
+        """Exact coordinates of x over this ideal's HNF basis."""
+        w, d = self.int_coords(x)
         return [Fraction(c, d) for c in w]
 
     def norm(self) -> Fraction:

@@ -54,7 +54,8 @@ def hnf_columns(columns: list[list[int]]) -> list[list[int]]:
             new_p = [x * pa + y * ca for pa, ca in zip(pivot, c)]
             new_c = [-v * pa + u * ca for pa, ca in zip(pivot, c)]
             pivot, _ = new_p, None
-            assert new_c[i] == 0
+            if new_c[i] != 0:
+                raise AssertionError("column elimination left a nonzero entry")
             cols.append(new_c)
         if pivot is None:
             raise ValueError("columns do not span a full-rank lattice")

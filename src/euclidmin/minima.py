@@ -25,14 +25,16 @@ from collections.abc import Mapping
 from contextlib import contextmanager
 from dataclasses import dataclass
 from fractions import Fraction
-from math import ceil, gcd
+from math import ceil, gcd, inf
 from types import MappingProxyType
 
-from .covering import (BOUND_WIDTH, CertEntry, CoverBox, CoveringCertificate,
-                       CoveringState, Unresolved, arch_intervals_for_box,
-                       box_bound, candidate_shifts, gamma_in_s_ideal,
-                       initial_box, norm_bound, profiles_for_box, split_arch,
-                       split_finite, verify_certificate)
+from .covering import (BOUND_WIDTH, CoverBox, CoveringCertificate,
+                       CoveringState, Unresolved, arch_enclosure,
+                       arch_intervals_for_box, bound_enclosure, box_entry,
+                       candidate_shifts, enclose, gamma_in_s_ideal,
+                       initial_box, norm_bound, profile_factor,
+                       profiles_for_box, screen_scale, split_arch, split_finite,
+                       verify_certificate)
 from .enumerate import elements_in_box, real_box_targets
 from .errors import UnverifiedUnits
 from .fields import FieldElement, FractionalIdeal, embed, make_field
@@ -257,31 +259,55 @@ def m_exact_attained(a: FractionalIdeal, sconfig, xi: FieldElement):
 # -- covering proofs -----------------------------------------------------------
 
 
-def _certify_box(ctx: TorusContext, box: CoverBox, t: Fraction,
-                 width=BOUND_WIDTH):
+def _certify_box(ctx: TorusContext, box: CoverBox, t: Fraction):
     """Try to certify one box below t; returns (entry | None, best bound).
 
     Candidates are screened with the cheap profile factor (the congruence
-    depth bounds the finite contribution without valuation work); only a
-    winning candidate gets the canonical exact-valuation bound that the
-    certificate records, which is never larger than the screening bound.
+    depth bounds the finite contribution without valuation work), and each
+    screening bound is first decided against t from its float enclosure.
+    The exact bound is computed only where the enclosure straddles t, for
+    the winner, and, when the box fails, for the candidates whose enclosure
+    could hold the least bound, so the result equals that of an all-exact
+    screen. Only a winning candidate gets the canonical exact-valuation
+    bound that the certificate records, which is never larger than the
+    screening bound.
     """
-    arch = arch_intervals_for_box(ctx, box, width)
-    places = ctx.sconfig.finite_places
-    best = None
+    arch_f = arch_enclosure(ctx, box)
+    arch = None                 # the exact enclosures, built when needed
+
+    def exact(gamma, num, den):
+        nonlocal arch
+        if arch is None:
+            arch = arch_intervals_for_box(ctx, box, BOUND_WIDTH)
+        return norm_bound(ctx, arch, gamma, Fraction(num, den))
+
+    t_hi = enclose(t)[1]
+    least = inf                 # least upper end of an enclosure so far
+    near = []                   # (lo, exact bound | None, shift, num, den)
     for profile in profiles_for_box(ctx, box):
-        fin = Fraction(1)
-        for v, m in zip(places, profile):
-            fin *= Fraction(v.residue_norm()) ** (-m)
+        num, den = profile_factor(ctx, profile)
+        scale = screen_scale(ctx, num, den)
         for gamma in candidate_shifts(ctx, box, profile):
-            quick = norm_bound(ctx, arch, gamma, fin, width)
+            lo, hi = bound_enclosure(ctx, arch_f, gamma, scale)
+            quick = None
+            if lo < t_hi:       # not certainly at or above t
+                quick = exact(gamma, num, den)
+                if quick < t:
+                    entry = box_entry(ctx, box, gamma)
+                    if entry.bound > quick:
+                        raise AssertionError(
+                            "canonical bound exceeds screening")
+                    return entry, entry.bound
+            least = min(least, hi)
+            if lo <= least:
+                near.append((lo, quick, gamma, num, den))
+    best = None
+    for lo, quick, gamma, num, den in near:
+        if lo <= least:
+            if quick is None:
+                quick = exact(gamma, num, den)
             if best is None or quick < best:
                 best = quick
-            if quick < t:
-                canonical = box_bound(ctx, box, gamma, width)
-                if canonical > quick:
-                    raise AssertionError("canonical bound exceeds screening")
-                return CertEntry(box, tuple(gamma.coords), canonical), canonical
     return None, best
 
 

@@ -82,7 +82,8 @@ def _atanh_series(t: Fraction, err: Fraction) -> tuple[Fraction, Fraction]:
 
     Partial sums of 2*sum t^(2k+1)/(2k+1); geometric tail bound.
     """
-    assert 0 <= t < 1
+    if not 0 <= t < 1:
+        raise ValueError("the atanh series needs 0 <= t < 1")
     total = Fraction(0)
     term = t
     t2 = t * t

@@ -63,8 +63,9 @@ class RootEnclosures:
         self.n = deg(coeffs)
         self.real: list[Iv] = []
         self.cplx: list[CIv] = []  # one per conjugate pair, imag > 0
-        self.level = 0
         self._isolate()
+        # levels[k]: the (real, cplx) enclosures of refinement level k
+        self.levels = [(tuple(self.real), tuple(self.cplx))]
 
     # -- isolation ------------------------------------------------------------
 
@@ -152,16 +153,19 @@ class RootEnclosures:
     # -- refinement -------------------------------------------------------------
 
     def ensure_level(self, k: int, max_iter: int = 200):
-        """Refine to the canonical level-k state (every width <= 2^-k).
+        """The canonical level-k enclosures (every width <= 2^-k), as a
+        (real, cplx) pair of tuples.
 
-        Levels advance one at a time, so the state at level k is a pure
-        function of the polynomial and k: callers that interleave requests
-        at different precisions always see identical enclosures for a given
-        level. Replayable bounds depend on this.
+        Levels advance one at a time and every level's enclosures are kept,
+        so the pair returned for level k is a pure function of the
+        polynomial and k: callers that interleave requests at different
+        precisions always see identical enclosures for a given level.
+        Replayable bounds depend on this.
         """
-        while self.level < k:
-            self.level += 1
-            self.refine(Fraction(1, 2**self.level), max_iter)
+        while len(self.levels) <= k:
+            self.refine(Fraction(1, 2**len(self.levels)), max_iter)
+            self.levels.append((tuple(self.real), tuple(self.cplx)))
+        return self.levels[k]
 
     def refine(self, width: Fraction, max_iter: int = 200):
         """Shrink every box to the requested width; boxes only ever nest."""

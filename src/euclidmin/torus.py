@@ -109,8 +109,10 @@ class TorusContext:
         self.residue_reps = {}      # (p, gen_poly) -> representatives of O/P
         self.split_scales = {}      # (place index, exponents) -> element
         self.basis_rows = {}        # width -> embedding rows of the basis
-        self.shift_rows = {}        # (coords, width) -> embedding row
-        self.congruent_points = {}  # (center coords, profile) -> shift | None
+        self.shift_rows = {}        # (nums, den, width) -> embedding row
+        self.congruent_points = {}  # center nums, den, profile -> shift ints
+        self.cert_entries = {}      # box, shift nums, den -> CertEntry
+        self.screen_rows = None     # float rows of the bound screen
         self.unit_factors = None    # per-place unit box factors of m_exact
 
     def s_lattice(self, exponents, over_order: bool = False) -> FractionalIdeal:

@@ -148,6 +148,16 @@ def test_cli_error_exit(tmp_path):
     assert json.loads(out.read_text())["error"]["type"] == "ValidationError"
 
 
+def test_cli_form_rejects_degree_one(tmp_path):
+    cfg_path = make_cfg(tmp_path, "z16.json", Z16)
+    out = tmp_path / "err.json"
+    assert main(["--config", cfg_path, "--command", "form",
+                 "--output", str(out)]) == 1
+    error = json.loads(out.read_text())["error"]
+    assert error["type"] == "ValidationError" and "field.poly" in \
+        error["message"]
+
+
 def test_cli_rejects_nonpositive_threshold(tmp_path):
     cfg_path = make_cfg(tmp_path, "z16.json", Z16)
     out = tmp_path / "err.json"

@@ -84,6 +84,10 @@ def test_tampered_certificates_rejected(field_q, s_q_23):
     moved = CoverBox((b.lo[0] + F(1, 64),), b.hi, b.center, b.exponents)
     rejected(dataclasses.replace(
         cert, entries=tuple([dataclasses.replace(e0, box=moved)] + entries[1:])))
+    longer = dataclasses.replace(b, center=b.center + (F(0),))
+    rejected(dataclasses.replace(
+        cert, entries=tuple([dataclasses.replace(e0, box=longer)]
+                            + entries[1:])))
     rejected(dataclasses.replace(cert, entries=tuple(entries[1:])))
     # duplicate box breaks disjointness even though the measure grows
     rejected(dataclasses.replace(cert, entries=tuple(entries + [e0])))
@@ -152,8 +156,8 @@ def test_covering_witness_schedule_independent(field_q, s_q_23):
         assert m_exact(Z, s_q_23, res.witness) == res.witness_minimum
 
 
-def test_threshold_check_survives_optimize():
-    # `python -O` strips assert statements; the input checks must still run
+def _fresh_python(script, *flags):
+    """Run a script in a new interpreter that imports this euclidmin."""
     import os
     import subprocess
     import sys
@@ -161,6 +165,16 @@ def test_threshold_check_survives_optimize():
 
     import euclidmin
 
+    src = str(Path(euclidmin.__file__).resolve().parent.parent)
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src, env.get("PYTHONPATH")) if p)
+    return subprocess.run([sys.executable, *flags, "-c", script], env=env,
+                          capture_output=True, timeout=120)
+
+
+def test_threshold_check_survives_optimize():
+    # `python -O` strips assert statements; the input checks must still run
     script = (
         "from euclidmin import covering_verify, make_field, make_sconfig\n"
         "field = make_field([-1, 1])\n"
@@ -170,10 +184,33 @@ def test_threshold_check_survives_optimize():
         "except ValueError:\n"
         "    raise SystemExit(0)\n"
         "raise SystemExit(1)\n")
-    src = str(Path(euclidmin.__file__).resolve().parent.parent)
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        p for p in (src, env.get("PYTHONPATH")) if p)
-    done = subprocess.run([sys.executable, "-O", "-c", script], env=env,
-                          capture_output=True, timeout=120)
+    done = _fresh_python(script, "-O")
+    assert done.returncode == 0, done.stderr.decode()
+
+
+def test_finer_embed_leaves_bounds_replayable(tmp_path, field_sqrt2,
+                                              s_sqrt2_inf):
+    # an embed at a fine width refines the roots past the level the
+    # recorded bounds use; the bounds must not change, or a fresh process
+    # cannot replay the certificate
+    import json
+
+    from euclidmin.cli import certificate_to_json
+    from euclidmin.fields import embed
+
+    embed(field_sqrt2.element([0, 1]), F(1, 2**60))
+    cert = covering_verify(field_sqrt2.maximal_order(), s_sqrt2_inf, F(3, 4))
+    assert isinstance(cert, CoveringCertificate)
+    path = tmp_path / "cert.json"
+    path.write_text(json.dumps(certificate_to_json(cert)))
+    script = (
+        "import json\n"
+        "from euclidmin import make_field, make_sconfig, verify_certificate\n"
+        "from euclidmin.cli import certificate_from_json\n"
+        "from euclidmin.torus import torus_context\n"
+        "field = make_field([-2, 0, 1])\n"
+        "ctx = torus_context(field.maximal_order(), make_sconfig(field, []))\n"
+        f"cert = certificate_from_json(json.loads(open({str(path)!r}).read()))\n"
+        "verify_certificate(ctx, cert)\n")
+    done = _fresh_python(script)
     assert done.returncode == 0, done.stderr.decode()

@@ -20,6 +20,13 @@ ZM5 = {"field": {"poly": [5, 0, 1]}, "S": {"primes": []},
        "ideal": {"gens": [[1, 0]]}}
 ZM5_CLASS = {"field": {"poly": [5, 0, 1]}, "S": {"primes": []},
              "ideal": {"gens": [[2, 0], [1, 1]]}}
+# a real place; a complex place with a finite place of S
+QS2 = {"field": {"poly": [-2, 0, 1]}, "S": {"primes": []},
+       "ideal": {"gens": [[1, 0]]}}
+QI_2 = {"field": {"poly": [1, 0, 1]}, "S": {"primes": [2]},
+        "ideal": {"gens": [[1, 0]]}}
+QM3_3 = {"field": {"poly": [1, 1, 1]}, "S": {"primes": [3]},
+         "ideal": {"gens": [[1, 0]]}}
 
 PINNED = [
     ("cover", Z16, {"t": F(21, 100)},
@@ -34,12 +41,19 @@ PINNED = [
      "51a6719f975ee1542b60d6f1447ddb4801848d35402ac11dd5eadae938b44ee2"),
     ("decide", ZM5_CLASS, {},
      "3f26959f96f298aca5ff08b9f43e27eaf3d8d5a58785685157ec2a0ac565ff9f"),
+    ("decide", QS2, {},
+     "3eda9919c88292e165b861854c8ac8e46624fb12bc3c9bc0b7b5e923c0a4a8c6"),
+    ("cover", QI_2, {"t": F(1, 4)},
+     "3832eff5730a52ddd7f10125002d1ac02d365d71d0e4588222295a4379cc0b42"),
+    ("M", QM3_3, {"gap": F(1, 10)},
+     "e11c81c9ed951ade7d95d71fd655dc5f9bbab802ab2eb00837bf0bfcb7936ce2"),
 ]
 
 
 @pytest.mark.parametrize("command,raw,overrides,digest", PINNED,
                          ids=["cover-z16", "M-z16", "decide-z16", "decide-qi",
-                              "decide-m5", "decide-m5class"])
+                              "decide-m5", "decide-m5class", "decide-sqrt2",
+                              "cover-qi-s2", "M-sqrt-3-s3"])
 def test_report_content_hash_pinned(command, raw, overrides, digest):
     cfg = RunConfig(json.loads(json.dumps(raw)))
     for key, value in overrides.items():

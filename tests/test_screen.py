@@ -1,0 +1,168 @@
+"""The float bound screen of the covering.
+
+Soundness: every float enclosure holds the exact Fraction value it stands
+for. Equivalence: the screened `_certify_box` returns exactly what an
+all-exact screen returns, entry and best bound alike.
+"""
+
+import itertools
+import random
+from fractions import Fraction as F
+
+import pytest
+
+from euclidmin import (SConfig, ideal_from_gens, make_field, make_sconfig,
+                       verify_s_unit_basis)
+from euclidmin.covering import (BOUND_WIDTH, CertEntry, _congruent_point,
+                                arch_enclosure, arch_intervals_for_box,
+                                bound_enclosure, box_bound, candidate_shifts,
+                                initial_box, norm_bound, profile_factor,
+                                profiles_for_box, screen_scale, split_arch,
+                                split_finite)
+from euclidmin.minima import _certify_box
+from euclidmin.torus import torus_context
+
+
+def _q_23():
+    field = make_field([-1, 1])
+    return field.maximal_order(), make_sconfig(field, [2, 3])
+
+
+def _qi_2():
+    field = make_field([1, 0, 1])
+    return field.maximal_order(), make_sconfig(field, [2])
+
+
+def _sqrt2_7():
+    field = make_field([-2, 0, 1])
+    return field.maximal_order(), make_sconfig(field, [7])
+
+
+def _sqrtm5_class():
+    field = make_field([5, 0, 1])
+    ideal = ideal_from_gens([field.element([2, 0]), field.element([1, 1])])
+    return ideal, make_sconfig(field, [])
+
+
+def _cubic_unit():
+    # x^3 - x - 1: one real and one complex place, theta a unit
+    field = make_field([-1, -1, 0, 1])
+    sconfig = verify_s_unit_basis(SConfig(field, []), [field.gen()])
+    return field.maximal_order(), sconfig
+
+
+CASES = {"Q_S23": _q_23, "Qi_S2": _qi_2, "Qsqrt2_S7": _sqrt2_7,
+         "Qsqrt-5_class": _sqrtm5_class, "cubic_unit": _cubic_unit}
+
+
+def _random_box(ctx, rng, steps):
+    box = initial_box(ctx)
+    places = ctx.sconfig.finite_places
+    for _ in range(steps):
+        if places and rng.random() < 0.3:
+            box = rng.choice(split_finite(ctx, box, rng.randrange(len(places))))
+        else:
+            box = rng.choice(split_arch(box, rng.randrange(ctx.field.degree)))
+    return box
+
+
+def _random_element(field, rng):
+    return field.element([F(rng.randint(-40, 40), rng.randint(1, 12))
+                          for _ in range(field.degree)])
+
+
+def _exact_screen_bound(ctx, box, gamma, profile):
+    num, den = profile_factor(ctx, profile)
+    arch = arch_intervals_for_box(ctx, box, BOUND_WIDTH)
+    return norm_bound(ctx, arch, gamma, F(num, den))
+
+
+@pytest.mark.parametrize("case", sorted(CASES))
+def test_enclosures_hold_the_exact_values(case):
+    a, sconfig = CASES[case]()
+    ctx = torus_context(a, sconfig)
+    rng = random.Random(f"screen:{case}")
+    checked = 0
+    for _ in range(12):
+        box = _random_box(ctx, rng, rng.randint(0, 10))
+        arch = arch_intervals_for_box(ctx, box, BOUND_WIDTH)
+        for iv, (lo_l, lo_h, hi_l, hi_h) in zip(arch,
+                                                arch_enclosure(ctx, box)):
+            assert lo_l <= iv.lo <= lo_h and hi_l <= iv.hi <= hi_h
+        profiles = profiles_for_box(ctx, box)
+        for profile in rng.sample(profiles, min(3, len(profiles))):
+            num, den = profile_factor(ctx, profile)
+            scale = screen_scale(ctx, num, den)
+            assert scale[0] <= F(num, den) / ctx.s_norm_a <= scale[1]
+            shifts = candidate_shifts(ctx, box, profile)
+            shifts += [_random_element(ctx.field, rng) for _ in range(2)]
+            for gamma in shifts:
+                lo, hi = bound_enclosure(ctx, arch_enclosure(ctx, box),
+                                         gamma, scale)
+                exact = _exact_screen_bound(ctx, box, gamma, profile)
+                assert lo <= exact <= hi
+                assert hi < float("inf")
+                checked += 1
+    assert checked > 50
+
+
+def _reference_shifts(ctx, box, profile):
+    """candidate_shifts written with field arithmetic, one offset vector at
+    a time, the last coordinate running fastest."""
+    field = ctx.field
+    lattice = ctx.s_lattice(profile)
+    gamma0 = field.zero()
+    if any(m > 0 for m in profile):
+        gamma0 = _congruent_point(ctx, box.center_element(ctx), profile)
+        if gamma0 is None:
+            return []
+    target = field.zero()
+    for j, b in enumerate(ctx.basis):
+        target = target + b * ((box.lo[j] + box.hi[j]) / 2)
+    base = [round(c) for c in lattice.coords_in_basis(target - gamma0)]
+    out = []
+    for offsets in itertools.product((-1, 0, 1), repeat=field.degree):
+        g = gamma0
+        for z, d, b in zip(base, offsets, lattice.basis_elements()):
+            g = g + b * (z + d)
+        out.append(g)
+    return out
+
+
+def _reference_certify(ctx, box, t):
+    """The all-exact screen: every candidate's bound as a Fraction."""
+    arch = arch_intervals_for_box(ctx, box, BOUND_WIDTH)
+    best = None
+    for profile in profiles_for_box(ctx, box):
+        fin = F(1)
+        for v, m in zip(ctx.sconfig.finite_places, profile):
+            fin *= F(v.residue_norm()) ** (-m)
+        for gamma in _reference_shifts(ctx, box, profile):
+            quick = norm_bound(ctx, arch, gamma, fin)
+            if best is None or quick < best:
+                best = quick
+            if quick < t:
+                canonical = box_bound(ctx, box, gamma)
+                return CertEntry(box, gamma.coords, canonical), canonical
+    return None, best
+
+
+@pytest.mark.parametrize("case", sorted(CASES))
+def test_screen_matches_the_exact_screen(case):
+    a, sconfig = CASES[case]()
+    ctx = torus_context(a, sconfig)
+    rng = random.Random(f"screen-equivalence:{case}")
+    outcomes = set()
+    for _ in range(10):
+        box = _random_box(ctx, rng, rng.randint(0, 10))
+        for profile in profiles_for_box(ctx, box)[:4]:
+            assert candidate_shifts(ctx, box, profile) == \
+                _reference_shifts(ctx, box, profile)
+        _, least = _reference_certify(ctx, box, F(0))
+        # below the least bound, exactly at it (a tie that only the exact
+        # value decides), just above it, and well above it
+        for t in (least / 2, least, least + F(1, 10**9), least * 2):
+            got = _certify_box(ctx, box, t)
+            assert got == _reference_certify(ctx, box, t)
+            outcomes.add(got[0] is None)
+    assert outcomes == {True, False}
