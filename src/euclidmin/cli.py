@@ -146,7 +146,6 @@ class RunConfig:
         self.denom_bound = _positive_int(params.get("denom_bound", 20),
                                         "params.denom_bound")
         self.budget = _positive_int(params.get("budget", 20000), "params.budget")
-        self.workers = _positive_int(params.get("workers", 1), "params.workers")
         self.xi = None
         if "xi" in params:
             self.xi = _element(self.field, params["xi"], "params.xi")
@@ -312,8 +311,7 @@ def run_command(cfg: RunConfig, command: str) -> dict:
         result["witness_orbit_size"] = orb
         doc["evidence"] = witness_to_json(xi, mv)
     elif command == "cover":
-        res = covering_verify(cfg.ideal, sconfig, cfg.t, budget=cfg.budget,
-                              workers=cfg.workers)
+        res = covering_verify(cfg.ideal, sconfig, cfg.t, budget=cfg.budget)
         result["threshold"] = rat_to_str(cfg.t)
         if isinstance(res, CoveringCertificate):
             result["covered"] = True
@@ -330,8 +328,7 @@ def run_command(cfg: RunConfig, command: str) -> dict:
                 doc["evidence"] = witness_to_json(res.witness,
                                                   res.witness_minimum)
     elif command == "M":
-        rep = compute_M(cfg.ideal, sconfig, cfg.gap, budget=cfg.budget,
-                        workers=cfg.workers)
+        rep = compute_M(cfg.ideal, sconfig, cfg.gap, budget=cfg.budget)
         result["lower"] = rat_to_str(rep.lower)
         result["upper"] = rat_to_str(rep.upper) if rep.upper is not None else None
         result["witness"] = coords_to_json(rep.witness.coords)
@@ -343,8 +340,7 @@ def run_command(cfg: RunConfig, command: str) -> dict:
             evidence["certificate"] = certificate_to_json(rep.certificate)
         doc["evidence"] = evidence
     elif command == "decide":
-        verdict = decide_norm_euclidean(cfg.ideal, sconfig, budget=cfg.budget,
-                                        workers=cfg.workers)
+        verdict = decide_norm_euclidean(cfg.ideal, sconfig, budget=cfg.budget)
         result["verdict"] = verdict.verdict
         doc["effort"].update(verdict.effort)
         if verdict.verdict == "euclidean":
@@ -403,10 +399,12 @@ def _config_mismatch(cfg: RunConfig, saved: dict):
 
 
 def _claim_mismatch(saved: dict, evidence: dict):
-    """Whether a decide or cover result claims more than its evidence."""
+    """Whether a report's result claims more than, or other than, its
+    evidence shows."""
     result = saved.get("result") or {}
     kind = evidence.get("kind")
-    if saved.get("command") == "decide":
+    command = saved.get("command")
+    if command == "decide":
         verdict = result.get("verdict")
         if verdict == "euclidean" and not (
                 kind == "covering" and str_to_rat(evidence["threshold"]) <= 1):
@@ -416,15 +414,34 @@ def _claim_mismatch(saved: dict, evidence: dict):
             return "verdict not_euclidean needs a witness with value >= 1"
         if verdict not in ("euclidean", "not_euclidean"):
             return f"verdict {verdict!r} carries evidence"
-    elif saved.get("command") == "cover":
+    elif command == "cover":
         t = str_to_rat(result.get("threshold"))
         if result.get("covered") is True and not (
-                kind == "covering" and str_to_rat(evidence["threshold"]) <= t):
-            return "covered needs a covering at the threshold"
+                kind == "covering" and str_to_rat(evidence["threshold"]) <= t
+                and result.get("boxes") == len(evidence["entries"])):
+            return "covered needs a covering of that many boxes at t"
         if result.get("covered") is False and not (
                 kind == "witness" and str_to_rat(evidence["value"]) >= t
                 and result.get("witness_value") == evidence["value"]):
             return "not covered needs a witness with value >= the threshold"
+    elif command == "m":
+        xi = [rat_to_str(str_to_rat(c))
+              for c in saved["config"]["params"]["xi"]]
+        if (kind, xi, result.get("value"), result.get("attaining_shift")) != \
+                ("witness", evidence["xi"], evidence["value"],
+                 evidence["shift"]):
+            return "value and attaining_shift must be the witness's at xi"
+    elif command == "search":
+        if (kind, result.get("value"), result.get("witness")) != \
+                ("witness", evidence["value"], evidence["xi"]):
+            return "value and witness must be the witness's"
+    elif command == "M":
+        witness, cert = evidence["witness"], evidence.get("certificate")
+        if (result.get("lower"), result.get("witness")) != \
+                (witness["value"], witness["xi"]):
+            return "lower and witness must be the witness's value and xi"
+        if result.get("upper") != (cert["threshold"] if cert else None):
+            return "upper must be the certificate threshold"
     return None
 
 
@@ -438,6 +455,10 @@ def replay_report(cfg: RunConfig, path: str):
         raise IoError(str(exc))
     except json.JSONDecodeError as exc:
         raise ParseError(f"malformed report: {exc}")
+    if not isinstance(saved, dict):
+        return False, "report is not a JSON object"
+    if saved.get("content_hash") != content_hash(saved):
+        return False, "content_hash does not match the report"
     mismatch = _config_mismatch(cfg, saved.get("config"))
     if mismatch:
         return False, mismatch
@@ -494,10 +515,16 @@ def canonical_payload_bytes(doc: dict) -> bytes:
     return json.dumps(payload, sort_keys=True, separators=(",", ":")).encode()
 
 
+def content_hash(doc: dict) -> str:
+    """SHA-256 of the canonical payload: all but timing and the hash itself."""
+    body = {k: v for k, v in doc.items() if k != "content_hash"}
+    return hashlib.sha256(canonical_payload_bytes(body)).hexdigest()
+
+
 def emit_report(doc: dict, path=None) -> bytes:
     """Serialize canonically (sorted keys, exact rationals); returns bytes."""
     body = dict(doc)
-    body["content_hash"] = hashlib.sha256(canonical_payload_bytes(doc)).hexdigest()
+    body["content_hash"] = content_hash(doc)
     data = json.dumps(body, sort_keys=True, indent=1).encode() + b"\n"
     if path and path != "-":
         try:
@@ -514,8 +541,16 @@ def emit_report(doc: dict, path=None) -> bytes:
 # -- entry point --------------------------------------------------------------------
 
 
+class _ArgumentParser(argparse.ArgumentParser):
+    """Usage errors exit 1, like every other error; 2 means undecided."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(1, f"{self.prog}: error: {message}\n")
+
+
 def build_arg_parser():
-    ap = argparse.ArgumentParser(
+    ap = _ArgumentParser(
         prog="euclidmin",
         description="Exact S-Euclidean minima, norm-Euclidean decisions, "
                     "and replayable covering certificates.")
@@ -525,7 +560,6 @@ def build_arg_parser():
     ap.add_argument("--gap", help="target gap for M (rational)")
     ap.add_argument("--denom-bound", type=int)
     ap.add_argument("--budget", type=int)
-    ap.add_argument("--workers", type=int)
     ap.add_argument("--cert", help="report path for verify-cert")
     ap.add_argument("--output", help="report output path (default stdout)")
     return ap
@@ -549,8 +583,6 @@ def main(argv=None) -> int:
             cfg.denom_bound = _positive_int(args.denom_bound, "--denom-bound")
         if args.budget is not None:
             cfg.budget = _positive_int(args.budget, "--budget")
-        if args.workers is not None:
-            cfg.workers = _positive_int(args.workers, "--workers")
         if args.cert is not None:
             cfg.cert_path = args.cert
         doc = run_command(cfg, args.command)

@@ -86,11 +86,12 @@ def form_from_ideal(ideal: FractionalIdeal, basis) -> BinaryQuadraticForm:
     aa = alpha1.norm() / nrm
     bb = (alpha1 * _conjugate(alpha2) + alpha2 * _conjugate(alpha1)).trace() / nrm / 2
     cc = alpha2.norm() / nrm
-    for q in (aa, bb, cc):
-        assert q.denominator == 1, "form coefficients must be integral"
+    if any(q.denominator != 1 for q in (aa, bb, cc)):
+        raise AssertionError("form coefficients must be integral")
     form = BinaryQuadraticForm(int(aa), int(bb), int(cc))
-    assert form.disc == field.discriminant, \
-        f"form discriminant {form.disc} != field discriminant"
+    if form.disc != field.discriminant:
+        raise AssertionError(
+            f"form discriminant {form.disc} != field discriminant")
     return form
 
 
@@ -106,7 +107,8 @@ def field_of_discriminant(disc: int) -> NumberField:
             field = make_field([-disc // 4, 0, 1])
         else:
             field = make_field([-(disc - 1) // 4, -1, 1])
-        assert field.discriminant == disc
+        if field.discriminant != disc:
+            raise AssertionError(f"field discriminant differs from {disc}")
         _FIELD_BY_DISC[disc] = field
     return _FIELD_BY_DISC[disc]
 
@@ -119,12 +121,14 @@ def sqrt_disc_element(field: NumberField) -> FieldElement:
 
 def standard_module(f: BinaryQuadraticForm):
     """The ideal [a, (b + sqrt(D))/2] with basis, for a form with a > 0."""
-    assert f.a > 0
+    if f.a <= 0:
+        raise ValueError("the standard module needs a > 0")
     field = field_of_discriminant(f.disc)
     alpha1 = field.from_rational(f.a)
     alpha2 = (field.from_rational(f.b) + sqrt_disc_element(field)) / 2
     ideal = ideal_from_gens([alpha1, alpha2])
-    assert ideal_norm(ideal) == f.a, "standard module norm mismatch"
+    if ideal_norm(ideal) != f.a:
+        raise AssertionError("standard module norm mismatch")
     return field, ideal, alpha1, alpha2
 
 
@@ -155,7 +159,9 @@ def _transport_to_positive(f: BinaryQuadraticForm, p):
                     g = BinaryQuadraticForm(a2, b2, c2)
                     # U^-1 = [[s, t], [-v, u]]
                     q = (p[0] * s + p[1] * t, -p[0] * v + p[1] * u)
-                    assert g.disc == f.disc
+                    if g.disc != f.disc:
+                        raise AssertionError(
+                            "transport changed the discriminant")
                     return g, q, ((u, -t), (v, s))
     raise SearchExhausted("no positive value found (form not indefinite?)")
 
@@ -305,12 +311,13 @@ def m_form_reduced(f: BinaryQuadraticForm, p):
     mat_inv = mat_inverse(mat)
     q_red = mat_vec(mat_inv, list(rep.coords))
     q_shift = mat_vec(mat_inv, list(rep_shift.coords))
-    assert all(v.denominator == 1 for v in q_shift), "shift is not a Z-pair"
+    if any(v.denominator != 1 for v in q_shift):
+        raise AssertionError("shift is not a Z-pair")
     # transport the reduced data back through U so it lives in f's variables
     back_pt = (u_mat[0][0] * q_red[0] + u_mat[0][1] * q_red[1],
                u_mat[1][0] * q_red[0] + u_mat[1][1] * q_red[1])
     back_sh = (u_mat[0][0] * q_shift[0] + u_mat[0][1] * q_shift[1],
                u_mat[1][0] * q_shift[0] + u_mat[1][1] * q_shift[1])
-    assert abs(f(back_pt[0] - back_sh[0], back_pt[1] - back_sh[1])) == mv.value, \
-        "reduced attaining pair does not replay"
+    if abs(f(back_pt[0] - back_sh[0], back_pt[1] - back_sh[1])) != mv.value:
+        raise AssertionError("reduced attaining pair does not replay")
     return mv.value, back_pt, back_sh

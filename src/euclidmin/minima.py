@@ -22,7 +22,6 @@ from __future__ import annotations
 import heapq
 import itertools
 from collections.abc import Mapping
-from contextlib import contextmanager
 from dataclasses import dataclass
 from fractions import Fraction
 from math import ceil, gcd, inf
@@ -37,9 +36,9 @@ from .covering import (BOUND_WIDTH, CoverBox, CoveringCertificate,
                        verify_certificate)
 from .enumerate import elements_in_box, real_box_targets
 from .errors import UnverifiedUnits
-from .fields import FieldElement, FractionalIdeal, embed, make_field
+from .fields import FieldElement, FractionalIdeal, embed
 from .hnf import lcm_list
-from .places import Place, SConfig, s_norm, valuation
+from .places import s_norm, valuation
 from .qmath import nth_root_upper, sqrt_upper
 from .torus import (TorusContext, orbit, orbit_with_units, reduce_mod,
                     shift_into_depths, torsion_reps, torus_context)
@@ -383,65 +382,8 @@ def _probe_box(a: FractionalIdeal, ctx: TorusContext, box: CoverBox,
     return None
 
 
-@contextmanager
-def _box_certifier(ctx: TorusContext, a, sconfig, t: Fraction, workers: int):
-    """Yields (batch size, certify) with certify(boxes) -> [(entry, bound)].
-
-    One box at a time in this process, or 4 * workers boxes per round on a
-    process pool; the caller canonicalizes the order of the entries.
-    """
-    if workers <= 1:
-        yield 1, lambda boxes: [_certify_box(ctx, box, t) for box in boxes]
-        return
-    from concurrent.futures import ProcessPoolExecutor
-
-    with ProcessPoolExecutor(max_workers=workers, initializer=_init_worker,
-                             initargs=(_worker_payload(a, sconfig, t),)) as pool:
-        yield 4 * workers, lambda boxes: list(pool.map(_certify_box_task,
-                                                       boxes))
-
-
-# Each pool worker rebuilds the immutable context once from a picklable
-# description of the field, the S-configuration, the ideal and the threshold.
-_WORKER_CTX = None
-_WORKER_T = None
-
-
-def _worker_payload(a, sconfig, t):
-    return {
-        "coeffs": list(a.field.coeffs),
-        "places": [(v.p, tuple(v.gen_poly), v.e, v.f)
-                   for v in sconfig.finite_places],
-        "unit_gens": [tuple(u.coords) for u in sconfig.unit_gens],
-        "torsion": (tuple(sconfig.torsion[0].coords), sconfig.torsion[1])
-        if sconfig.torsion else None,
-        "ideal": ([list(r) for r in a.hnf], a.den),
-        "t": t,
-    }
-
-
-def _init_worker(payload):
-    global _WORKER_CTX, _WORKER_T
-    field = make_field(payload["coeffs"])
-    places = [Place(field, "finite", p=p, gen_poly=g, e=e, f=f)
-              for p, g, e, f in payload["places"]]
-    gens = [field.element(c) for c in payload["unit_gens"]]
-    torsion = None
-    if payload["torsion"]:
-        torsion = (field.element(payload["torsion"][0]), payload["torsion"][1])
-    sconfig = SConfig(field, places, unit_gens=gens, torsion=torsion,
-                      verified=True)
-    hnf, den = payload["ideal"]
-    _WORKER_CTX = torus_context(FractionalIdeal(field, hnf, den), sconfig)
-    _WORKER_T = Fraction(payload["t"])
-
-
-def _certify_box_task(box):
-    return _certify_box(_WORKER_CTX, box, _WORKER_T)
-
-
 def covering_verify(a: FractionalIdeal, sconfig, t, budget: int = 20000,
-                    workers: int = 1, resume: CoveringState | None = None,
+                    resume: CoveringState | None = None,
                     effort: dict | None = None):
     """Prove that every adele class admits a shift with norm ratio below t.
 
@@ -468,21 +410,17 @@ def covering_verify(a: FractionalIdeal, sconfig, t, budget: int = 20000,
     processed = 0
     tested = set()
     found = None
-    with _box_certifier(ctx, a, sconfig, t, workers) as (size, certify):
-        while heap and processed < budget and found is None:
-            batch = []
-            while heap and len(batch) < min(size, budget - processed):
-                batch.append(heapq.heappop(heap)[2])
-            processed += len(batch)
-            for box, (entry, bound) in zip(batch, certify(batch)):
-                if entry is not None:
-                    entries.append(entry)
-                    continue
-                if found is None:
-                    found = _probe_box(a, ctx, box, t, tested, effort)
-                priority = -bound if bound is not None else Fraction(0)
-                for child in _split_box(ctx, box):
-                    heapq.heappush(heap, (priority, next(counter), child))
+    while heap and processed < budget and found is None:
+        box = heapq.heappop(heap)[2]
+        processed += 1
+        entry, bound = _certify_box(ctx, box, t)
+        if entry is not None:
+            entries.append(entry)
+            continue
+        found = _probe_box(a, ctx, box, t, tested, effort)
+        priority = -bound if bound is not None else Fraction(0)
+        for child in _split_box(ctx, box):
+            heapq.heappush(heap, (priority, next(counter), child))
     if effort is not None:
         effort["covering_boxes"] += processed
     if heap:
@@ -544,8 +482,8 @@ def search_lower(a: FractionalIdeal, sconfig, denom_bound: int,
     return best
 
 
-def compute_M(a: FractionalIdeal, sconfig, gap, budget: int = 40000,
-              workers: int = 1) -> MReport:
+def compute_M(a: FractionalIdeal, sconfig, gap,
+              budget: int = 40000) -> MReport:
     """Two-sided bounds on the supremum of the exact minimum over K.
 
     Alternates wider witness searches with covering attempts at
@@ -574,7 +512,7 @@ def compute_M(a: FractionalIdeal, sconfig, gap, budget: int = 40000,
         slice_budget = min(max(400, budget // 8),
                            budget - effort["covering_boxes"])
         result = covering_verify(a, sconfig, t, budget=slice_budget,
-                                 workers=workers, effort=effort)
+                                 effort=effort)
         if isinstance(result, CoveringCertificate):
             upper = t
             certificate = result
@@ -600,7 +538,7 @@ def compute_M(a: FractionalIdeal, sconfig, gap, budget: int = 40000,
         t_loc = best_mv.value + min(gap / 8, (upper - best_mv.value) / 8)
         probe_budget = max(32, len(certificate.entries) // 2)
         probe = covering_verify(a, sconfig, t_loc, budget=probe_budget,
-                                workers=workers, effort=effort)
+                                effort=effort)
         if isinstance(probe, Unresolved) and probe.witness is not None:
             # the lower bound was not the supremum after all
             witness, best_mv = probe.witness, probe.witness_minimum
@@ -616,8 +554,7 @@ def compute_M(a: FractionalIdeal, sconfig, gap, budget: int = 40000,
 
 
 def decide_norm_euclidean(a: FractionalIdeal, sconfig,
-                          budget: int = 60000, workers: int = 1
-                          ) -> EuclideanVerdict:
+                          budget: int = 60000) -> EuclideanVerdict:
     """Interleaved decision: certified covering at threshold 1 against a
     witness search for a class with exact minimum at least 1.
 
@@ -635,8 +572,7 @@ def decide_norm_euclidean(a: FractionalIdeal, sconfig,
         witness, mv, orb = search_lower(a, sconfig, denom, seen, effort)
         if mv.value >= 1:
             return EuclideanVerdict("not_euclidean", None, witness, mv, effort)
-        result = covering_verify(a, sconfig, Fraction(1),
-                                 budget=cover_slice, workers=workers,
+        result = covering_verify(a, sconfig, Fraction(1), budget=cover_slice,
                                  resume=cover_state, effort=effort)
         if isinstance(result, CoveringCertificate):
             return EuclideanVerdict("euclidean", result, None, None, effort)

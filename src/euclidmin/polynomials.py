@@ -342,7 +342,8 @@ def factor_mod_p(f, p) -> list[tuple[list[int], int]]:
     Cantor-Zassenhaus equal-degree splitting with a seeded generator.
     """
     f = pmod(f, p)
-    assert f[-1] == 1
+    if f[-1] != 1:
+        raise ValueError("polynomial must be monic mod p")
     rng = random.Random(hash((p, tuple(f))) & 0xFFFFFFFF)
     factors: dict[tuple, int] = {}
 
@@ -488,15 +489,18 @@ def hensel_lift_blocks(f, blocks, p, target_k) -> list[list[int]]:
     for b in blocks[mid:]:
         h = pmul(h, b, p)
     d, s, t = _pxgcd(g, h, p)
-    assert d == [1], "blocks are not coprime mod p"
+    if d != [1]:
+        raise ValueError("blocks are not coprime mod p")
     # normalize so deg s < deg h and deg t < deg g
     _, s = pdivmod(s, h, p)
     num = poly_sub([1], pmul(s, g, p))
     t, rem = pdivmod(pmod(num, p), h, p)
-    assert rem == [0]
+    if rem != [0]:
+        raise AssertionError("Bezout cofactor does not divide exactly")
     g_lift, h_lift = _pair_hensel(f, g, h, s, t, p, 1, target_k)
     prod = _mul_mod(g_lift, h_lift, m)
-    assert _poly_mod(poly_sub(prod, f), m) == [0], "hensel product mismatch"
+    if _poly_mod(poly_sub(prod, f), m) != [0]:
+        raise AssertionError("hensel product mismatch")
     return (hensel_lift_blocks(g_lift, blocks[:mid], p, target_k)
             + hensel_lift_blocks(h_lift, blocks[mid:], p, target_k))
 

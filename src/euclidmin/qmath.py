@@ -10,18 +10,6 @@ from fractions import Fraction
 from math import isqrt
 
 
-def sqrt_lower(x: Fraction, scale_bits: int = 64) -> Fraction:
-    """Rational lower bound on sqrt(x), within 2^-scale_bits relative slack."""
-    if x < 0:
-        raise ValueError("sqrt of negative rational")
-    if x == 0:
-        return Fraction(0)
-    s = 1 << (2 * scale_bits)
-    n = (x.numerator * s) // x.denominator
-    r = isqrt(n)  # r^2 <= n
-    return Fraction(r, 1 << scale_bits)
-
-
 def sqrt_upper(x: Fraction, scale_bits: int = 64) -> Fraction:
     """Rational upper bound on sqrt(x)."""
     if x < 0:

@@ -22,10 +22,10 @@ def sqrt_m_element(field: NumberField, m: int) -> FieldElement:
     """The element sqrt(m) in a quadratic field whose discriminant allows it."""
     c0, c1, _ = field.coeffs
     disc_poly = c1 * c1 - 4 * c0
-    assert disc_poly % m == 0
-    t2 = disc_poly // m
+    t2, rest = divmod(disc_poly, m)
     t = isqrt(t2)
-    assert t * t == t2, "polynomial discriminant is not m times a square"
+    if rest or t * t != t2:
+        raise ValueError("polynomial discriminant is not m times a square")
     # 2*theta + c1 squares to disc_poly
     theta = field.gen()
     delta = theta * 2 + field.from_rational(c1)
@@ -35,7 +35,8 @@ def sqrt_m_element(field: NumberField, m: int) -> FieldElement:
 def pell_fundamental(m: int, cap: int = 200000) -> tuple[int, int]:
     """Fundamental (x, y) with x^2 - m y^2 = +-1, x, y > 0, via sqrt(m) CF."""
     a0 = isqrt(m)
-    assert a0 * a0 != m, "m must be nonsquare"
+    if a0 * a0 == m:
+        raise ValueError("m must be nonsquare")
     P, Q = 0, 1
     a = a0
     p_prev, p = 1, a0
@@ -88,7 +89,8 @@ def fundamental_unit(field: NumberField) -> FieldElement:
     x, y = pell_fundamental(m)
     sm = sqrt_m_element(field, m)
     u1 = field.from_rational(x) + sm * y
-    assert abs(u1.norm()) == 1
+    if abs(u1.norm()) != 1:
+        raise AssertionError("Pell solution is not a unit")
     unit = u1
     if disc % 4 == 1:
         cube = _exact_unit_cube_root(field, u1, sm, m)
@@ -155,7 +157,8 @@ def torsion_generator(field: NumberField) -> tuple[FieldElement, int]:
                 torsion.append((order, cand))
                 break
             p = p * cand
-    assert torsion, "torsion group search found nothing (missing 1?)"
+    if not torsion:
+        raise AssertionError("torsion group search found nothing (missing 1?)")
     best_order = max(o for o, _ in torsion)
     gens = sorted((c.coords for o, c in torsion if o == best_order))
     return field.element(gens[0]), best_order
@@ -180,7 +183,8 @@ def principal_power_generator(ideal: FractionalIdeal, hmax: int = 12):
     for h in range(1, hmax + 1):
         power = power * ideal
         nrm = ideal_norm(power)
-        assert nrm.denominator == 1
+        if nrm.denominator != 1:
+            raise ValueError("ideal power has a non-integral norm")
         target_norm = nrm
         if r1 == 0:
             targets = real_box_targets(field, [], [Fraction(nrm)])

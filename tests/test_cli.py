@@ -1,11 +1,13 @@
 import json
 from fractions import Fraction as F
+from unittest.mock import ANY
 
 import pytest
 
 from euclidmin import ParseError, ValidationError
 from euclidmin.cli import (certificate_from_json, certificate_to_json,
-                           emit_report, main, parse_config, run_command)
+                           content_hash, emit_report, main, parse_config,
+                           run_command)
 
 
 def make_cfg(tmp_path, name, data):
@@ -25,7 +27,7 @@ def test_parse_config_examples():
     assert cfg.field.degree == 2 and cfg.sconfig.size == 1
     cfg = parse_config(json.dumps(Z16))
     assert cfg.field.degree == 1 and cfg.sconfig.size == 3
-    assert cfg.gap == F(1, 100) and cfg.denom_bound == 20 and cfg.workers == 1
+    assert cfg.gap == F(1, 100) and cfg.denom_bound == 20
 
 
 def test_parse_config_errors():
@@ -42,8 +44,6 @@ def test_parse_config_errors():
                                  "ideal": {"gens": [[1]]}}))
     assert "S.primes[1]" in str(err.value)
     for key, value, path in (("S", [2, 3], "S"), ("units", [], "units"),
-                             ("params", {"workers": "two"}, "params.workers"),
-                             ("params", {"workers": 0}, "params.workers"),
                              ("params", {"budget": 1.5}, "params.budget"),
                              ("params", {"budget": True}, "params.budget"),
                              ("params", {"denom_bound": 0},
@@ -120,8 +120,9 @@ def test_cli_end_to_end(tmp_path, capsys):
                  "--cert", str(out), "--output", str(vout)])
     assert code == 0
     assert json.loads(vout.read_text())["result"]["replay"] == "pass"
-    # tampering any single bound must be caught
+    # tampering any single bound must be caught, even under a fresh hash
     doc["evidence"]["entries"][0]["bound"] = "1/100"
+    doc["content_hash"] = content_hash(doc)
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps(doc))
     code = main(["--config", cfg_path, "--command", "verify-cert",
@@ -186,7 +187,11 @@ ZM5 = {"field": {"poly": [5, 0, 1]}, "S": {"primes": []},
        "ideal": {"gens": [[1, 0]]}}
 
 
-def replay_code(tmp_path, cfg_path, report):
+def replay_code(tmp_path, cfg_path, report, restamp=True):
+    """verify-cert's exit code on a report, by default with its
+    content_hash recomputed so that the edit itself is what is checked."""
+    if restamp:
+        report = dict(report, content_hash=content_hash(report))
     path = tmp_path / "edited.json"
     path.write_text(json.dumps(report))
     return main(["--config", cfg_path, "--command", "verify-cert",
@@ -238,3 +243,98 @@ def test_verify_cert_uses_given_config(tmp_path):
     same = dict(ZM5, ideal={"gens": [[-1, 0]]})
     assert replay_code(tmp_path, make_cfg(tmp_path, "same.json", same),
                        doc) == 0
+
+
+def test_cli_usage_errors_exit_1(tmp_path, capsys):
+    # argparse would exit 2, which this command line reserves for undecided
+    cfg_path = make_cfg(tmp_path, "z16.json", Z16)
+    for argv in (["--config", cfg_path, "--command", "info", "--budget", "abc"],
+                 ["--config", cfg_path, "--command", "info", "--workers", "2"],
+                 ["--config", cfg_path, "--command", "nope"],
+                 ["--command", "info"]):
+        with pytest.raises(SystemExit) as stop:
+            main(argv)
+        assert stop.value.code == 1, argv
+    assert "error:" in capsys.readouterr().err
+    with pytest.raises(SystemExit) as stop:
+        main(["--help"])
+    assert stop.value.code == 0
+
+
+# Reports that carry evidence: name -> (config, command, flags)
+EVIDENCE_REPORTS = {
+    "m": (dict(Z16, params={"xi": ["1/5"]}), "m", []),
+    "search": (Z16, "search", ["--denom-bound", "6"]),
+    "cover": (Z16, "cover", ["--t", "21/100"]),
+    "cover-witness": (Z16, "cover", ["--t", "19/100", "--budget", "1500"]),
+    "M": (Z16, "M", ["--gap", "1/10"]),
+    "M-uncertified": (Z16, "M", ["--gap", "1/10", "--budget", "1"]),
+    "decide-euclidean": (QI, "decide", []),
+    "decide-not": (ZM5, "decide", []),
+}
+
+# (report, result field, edited value): every field verify-cert checks
+TAMPERS = (
+    ("m", "value", "1/7"),
+    ("m", "attaining_shift", ["123/1"]),
+    ("search", "value", "1/7"),
+    ("search", "witness", ["1/7"]),
+    ("cover", "threshold", "1/100"),
+    ("cover", "covered", False),
+    ("cover", "boxes", 1),
+    ("cover-witness", "covered", True),
+    ("cover-witness", "threshold", "21/100"),
+    ("cover-witness", "witness_value", "1/6"),
+    ("M", "lower", "1/7"),
+    ("M", "witness", ["1/7"]),
+    ("M", "upper", "1/3"),
+    ("M", "upper", None),
+    ("M-uncertified", "upper", "1/3"),
+    ("decide-euclidean", "verdict", "not_euclidean"),
+    ("decide-euclidean", "verdict", "undecided"),
+    ("decide-not", "verdict", "euclidean"),
+)
+
+
+@pytest.fixture(scope="module")
+def evidence_reports(tmp_path_factory):
+    root = tmp_path_factory.mktemp("reports")
+    reports = {}
+    for name, (raw, command, flags) in EVIDENCE_REPORTS.items():
+        cfg_path = make_cfg(root, f"{name}.cfg.json", raw)
+        out = root / f"{name}.json"
+        main(["--config", cfg_path, "--command", command, "--output", str(out)]
+             + flags)
+        reports[name] = (cfg_path, json.loads(out.read_text()))
+    return reports
+
+
+def verify_detail(tmp_path, cfg_path, report, restamp=True):
+    code = replay_code(tmp_path, cfg_path, report, restamp)
+    return code, json.loads((tmp_path / "v.json").read_text())["result"]
+
+
+def test_verify_cert_tamper_table(tmp_path, evidence_reports):
+    assert evidence_reports["cover-witness"][1]["result"]["covered"] is False
+    assert evidence_reports["M-uncertified"][1]["result"]["upper"] is None
+    for name, (cfg_path, report) in evidence_reports.items():
+        assert verify_detail(tmp_path, cfg_path, report, restamp=False) == \
+            (0, {"replay": "pass", "detail": ANY}), name
+    for name, key, value in TAMPERS:
+        cfg_path, report = evidence_reports[name]
+        assert report["result"][key] != value, (name, key)
+        edited = dict(report, result=dict(report["result"], **{key: value}))
+        code, result = verify_detail(tmp_path, cfg_path, edited)
+        assert code == 3 and result["replay"] == "fail", (name, key, value)
+        assert "content_hash" not in result["detail"], (name, key)
+    cfg_path, report = evidence_reports["m"]
+    # a report that is not a JSON object
+    assert replay_code(tmp_path, cfg_path, [report], restamp=False) == 3
+    # an m report whose result is for another xi than its config names
+    other = dict(report, config=dict(report["config"], params={"xi": ["1/7"]}))
+    assert replay_code(tmp_path, cfg_path, other) == 3
+    # an edit outside the result, under the old hash
+    cfg_path, report = evidence_reports["M"]
+    stale = dict(report, effort=dict(report["effort"], covering_boxes=1))
+    code, result = verify_detail(tmp_path, cfg_path, stale, restamp=False)
+    assert code == 3 and "content_hash" in result["detail"]

@@ -103,14 +103,6 @@ def test_covering_resume(field_qi, s_qi_inf):
     verify_certificate(torus_context(Oi, s_qi_inf), done)
 
 
-def test_covering_workers_schedule_independent(field_q, s_q_23):
-    Z = field_q.maximal_order()
-    serial = covering_verify(Z, s_q_23, F(21, 100), budget=60000)
-    parallel = covering_verify(Z, s_q_23, F(21, 100), budget=60000, workers=2)
-    assert isinstance(parallel, CoveringCertificate)
-    assert serial.entries == parallel.entries
-
-
 def test_m_upper_adele(field_q, s_q_inf):
     Z = field_q.maximal_order()
     zero = field_q.zero()
@@ -149,11 +141,10 @@ def test_covering_below_minimum_returns_witness(field_q, s_q_23):
 
 def test_covering_witness_schedule_independent(field_q, s_q_23):
     Z = field_q.maximal_order()
-    for workers in (1, 2):
-        res = covering_verify(Z, s_q_23, F(1, 8), budget=400, workers=workers)
-        assert isinstance(res, Unresolved)
-        assert res.witness_minimum.value >= F(1, 8)
-        assert m_exact(Z, s_q_23, res.witness) == res.witness_minimum
+    res = covering_verify(Z, s_q_23, F(1, 8), budget=400)
+    assert isinstance(res, Unresolved)
+    assert res.witness_minimum.value >= F(1, 8)
+    assert m_exact(Z, s_q_23, res.witness) == res.witness_minimum
 
 
 def _fresh_python(script, *flags):
