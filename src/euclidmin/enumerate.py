@@ -4,6 +4,16 @@ Given a Z-basis of a full lattice in the field and per-place magnitude
 bounds, produce a finite integer-coordinate superset of every lattice point
 whose embeddings fall inside the box. Callers filter candidates exactly, so
 interval slack here costs time but never correctness.
+
+The solve works on bounded-size data: every row entry is an integer
+interval on the grid 2^-bits. The rows of a basis vector and of the offset
+are exact rational combinations of the field's integral-basis rows
+(NumberField.basis_row_bounds), rounded outward to that grid, and the
+targets are rounded outward to it as well; this is the only rounding in
+enumeration. Cramer's rule then runs exactly on Iv with integer
+endpoints, whose sizes the grid bounds, and when the determinant's
+enclosure holds 0 the solve is retried on a finer grid. Iv itself stays
+exact, and so does embedding_rows, which the covering bounds use.
 """
 
 from __future__ import annotations
@@ -14,7 +24,35 @@ from math import ceil, floor
 from .errors import SearchExhausted
 from .fields import FieldElement, embed
 from .intervals import Iv, interval_det
-from .qmath import sqrt_upper
+from .qmath import ceil_scaled, floor_scaled, sqrt_upper
+
+# binary digits of the first grid, and how many more each retry takes
+GRID_BITS = 64
+GRID_STEP = 16
+GRID_TRIES = 12
+
+
+def _grid_row(elem: FieldElement, omega) -> list[Iv]:
+    """Integer enclosures on the grid of elem's real coordinates: the exact
+    combination sum nums_k * omega_k / den, rounded outward."""
+    den = elem.den
+    out = []
+    for c in range(len(omega)):
+        lo = hi = 0
+        for a, row in zip(elem.nums, omega):
+            if a > 0:
+                lo += a * row[c][0]
+                hi += a * row[c][1]
+            elif a:
+                lo += a * row[c][1]
+                hi += a * row[c][0]
+        out.append(Iv(lo // den, -(-hi // den)))
+    return out
+
+
+def _grid_target(t: Iv, bits: int) -> Iv:
+    """The integer enclosure of t on the grid 2^-bits, rounded outward."""
+    return Iv(floor_scaled(t.lo, bits), ceil_scaled(t.hi, bits))
 
 
 def _interval_solve(a, b):
@@ -62,18 +100,19 @@ def lattice_points_in_box(basis: list[FieldElement], offset: FieldElement,
     the target box (a certified superset of the true solution set)."""
     field = offset.field
     n = field.degree
-    width = Fraction(1, 2**24)
-    for _ in range(12):
+    bits = GRID_BITS
+    for _ in range(GRID_TRIES):
         try:
-            a_rows = [embedding_rows(b, width) for b in basis]
+            omega = field.basis_row_bounds(bits)
+            a_rows = [_grid_row(b, omega) for b in basis]
             # columns of A are basis embedding vectors: A z = target - offset
             a = [[a_rows[j][i] for j in range(n)] for i in range(n)]
-            o = embedding_rows(offset, width)
-            rhs = [targets[i] - o[i] for i in range(n)]
+            o = _grid_row(offset, omega)
+            rhs = [_grid_target(targets[i], bits) - o[i] for i in range(n)]
             ranges = _interval_solve(a, rhs)
             break
         except ZeroDivisionError:
-            width /= 16
+            bits += GRID_STEP
     else:
         raise SearchExhausted("embedding matrix never became regular")
     bounds = []

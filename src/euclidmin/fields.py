@@ -29,6 +29,7 @@ from .hnf import (fp_kernel, hnf_columns, int_det, int_solve, kernel_int,
 from .intervals import Iv
 from .polynomials import (certify_irreducible, count_real_roots, deg,
                           poly_discriminant, poly_divmod, poly_mul, root_bound)
+from .qmath import ceil_scaled, floor_scaled
 from .roots import RootEnclosures, eval_interval
 
 
@@ -95,6 +96,7 @@ class NumberField:
             FieldElement(self, tuple(int(i == j) for j in range(n)), 1)
             for i in range(n))
         self._roots: RootEnclosures | None = None
+        self._basis_rows: dict = {}   # bits -> basis_row_bounds(bits)
         self._pow_cache: dict = {}
 
     # -- the integer kernel ----------------------------------------------------
@@ -162,6 +164,30 @@ class NumberField:
         if self._roots is None:
             self._roots = RootEnclosures(list(self.coeffs))
         return self._roots
+
+    def basis_row_bounds(self, bits: int) -> tuple:
+        """Integer enclosures of the integral-basis embeddings on the grid
+        2^-bits, computed once per field and grid.
+
+        Entry [k][c] is a pair (lo, hi) with lo / 2^bits <= coordinate c of
+        the embedding of the k-th integral basis element <= hi / 2^bits;
+        the coordinates are the real places, then (re, im) per complex
+        place. The embed enclosures at width 2^-bits are rounded outward to
+        the grid, so each pair spans at most three grid steps.
+        """
+        rows = self._basis_rows.get(bits)
+        if rows is None:
+            rows = []
+            for w in self.integral_basis:
+                box = embed(w, Fraction(1, 2**bits))
+                coords = list(box.reals)
+                for z in box.complexes:
+                    coords += [z.re, z.im]
+                rows.append(tuple([(floor_scaled(iv.lo, bits),
+                                    ceil_scaled(iv.hi, bits))
+                                   for iv in coords]))
+            rows = self._basis_rows[bits] = tuple(rows)
+        return rows
 
     def maximal_order(self) -> "FractionalIdeal":
         n = self.degree

@@ -1,7 +1,12 @@
 """Closed rational intervals and complex rectangles.
 
-Endpoints are Fractions, so all arithmetic is exact; there is no rounding
-step anywhere. Enclosures only widen through genuine interval semantics.
+Endpoints are Fractions, so all arithmetic is exact; Iv and CIv never
+round. Enclosures only widen through genuine interval semantics, and their
+endpoints can grow long. Code that needs bounded sizes rounds outward
+itself, outside this module: lattice enumeration moves its rows and
+targets to integers on a dyadic grid (enumerate.py), and the log-rank
+check rounds magnitudes to 64-bit dyadics before taking logs
+(places._log_abs_interval, with qmath.dyadic_outward).
 """
 
 from __future__ import annotations

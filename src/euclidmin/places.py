@@ -18,7 +18,7 @@ from .fields import (FieldElement, FractionalIdeal, NumberField, embed,
 from .hnf import fp_kernel
 from .intervals import Iv, interval_det
 from .polynomials import deg, factor_mod_p
-from .qmath import int_valuation, is_prime, ln_enclosure
+from .qmath import dyadic_outward, int_valuation, is_prime, ln_enclosure
 
 
 @dataclass(frozen=True)
@@ -321,9 +321,10 @@ def _log_abs_interval(sconfig: SConfig, x: FieldElement, place: Place,
         else:
             iv = box.complexes[place.index].abs_sq()
         if iv.lo > 0:
-            llo = ln_enclosure(iv.lo, err / 2)[0]
-            lhi = ln_enclosure(iv.hi, err / 2)[1]
-            return Iv(llo, lhi)
+            # ln is increasing, so a dyadic enclosure of the magnitude
+            # keeps the log enclosure certified; lo stays positive
+            lo, hi = dyadic_outward(iv.lo, iv.hi)
+            return Iv(ln_enclosure(lo, err / 2)[0], ln_enclosure(hi, err / 2)[1])
         prec /= 16
     raise SearchExhausted("embedding magnitude would not separate from zero")
 

@@ -60,6 +60,37 @@ def _int_nth_root(m: int, n: int) -> int:
     return lo
 
 
+# -- dyadic outward rounding --------------------------------------------------
+#
+# Exact endpoints can grow without bound through long chains of interval
+# arithmetic. Where only a certified enclosure is needed, they are rounded
+# outward to dyadic rationals of bounded size.
+
+
+def floor_scaled(x, k: int) -> int:
+    """floor(x * 2^k) for a rational or integer x and any integer k."""
+    if k >= 0:
+        return (x.numerator << k) // x.denominator
+    return x.numerator // (x.denominator << -k)
+
+
+def ceil_scaled(x, k: int) -> int:
+    """ceil(x * 2^k) for a rational or integer x and any integer k."""
+    return -floor_scaled(-x, k)
+
+
+def dyadic_outward(lo, hi, bits: int = 64) -> tuple[Fraction, Fraction]:
+    """Dyadic rationals lo' <= lo and hi' >= hi, each with at most bits + 1
+    significant bits; a nonzero endpoint keeps its sign."""
+    def rounded(x, scaled):
+        e = 0 if not x else bits - (abs(x.numerator).bit_length()
+                                    - x.denominator.bit_length())
+        m = scaled(x, e)
+        return Fraction(m, 1 << e) if e >= 0 else Fraction(m << -e)
+
+    return rounded(lo, floor_scaled), rounded(hi, ceil_scaled)
+
+
 # -- certified natural log ----------------------------------------------------
 
 _LN2_CACHE: dict[int, tuple[Fraction, Fraction]] = {}

@@ -132,9 +132,13 @@ class TorusContext:
 
 
 def torus_context(a: FractionalIdeal, sconfig: SConfig) -> TorusContext:
+    """The context of (a, S). sconfig keeps the one of the ideal asked for
+    last; a context for another ideal replaces it, and a replaced context
+    is rebuilt identically when asked again."""
     key = (a.hnf, a.den)
     ctx = sconfig.torus_contexts.get(key)
     if ctx is None:
+        sconfig.torus_contexts.clear()
         ctx = sconfig.torus_contexts[key] = TorusContext(a, sconfig)
     return ctx
 

@@ -1,0 +1,209 @@
+"""Certified lattice enumeration on bounded-size dyadic data.
+
+Soundness: outward rounding encloses what it rounds, and
+`lattice_points_in_box` returns every point that an exact-rational Cramer
+solve at width 2^-24 (the reference below) finds possibly inside the box.
+"""
+
+import itertools
+import random
+from fractions import Fraction as F
+from math import ceil, floor
+
+import pytest
+
+import euclidmin.enumerate as enum
+from euclidmin import SearchExhausted, make_field
+from euclidmin.enumerate import (GRID_BITS, embedding_rows,
+                                 lattice_points_in_box)
+from euclidmin.intervals import Iv, interval_det
+from euclidmin.qmath import ceil_scaled, dyadic_outward, floor_scaled
+
+FIELDS = ([-1, 1], [1, 0, 1], [-2, 0, 1], [-1, -1, 0, 1], [1, 1, 1, 1, 1])
+
+
+def _random_rational(rng, num=40, den=9):
+    return F(rng.randint(-num, num), rng.randint(1, den))
+
+
+def _random_element(rng, field, num=20, den=7):
+    return field.element([_random_rational(rng, num, den)
+                          for _ in range(field.degree)])
+
+
+def _is_power_of_two(d):
+    return d & (d - 1) == 0
+
+
+def test_outward_rounding_encloses_with_dyadic_denominators():
+    rng = random.Random(1)
+    for _ in range(300):
+        x = F(rng.randint(-10**30, 10**30), rng.randint(1, 10**25))
+        y = x + F(rng.randint(0, 10**6), rng.randint(1, 10**20))
+        for k in (-40, -3, 0, 7, 64):
+            assert floor_scaled(x, k) <= x * F(2)**k < floor_scaled(x, k) + 1
+            assert ceil_scaled(x, k) - 1 < x * F(2)**k <= ceil_scaled(x, k)
+        for bits in (8, 64):
+            lo, hi = dyadic_outward(x, y, bits)
+            assert lo <= x and y <= hi
+            assert _is_power_of_two(lo.denominator)
+            assert _is_power_of_two(hi.denominator)
+            for r in (lo, hi):
+                # a bounded number of significant bits, and the sign kept
+                m = r.numerator
+                while m and m % 2 == 0:
+                    m //= 2
+                assert abs(m).bit_length() <= bits + 1
+            assert (lo > 0) == (x > 0) and (hi < 0) == (y < 0)
+    assert dyadic_outward(F(0), F(0)) == (0, 0)
+
+
+@pytest.mark.parametrize("coeffs", FIELDS)
+def test_grid_rows_enclose_embeddings(coeffs):
+    field = make_field(coeffs)
+    scale = F(2)**GRID_BITS
+    omega = field.basis_row_bounds(GRID_BITS)
+    # the field rows hold finer embed enclosures of the integral basis
+    for w, row in zip(field.integral_basis, omega):
+        fine = embedding_rows(w, F(1, 2**(GRID_BITS + 4)))
+        for (lo, hi), iv in zip(row, fine):
+            assert lo / scale <= iv.lo and iv.hi <= hi / scale
+            assert hi - lo <= 3
+    # an element's rows hold the exact combination of the field rows, and
+    # a target's grid interval holds the target
+    rng = random.Random(2)
+    for _ in range(40):
+        lo = _random_rational(rng)
+        t = Iv(lo, lo + _random_rational(rng, 40, 9) ** 2)
+        grid_t = enum._grid_target(t, GRID_BITS)
+        assert grid_t.lo / scale <= t.lo and t.hi <= grid_t.hi / scale
+        elem = _random_element(rng, field)
+        got = enum._grid_row(elem, omega)
+        for c, iv in enumerate(got):
+            exact = sum((Iv(row[c][0], row[c][1]) * x
+                         for x, row in zip(elem.coords, omega)), Iv(0))
+            assert iv.contains(exact)
+            assert iv.lo.denominator == iv.hi.denominator == 1
+
+
+def _reference_points(basis, offset, targets):
+    """The exact-rational interval Cramer solve at width 2^-24, refined by
+    16 while the determinant holds 0: all z in its integer ranges."""
+    n = offset.field.degree
+    width = F(1, 2**24)
+    for _ in range(12):
+        cols = [embedding_rows(b, width) for b in basis]
+        a = [[cols[j][i] for j in range(n)] for i in range(n)]
+        o = embedding_rows(offset, width)
+        rhs = [targets[i] - o[i] for i in range(n)]
+        det = interval_det(a)
+        if not det.contains(0):
+            break
+        width /= 16
+    else:
+        raise AssertionError("reference solve never became regular")
+    ranges = []
+    for j in range(n):
+        m = [[a[i][k] if k != j else rhs[i] for k in range(n)]
+             for i in range(n)]
+        r = interval_det(m) / det
+        ranges.append(range(ceil(r.lo), floor(r.hi) + 1))
+    return set(itertools.product(*ranges))
+
+
+def _possibly_inside(basis_rows, offset_rows, targets, z):
+    # an exact interval enclosure of the embedding of offset + sum z_j b_j
+    for c, t in enumerate(targets):
+        iv = offset_rows[c]
+        for zj, row in zip(z, basis_rows):
+            iv = iv + row[c] * zj
+        if not iv.overlaps(t):
+            return False
+    return True
+
+
+def _random_basis(rng, field):
+    n = field.degree
+    while True:
+        m = [[rng.randint(-2, 2) for _ in range(n)] for _ in range(n)]
+        if interval_det([[Iv(x) for x in row] for row in m]).lo != 0:
+            break
+    den = rng.randint(1, 3)
+    return [field.element([F(x, den) for x in row]) for row in m]
+
+
+def _coarse_rows(elem):
+    # embedding rows at width 2^-40, widened to the grid 2^-48 so that the
+    # endpoints stay small
+    scale = 2**48
+    return [Iv(F(floor(iv.lo * scale), scale), F(ceil(iv.hi * scale), scale))
+            for iv in embedding_rows(elem, F(1, 2**40))]
+
+
+def _reference_and_inside(basis, offset, targets):
+    ref = _reference_points(basis, offset, targets)
+    basis_rows = [_coarse_rows(b) for b in basis]
+    offset_rows = _coarse_rows(offset)
+    return ref, {z for z in ref
+                 if _possibly_inside(basis_rows, offset_rows, targets, z)}
+
+
+@pytest.mark.parametrize("coeffs", FIELDS)
+def test_enumeration_holds_reference_points(coeffs):
+    field = make_field(coeffs)
+    rng = random.Random(sum(coeffs) + 17 * len(coeffs))
+    found = 0
+    for trial in range(4):
+        basis = (list(field.integral_basis) if trial == 0
+                 else _random_basis(rng, field))
+        offset = _random_element(rng, field)
+        targets = []
+        for _ in range(field.degree):
+            lo = _random_rational(rng, 12, 5)
+            width = (F(rng.randint(1, 30), rng.randint(2, 6))
+                     if field.degree <= 2 else F(rng.randint(2, 8), 4))
+            targets.append(Iv(lo, lo + width))
+        got = list(lattice_points_in_box(basis, offset, targets))
+        assert len(got) == len(set(got))
+        ref, inside = _reference_and_inside(basis, offset, targets)
+        assert inside <= set(got)
+        # the bounded grid is no looser than the reference here
+        assert len(got) <= len(ref)
+        found += len(inside)
+    assert found > 0
+
+
+def test_singular_grid_is_retried(monkeypatch):
+    # b1 = u^60 and b2 = u^60 + 1 with u = 1 + sqrt 2: the determinant of
+    # their embeddings is ~u^60, against entries ~u^60 ~ 2^76, so on the
+    # first grid its enclosure holds 0 and the solve must be retried
+    field = make_field([-2, 0, 1])
+    u = (field.one() + field.gen()) ** 60
+    basis = [u, u + field.one()]
+    offset = field.element([F(1, 3), F(-2, 5)])
+    targets = [Iv(-5, 7), Iv(F(-9, 2), 3)]
+    outcomes = []
+    solve = enum._interval_solve
+
+    def spy(a, rhs):
+        try:
+            out = solve(a, rhs)
+        except ZeroDivisionError:
+            outcomes.append(True)
+            raise
+        outcomes.append(False)
+        return out
+
+    monkeypatch.setattr(enum, "_interval_solve", spy)
+    got = set(lattice_points_in_box(basis, offset, targets))
+    assert outcomes == [True, False]
+    inside = _reference_and_inside(basis, offset, targets)[1]
+    assert inside and inside <= got
+
+
+def test_singular_basis_exhausts():
+    field = make_field([-2, 0, 1])
+    one = field.one()
+    with pytest.raises(SearchExhausted):
+        list(lattice_points_in_box([one, one], field.zero(),
+                                   [Iv(-1, 1), Iv(-1, 1)]))

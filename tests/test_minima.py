@@ -242,3 +242,41 @@ def test_decide_verdict_from_covering_witness(field_sqrtm5, s_sqrtm5_inf,
     assert verdict.verdict == "not_euclidean"
     assert verdict.witness_minimum.value >= 1
     assert verdict.replays(O, s_sqrtm5_inf)
+
+
+def _cubic_and_quartic():
+    from euclidmin import make_field, verify_s_unit_basis
+
+    k3 = make_field([-1, -1, 0, 1])
+    s3 = verify_s_unit_basis(SConfig(k3, []), [k3.gen()])
+    k5 = make_field([1, 1, 1, 1, 1])
+    s5 = verify_s_unit_basis(SConfig(k5, []), [k5.one() + k5.gen()])
+    return (k3, s3), (k5, s5)
+
+
+def test_cubic_and_quartic_torsion():
+    (k3, s3), (k5, s5) = _cubic_and_quartic()
+    assert s3.torsion == (-k3.one(), 2)
+    assert s5.torsion == (-k5.gen(), 10)
+
+
+def test_cubic_minimum_with_a_large_unit_orbit():
+    # x^3 - x - 1 with unit theta: the class of xi has 624 reduced classes
+    # in its unit orbit, and each is searched by lattice enumeration
+    (k3, s3), _ = _cubic_and_quartic()
+    xi = k3.from_power_basis([F(1, 5), F(1, 3), F(1, 3)])
+    mv = m_exact(k3.maximal_order(), s3, xi)
+    assert mv.value == F(17, 3375)
+    assert mv.attaining_shift.power_basis() == [
+        392047237356249255, 493228998847602054, -595731867395338485]
+    assert mv.search_box["branch"] == "box-enumeration"
+
+
+def test_quartic_minimum_by_enumeration():
+    _, (k5, s5) = _cubic_and_quartic()
+    xi = k5.from_power_basis([F(c, 3) for c in (-8, 6, 12, -10)])
+    mv = m_exact(k5.maximal_order(), s5, xi)
+    assert mv.value == F(5, 81)
+    assert mv.attaining_shift.power_basis() == [-2, 1, 5, -4]
+    assert mv.search_box["branch"] == "box-enumeration"
+

@@ -179,3 +179,31 @@ def test_qmodz_arithmetic():
     assert QmodZ(F(-1, 3)) == QmodZ(F(2, 3))
     assert (QmodZ(F(1, 2)) - QmodZ(F(1, 2))).is_zero()
     assert QmodZ(5) == QmodZ(0)
+
+
+def test_torus_context_is_kept_for_the_last_ideal_only(field_q):
+    import json
+
+    from euclidmin import covering_verify, m_exact
+    from euclidmin.cli import certificate_to_json, witness_to_json
+    from euclidmin.torus import torus_context
+
+    sconfig = make_sconfig(field_q, [2, 3])
+    Z = field_q.maximal_order()
+    xi = field_q.from_rational(F(2, 5))
+
+    def report():
+        cert = covering_verify(Z, sconfig, F(21, 100))
+        doc = {"cert": certificate_to_json(cert),
+               "m": witness_to_json(xi, m_exact(Z, sconfig, xi))}
+        return json.dumps(doc, sort_keys=True)
+
+    first = report()
+    ctx = torus_context(Z, sconfig)
+    for k in range(2, 40):
+        scaled = ideal_from_gens([field_q.from_rational(F(k, k + 1))])
+        m_exact(scaled, sconfig, field_q.from_rational(F(1, 7)))
+        assert list(sconfig.torus_contexts) == [(scaled.hnf, scaled.den)]
+    assert torus_context(Z, sconfig) is not ctx     # replaced, then rebuilt
+    assert torus_context(Z, sconfig) is torus_context(Z, sconfig)
+    assert report() == first
