@@ -482,18 +482,7 @@ def profiles_for_box(ctx: TorusContext, box: CoverBox, neg_depth: int = 2,
         menu = sorted({k, max(k - 1, 0), max(k - 2, 0), 0, -1, -neg_depth},
                       reverse=True)
         menus.append([m for m in menu if m <= k])
-    out = []
-
-    def rec(i, acc):
-        if i == len(menus):
-            out.append(tuple(acc))
-            return
-        for m in menus[i]:
-            acc.append(m)
-            rec(i + 1, acc)
-            acc.pop()
-
-    rec(0, [])
+    out = list(itertools.product(*menus))
     # most congruent profiles first: larger sum of depths first
     out.sort(key=lambda pr: (-sum(pr), pr))
     return out[:cap]

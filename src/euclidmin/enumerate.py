@@ -18,6 +18,7 @@ exact, and so does embedding_rows, which the covering bounds use.
 
 from __future__ import annotations
 
+import itertools
 from fractions import Fraction
 from math import ceil, floor
 
@@ -126,18 +127,7 @@ def lattice_points_in_box(basis: list[FieldElement], offset: FieldElement,
         total *= hi - lo + 1
         if total > cap:
             raise SearchExhausted(f"enumeration box too large ({total} points)")
-
-    def rec(j, acc):
-        if j == n:
-            yield tuple(acc)
-            return
-        lo, hi = bounds[j]
-        for z in range(lo, hi + 1):
-            acc.append(z)
-            yield from rec(j + 1, acc)
-            acc.pop()
-
-    yield from rec(0, [])
+    yield from itertools.product(*[range(lo, hi + 1) for lo, hi in bounds])
 
 
 def elements_in_box(basis, offset, targets, cap: int = 4_000_000):

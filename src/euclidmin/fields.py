@@ -97,7 +97,7 @@ class NumberField:
             for i in range(n))
         self._roots: RootEnclosures | None = None
         self._basis_rows: dict = {}   # bits -> basis_row_bounds(bits)
-        self._pow_cache: dict = {}
+        self.places: dict = {}        # p -> the places above p, see places_above
 
     # -- the integer kernel ----------------------------------------------------
     # Integral elements given by integer coordinates over the integral basis.
@@ -596,14 +596,10 @@ class FractionalIdeal:
             return self.field.maximal_order()
         if k < 0:
             return ideal_invert(self) ** (-k)
-        cache = self.field._pow_cache.setdefault(("idealpow", self.hnf, self.den), {})
-        if k in cache:
-            return cache[k]
         half = self ** (k // 2)
         out = half * half
         if k % 2:
             out = out * self
-        cache[k] = out
         return out
 
     def is_integral(self) -> bool:
@@ -628,46 +624,26 @@ def ideal_norm(ideal: FractionalIdeal) -> Fraction:
     return ideal.norm()
 
 
-def _conjugate_quadratic(x: FieldElement) -> FieldElement:
-    """Galois conjugate in a degree-2 field."""
-    field = x.field
-    c0, c1, _ = field.coeffs
-    pb = x.power_basis()
-    # theta -> -c1 - theta
-    conj_pb = [pb[0] - pb[1] * c1, -pb[1]]
-    return field.from_power_basis(conj_pb)
-
-
 def ideal_invert(ideal: FractionalIdeal) -> FractionalIdeal:
     """Inverse fractional ideal, verified by multiplying back to O.
 
-    Quadratic fields use the conjugate-ideal identity I * conj(I) = (N(I));
-    other degrees solve x * I <= O as an integer kernel problem.
+    Solves x * I <= O as an integer kernel problem.
     """
     field = ideal.field
     n = field.degree
-    if n == 2:
-        conj = ideal_from_gens([_conjugate_quadratic(b)
-                                for b in ideal.basis_elements()])
-        nrm = ideal.norm()
-        inv = conj * field.from_rational(1 / nrm)
-    elif n == 1:
-        b = ideal.basis_element(0)
-        inv = ideal_from_gens([b.inverse()])
-    else:
-        m0 = 1
-        for i in range(n):
-            m0 *= ideal.hnf[i][i]
-        # basis element j is column j of the HNF over den, so x = v / m0 lies
-        # in the inverse when B_j v is in den * m0 * Z^n for every j, with
-        # B_j the integer multiplication matrix of column j
-        rows = []
-        for j in range(n):
-            rows += field.int_mult_matrix([ideal.hnf[i][j] for i in range(n)])
-        kern = kernel_int(_augment(rows, ideal.den * m0))
-        vs = [k[:n] for k in kern]
-        h = hnf_columns([v for v in vs if any(v)])
-        inv = FractionalIdeal(field, h, m0)
+    m0 = 1
+    for i in range(n):
+        m0 *= ideal.hnf[i][i]
+    # basis element j is column j of the HNF over den, so x = v / m0 lies
+    # in the inverse when B_j v is in den * m0 * Z^n for every j, with
+    # B_j the integer multiplication matrix of column j
+    rows = []
+    for j in range(n):
+        rows += field.int_mult_matrix([ideal.hnf[i][j] for i in range(n)])
+    kern = kernel_int(_augment(rows, ideal.den * m0))
+    vs = [k[:n] for k in kern]
+    h = hnf_columns([v for v in vs if any(v)])
+    inv = FractionalIdeal(field, h, m0)
     if ideal * inv != field.maximal_order():
         raise AssertionError("inverse verification failed")
     return inv

@@ -95,22 +95,17 @@ def form_from_ideal(ideal: FractionalIdeal, basis) -> BinaryQuadraticForm:
     return form
 
 
-_FIELD_BY_DISC: dict = {}
-
-
 def field_of_discriminant(disc: int) -> NumberField:
     """The quadratic field of the given fundamental discriminant."""
     if not is_fundamental_discriminant(disc):
         raise NonFundamental(str(disc))
-    if disc not in _FIELD_BY_DISC:
-        if disc % 4 == 0:
-            field = make_field([-disc // 4, 0, 1])
-        else:
-            field = make_field([-(disc - 1) // 4, -1, 1])
-        if field.discriminant != disc:
-            raise AssertionError(f"field discriminant differs from {disc}")
-        _FIELD_BY_DISC[disc] = field
-    return _FIELD_BY_DISC[disc]
+    if disc % 4 == 0:
+        field = make_field([-disc // 4, 0, 1])
+    else:
+        field = make_field([-(disc - 1) // 4, -1, 1])
+    if field.discriminant != disc:
+        raise AssertionError(f"field discriminant differs from {disc}")
+    return field
 
 
 def sqrt_disc_element(field: NumberField) -> FieldElement:

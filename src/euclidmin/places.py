@@ -8,7 +8,8 @@ normalization N_S of a nonzero element is an exact rational.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import itertools
+from dataclasses import dataclass, field as datafield
 from fractions import Fraction
 
 from .errors import (IndexDivisor, NotAnSUnit, NotPrime, RankDeficient,
@@ -23,7 +24,12 @@ from .qmath import dyadic_outward, int_valuation, is_prime, ln_enclosure
 
 @dataclass(frozen=True)
 class Place:
-    """A place of K: archimedean (real/complex) or finite prime."""
+    """A place of K: archimedean (real/complex) or finite prime.
+
+    A finite place keeps its exact data, made once in __post_init__: the
+    powers of its prime ideal by exponent, beta and a uniformizer.
+    places_above makes the finite places of each (field, p) only once.
+    """
     field: NumberField
     kind: str                      # "real" | "complex" | "finite"
     index: int = 0                 # archimedean index into the root boxes
@@ -31,14 +37,38 @@ class Place:
     gen_poly: tuple = ()           # lifted irreducible factor of the field poly
     e: int = 0
     f: int = 0
+    _powers: dict = datafield(default_factory=dict, init=False, repr=False,
+                              compare=False)
+    _beta: tuple = datafield(default=(), init=False, repr=False,
+                             compare=False)
+    _uniformizer: FieldElement | None = datafield(
+        default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if self.kind == "finite":
-            if self.e * self.f > self.field.degree:
-                raise ValueError("e*f exceeds the field degree")
-            ideal = self.prime_ideal()
-            if ideal_norm(ideal) != self.p**self.f:
-                raise ValueError("prime ideal norm does not match p^f")
+        if self.kind != "finite":
+            return
+        if self.e * self.f > self.field.degree:
+            raise ValueError("e*f exceeds the field degree")
+        field = self.field
+        g = self.second_generator()
+        p_elt = field.from_rational(self.p)
+        ideal = ideal_from_gens([p_elt, g])
+        if ideal_norm(ideal) != self.p**self.f:
+            raise ValueError("prime ideal norm does not match p^f")
+        self._powers[1] = ideal
+        # beta: a nonzero kernel vector of multiplication by g modulo p
+        kernel = fp_kernel(field.int_mult_matrix(g.nums), self.p)
+        if g.den != 1 or not kernel:
+            raise AssertionError("no beta for this place")
+        object.__setattr__(self, "_beta", tuple(kernel[0]))
+        candidates = [g, g + p_elt] if not g.is_zero() else []
+        candidates.append(p_elt)
+        for cand in candidates:
+            if valuation(cand, self) == 1:
+                object.__setattr__(self, "_uniformizer", cand)
+                break
+        else:
+            raise SearchExhausted("no uniformizer among standard candidates")
 
     def is_finite(self) -> bool:
         return self.kind == "finite"
@@ -48,44 +78,26 @@ class Place:
         return self.p**self.f
 
     def second_generator(self) -> FieldElement:
-        pb = [Fraction(c) for c in self.gen_poly]
-        theta_pows = _gen_powers(self.field, len(pb))
-        out = self.field.zero()
-        for c, tp in zip(pb, theta_pows):
-            out = out + tp * c
+        """gen_poly(theta): with p, it generates the prime ideal."""
+        theta = self.field.gen()
+        power, out = self.field.one(), self.field.zero()
+        for c in self.gen_poly:
+            out = out + power * c
+            power = power * theta
         return out
 
     def prime_ideal(self) -> FractionalIdeal:
-        cache = self.field._pow_cache.setdefault(("place_ideal",), {})
-        key = (self.p, self.gen_poly)
-        if key not in cache:
-            cache[key] = ideal_from_gens(
-                [self.field.from_rational(self.p), self.second_generator()])
-        return cache[key]
+        return self._powers[1]
 
     def ideal_power(self, k: int) -> FractionalIdeal:
-        cache = self.field._pow_cache.setdefault(
-            ("place_power", self.p, self.gen_poly), {})
-        if k not in cache:
-            cache[k] = self.prime_ideal() ** k
-        return cache[k]
+        powers = self._powers
+        if k not in powers:
+            powers[k] = self.prime_ideal() ** k
+        return powers[k]
 
     def uniformizer(self) -> FieldElement:
         """Element with valuation exactly 1 at this place."""
-        cache = self.field._pow_cache.setdefault(("unif",), {})
-        key = (self.p, self.gen_poly)
-        if key not in cache:
-            g = self.second_generator()
-            p_elt = self.field.from_rational(self.p)
-            candidates = [g, g + p_elt] if not g.is_zero() else []
-            candidates.append(p_elt)
-            for cand in candidates:
-                if valuation(cand, self) == 1:
-                    cache[key] = cand
-                    break
-            else:
-                raise SearchExhausted("no uniformizer among standard candidates")
-        return cache[key]
+        return self._uniformizer
 
     def beta(self) -> tuple:
         """Integer coordinates of an integral beta with beta P <= pO and
@@ -94,15 +106,7 @@ class Place:
         P = pO + gO, so beta is a nonzero kernel vector of multiplication
         by the second generator g modulo p.
         """
-        cache = self.field._pow_cache.setdefault(("beta",), {})
-        key = (self.p, self.gen_poly)
-        if key not in cache:
-            g = self.second_generator()
-            kernel = fp_kernel(self.field.int_mult_matrix(g.nums), self.p)
-            if g.den != 1 or not kernel:
-                raise AssertionError("no beta for this place")
-            cache[key] = tuple(kernel[0])
-        return cache[key]
+        return self._beta
 
     def abs_value(self, x: FieldElement) -> Fraction:
         """Exact normalized absolute value at a finite place."""
@@ -122,17 +126,6 @@ class Place:
                 self.p, self.f, self.e, self.gen_poly, self.index)
 
 
-def _gen_powers(field: NumberField, count: int):
-    cache = field._pow_cache.setdefault(("gen_powers",), {})
-    if count not in cache:
-        theta = field.gen()
-        pows = [field.one()]
-        for _ in range(count - 1):
-            pows.append(pows[-1] * theta)
-        cache[count] = pows
-    return cache[count]
-
-
 def archimedean_places(field: NumberField) -> list[Place]:
     r1, r2 = field.signature
     return ([Place(field, "real", index=i) for i in range(r1)]
@@ -143,8 +136,12 @@ def places_above(field: NumberField, p: int) -> list[Place]:
     """All finite places above p, via factorization of the field polynomial.
 
     Requires p prime and coprime to the index [O : Z[theta]], so the shape of
-    the factorization mod p matches the splitting of p.
+    the factorization mod p matches the splitting of p. The places are made
+    once per field and p (field.places keeps them), so every call returns
+    the same Place objects.
     """
+    if p in field.places:
+        return list(field.places[p])
     if not is_prime(p):
         raise NotPrime(f"{p} is not prime")
     if field.index % p == 0:
@@ -159,6 +156,7 @@ def places_above(field: NumberField, p: int) -> list[Place]:
     if total != field.degree:
         raise AssertionError("sum of e*f does not match the degree")
     out.sort(key=lambda v: v.sort_key())
+    field.places[p] = tuple(out)
     return out
 
 
@@ -419,16 +417,9 @@ def shrinking_unit(sconfig: SConfig, w: Place) -> FieldElement:
 
 def _exponent_vectors(dim, radius):
     """Vectors with max-norm exactly radius, lexicographic order."""
-    def rec(i, acc, hit):
-        if i == dim:
-            if hit:
-                yield tuple(acc)
-            return
-        for k in range(-radius, radius + 1):
-            acc.append(k)
-            yield from rec(i + 1, acc, hit or abs(k) == radius)
-            acc.pop()
-    yield from rec(0, [], False)
+    for ks in itertools.product(range(-radius, radius + 1), repeat=dim):
+        if radius in ks or -radius in ks:
+            yield ks
 
 
 def _certify_small_everywhere(sconfig: SConfig, eps: FieldElement,

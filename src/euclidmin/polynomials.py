@@ -251,7 +251,9 @@ def certify_irreducible(coeffs: list[int]) -> None:
     return
 
 
-# -- arithmetic mod p ---------------------------------------------------------
+# -- arithmetic mod p and mod p^k ---------------------------------------------
+# pmod, pmul and pdivmod take any modulus; pdivmod needs the divisor's leading
+# coefficient to be a unit, so modulo p^k its divisors are monic.
 
 def pmod(f, p):
     return trim([c % p for c in f])
@@ -399,61 +401,29 @@ def factor_mod_p(f, p) -> list[tuple[list[int], int]]:
 
 # -- Hensel lifting -----------------------------------------------------------
 
-def _poly_mod(f, m):
-    return trim([c % m for c in f])
-
-
-def _mul_mod(f, g, m):
-    out = [0] * (len(f) + len(g) - 1)
-    for i, a in enumerate(f):
-        if a:
-            for j, b in enumerate(g):
-                out[i + j] = (out[i + j] + a * b) % m
-    return trim(out)
-
-
 def _pair_hensel(f, g, h, s, t, p, k, target_k):
     """Lift f = g h from mod p^k to mod p^target_k (quadratic steps).
 
     s g + t h = 1 mod p^k is maintained alongside.
     """
-    q = p**k
     while k < target_k:
         knext = min(2 * k, target_k)
         qn = p**knext
-        e = _poly_mod(poly_sub(f, poly_mul(g, h)), qn)
+        e = pmod(poly_sub(f, poly_mul(g, h)), qn)
         # g' = g + t e mod (qn, leading structure), via division trick
-        qpoly, rpoly = _div_monic(_mul_mod(s, e, qn), h, qn)
-        gnew = _poly_mod(poly_add(g, poly_add(_mul_mod(t, e, qn),
-                                              _mul_mod(qpoly, g, qn))), qn)
-        hnew = _poly_mod(poly_add(h, rpoly), qn)
+        qpoly, rpoly = pdivmod(pmul(s, e, qn), h, qn)
+        gnew = pmod(poly_add(g, poly_add(pmul(t, e, qn),
+                                         pmul(qpoly, g, qn))), qn)
+        hnew = pmod(poly_add(h, rpoly), qn)
         # refresh Bezout pair
-        b = _poly_mod(poly_sub(poly_add(_mul_mod(s, gnew, qn),
-                                        _mul_mod(t, hnew, qn)), [1]), qn)
-        cpoly, dpoly = _div_monic(_mul_mod(s, b, qn), hnew, qn)
-        snew = _poly_mod(poly_sub(s, dpoly), qn)
-        tnew = _poly_mod(poly_sub(poly_sub(t, _mul_mod(t, b, qn)),
-                                  _mul_mod(cpoly, gnew, qn)), qn)
-        g, h, s, t, k, q = gnew, hnew, snew, tnew, knext, qn
+        b = pmod(poly_sub(poly_add(pmul(s, gnew, qn),
+                                   pmul(t, hnew, qn)), [1]), qn)
+        cpoly, dpoly = pdivmod(pmul(s, b, qn), hnew, qn)
+        snew = pmod(poly_sub(s, dpoly), qn)
+        tnew = pmod(poly_sub(poly_sub(t, pmul(t, b, qn)),
+                             pmul(cpoly, gnew, qn)), qn)
+        g, h, s, t, k = gnew, hnew, snew, tnew, knext
     return g, h
-
-
-def _div_monic(f, g, m):
-    """Division f = q g + r with g monic, coefficients mod m."""
-    f = list(f)
-    dg = deg(g)
-    q = [0] * max(1, len(f) - dg)
-    while deg(trim(f)) >= dg and any(f):
-        f = trim(f)
-        if deg(f) < dg:
-            break
-        c = f[-1] % m
-        k = deg(f) - dg
-        q[k] = c
-        for i in range(len(g)):
-            f[i + k] = (f[i + k] - c * g[i]) % m
-        f = f[:-1] or [0]
-    return trim(q), trim(f)
 
 
 def _pxgcd(f, g, p):
@@ -478,7 +448,7 @@ def hensel_lift_blocks(f, blocks, p, target_k) -> list[list[int]]:
     lift i is congruent to blocks[i] mod p. Verified before returning.
     """
     m = p**target_k
-    f = _poly_mod(f, m)
+    f = pmod(f, m)
     if len(blocks) == 1:
         return [f]
     mid = len(blocks) // 2
@@ -498,8 +468,8 @@ def hensel_lift_blocks(f, blocks, p, target_k) -> list[list[int]]:
     if rem != [0]:
         raise AssertionError("Bezout cofactor does not divide exactly")
     g_lift, h_lift = _pair_hensel(f, g, h, s, t, p, 1, target_k)
-    prod = _mul_mod(g_lift, h_lift, m)
-    if _poly_mod(poly_sub(prod, f), m) != [0]:
+    prod = pmul(g_lift, h_lift, m)
+    if pmod(poly_sub(prod, f), m) != [0]:
         raise AssertionError("hensel product mismatch")
     return (hensel_lift_blocks(g_lift, blocks[:mid], p, target_k)
             + hensel_lift_blocks(h_lift, blocks[mid:], p, target_k))
@@ -511,10 +481,10 @@ def trace_mod_pk(h, g, p, k) -> int:
     n = deg(g)
     # companion action: basis x^0..x^(n-1); reduce h * x^j mod g
     total = 0
-    hj = _div_monic(_poly_mod(h, m), g, m)[1]
+    hj = pdivmod(pmod(h, m), g, m)[1]
     for j in range(n):
         coeffs = hj + [0] * (n - len(hj))
         total = (total + coeffs[j]) % m
         if j < n - 1:
-            hj = _div_monic(trim([0] + hj), g, m)[1]
+            hj = pdivmod(trim([0] + hj), g, m)[1]
     return total % m

@@ -11,6 +11,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from math import floor, gcd
 
 from .errors import SearchExhausted, UnverifiedUnits
@@ -324,24 +325,20 @@ def orbit(a: FractionalIdeal, sconfig: SConfig, xi: FieldElement):
 # -- character layer ----------------------------------------------------------
 
 
-def _hensel_block_for_place(place: Place, k: int):
-    """The p-adic factor block of the field polynomial at place, mod p^k."""
-    field = place.field
-    cache = field._pow_cache.setdefault(("hensel",), {})
-    key = (place.p, k)
-    if key not in cache:
-        p = place.p
-        fac = []
-        for w in places_above(field, p):
-            gp = pmod(list(w.gen_poly), p)
-            blk = [1]
-            for _ in range(w.e):
-                blk = pmul(blk, gp, p)
-            fac.append(((w.p, w.gen_poly), blk))
-        blocks = [b for _, b in fac]
-        lifted = hensel_lift_blocks(list(field.coeffs), blocks, p, k)
-        cache[key] = {ident: lift for (ident, _), lift in zip(fac, lifted)}
-    return cache[key][(place.p, place.gen_poly)]
+@lru_cache(maxsize=256)
+def _hensel_blocks(field: NumberField, p: int, k: int) -> dict:
+    """The p-adic factor blocks of the field polynomial mod p^k, one per
+    place above p, keyed by the place's gen_poly."""
+    places = places_above(field, p)
+    blocks = []
+    for w in places:
+        gp = pmod(list(w.gen_poly), p)
+        blk = [1]
+        for _ in range(w.e):
+            blk = pmul(blk, gp, p)
+        blocks.append(blk)
+    lifted = hensel_lift_blocks(list(field.coeffs), blocks, p, k)
+    return {w.gen_poly: lift for w, lift in zip(places, lifted)}
 
 
 def local_trace_polar(x: FieldElement, place: Place) -> Fraction:
@@ -355,7 +352,7 @@ def local_trace_polar(x: FieldElement, place: Place) -> Fraction:
     if a == 0:
         return Fraction(0)
     h = [int(c * den) for c in pb]
-    block = _hensel_block_for_place(place, a)
+    block = _hensel_blocks(place.field, p, a)[place.gen_poly]
     t = trace_mod_pk(h, block, p, a)
     pk = p**a
     m_prime = den // pk  # invertible mod p^a
@@ -378,15 +375,13 @@ def char_pair(alpha: FieldElement, xi: FieldElement, sconfig: SConfig) -> QmodZ:
     return phase
 
 
+@lru_cache(maxsize=64)
 def inverse_different(field: NumberField) -> FractionalIdeal:
     """Trace dual of the maximal order."""
-    cache = field._pow_cache.setdefault(("invdiff",), {})
-    if "value" not in cache:
-        n = field.degree
-        ginv = mat_inverse([list(r) for r in field.trace_gram])
-        gens = [field.element([ginv[i][j] for i in range(n)]) for j in range(n)]
-        cache["value"] = ideal_from_gens(gens)
-    return cache["value"]
+    n = field.degree
+    ginv = mat_inverse([list(r) for r in field.trace_gram])
+    gens = [field.element([ginv[i][j] for i in range(n)]) for j in range(n)]
+    return ideal_from_gens(gens)
 
 
 def s_trace_dual(a: FractionalIdeal, sconfig: SConfig) -> FractionalIdeal:

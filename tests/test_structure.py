@@ -1,7 +1,7 @@
 """Module boundaries of the package, checked on its source.
 
-A name with a leading underscore is private to the module that defines it;
-no other euclidmin module may import it.
+A name with a leading underscore is private to the module that defines it:
+no other euclidmin module may import it, or read it as an attribute.
 """
 
 import ast
@@ -42,4 +42,49 @@ def test_no_assert_in_arithmetic_modules():
         tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
         found += [f"{path.name}:{node.lineno}" for node in ast.walk(tree)
                   if isinstance(node, ast.Assert)]
+    assert found == []
+
+
+def _is_private(name):
+    return name.startswith("_") and not name.endswith("__")
+
+
+def _owned_names(tree):
+    """Names a module defines, assigns as attributes, declares in a class
+    body or lists in __slots__."""
+    own = set()
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                             ast.ClassDef)):
+            own.add(node.name)
+            if isinstance(node, ast.ClassDef):
+                for stmt in node.body:
+                    targets = (stmt.targets if isinstance(stmt, ast.Assign)
+                               else [stmt.target]
+                               if isinstance(stmt, ast.AnnAssign) else [])
+                    own.update(t.id for t in targets
+                               if isinstance(t, ast.Name))
+                    if any(isinstance(t, ast.Name) and t.id == "__slots__"
+                           for t in targets):
+                        own.update(c.value for c in ast.walk(stmt.value)
+                                   if isinstance(c, ast.Constant))
+        elif isinstance(node, ast.Attribute) and \
+                isinstance(node.ctx, ast.Store):
+            own.add(node.attr)
+    return own
+
+
+def _foreign_private_reads(path):
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    own = _owned_names(tree)
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load) \
+                and _is_private(node.attr) and node.attr not in own:
+            yield f"{path.name}:{node.lineno} reads .{node.attr}"
+
+
+def test_no_private_attribute_of_another_module():
+    modules = sorted(PACKAGE.glob("*.py"))
+    assert modules
+    found = [hit for path in modules for hit in _foreign_private_reads(path)]
     assert found == []
