@@ -21,7 +21,7 @@ from .errors import EuclidMinError, IoError, ParseError, ValidationError
 from .fields import ideal_from_gens, ideal_norm, make_field
 from .forms import form_from_ideal, m_form
 from .minima import (compute_M, covering_verify, decide_norm_euclidean,
-                     m_exact, search_lower)
+                     m_exact, search_lower, witness_mismatch)
 from .places import make_sconfig, places_above, s_norm
 from .torus import orbit, s_trace_dual, torus_context
 
@@ -442,6 +442,8 @@ def _claim_mismatch(saved: dict, evidence: dict):
             return "lower and witness must be the witness's value and xi"
         if result.get("upper") != (cert["threshold"] if cert else None):
             return "upper must be the certificate threshold"
+        if result.get("exact") is not False:
+            return "exact needs an isolation certificate, which no report carries"
     return None
 
 
@@ -484,15 +486,11 @@ def replay_report(cfg: RunConfig, path: str):
             return True, f"covering certificate with {len(cert.entries)} boxes"
         if ev.get("kind") == "witness":
             xi = field.element([str_to_rat(c) for c in ev["xi"]])
-            claimed = str_to_rat(ev["value"])
             shift = field.element([str_to_rat(c) for c in ev["shift"]])
-            again = m_exact(cfg.ideal, sconfig, xi)
-            if again.value != claimed:
-                return False, (f"witness value mismatch: recorded {ev['value']},"
-                               f" recomputed {rat_to_str(again.value)}")
-            direct = s_norm(xi - shift, sconfig) / ctx.s_norm_a
-            if direct != claimed:
-                return False, "recorded shift does not reproduce the value"
+            mismatch = witness_mismatch(cfg.ideal, sconfig, xi,
+                                        str_to_rat(ev["value"]), shift)
+            if mismatch:
+                return False, mismatch
             return True, "witness replayed"
         return False, f"unknown evidence kind {ev.get('kind')!r}"
 

@@ -110,8 +110,9 @@ class EuclideanVerdict:
             verify_certificate(ctx, self.certificate, Fraction(1))
             return True
         if self.verdict == "not_euclidean":
-            again = m_exact(a, sconfig, self.witness)
-            return again.value == self.witness_minimum.value and again.value >= 1
+            mv = self.witness_minimum
+            return mv.value >= 1 and witness_mismatch(
+                a, sconfig, self.witness, mv.value, mv.attaining_shift) is None
         return False
 
 
@@ -253,6 +254,24 @@ def m_exact_attained(a: FractionalIdeal, sconfig, xi: FieldElement):
         raise AssertionError("shift left the S-ideal")
     return (MinimumValue(value, gamma, search_info), best_rep,
             best_rep - best_eta)
+
+
+def witness_mismatch(a: FractionalIdeal, sconfig, xi: FieldElement,
+                     value: Fraction, shift: FieldElement):
+    """Why a recorded witness does not replay, or None when it does: the
+    exact minimum at xi is recomputed and must equal value, and shift must
+    lie in the S-ideal and attain it."""
+    ctx = torus_context(a, sconfig)
+    again = m_exact(a, sconfig, xi).value
+    if again != value:
+        return (f"witness value mismatch: recorded "
+                f"{value.numerator}/{value.denominator}, recomputed "
+                f"{again.numerator}/{again.denominator}")
+    if s_norm(xi - shift, sconfig) / ctx.s_norm_a != value:
+        return "recorded shift does not reproduce the value"
+    if not gamma_in_s_ideal(ctx, shift):
+        return "recorded shift is not in the S-ideal"
+    return None
 
 
 # -- covering proofs -----------------------------------------------------------
@@ -490,15 +509,12 @@ def compute_M(a: FractionalIdeal, sconfig, gap,
     lower + gap_k, shrinking gap_k geometrically down to the requested gap.
     A covering below the supremum stops at its first witness, which raises
     the lower bound when it beats the search.
-    The exact flag is set only under the conservative double condition:
-    every covering attempt succeeded, and a deliberately under-budgeted run
-    at a threshold slightly below the final upper bound leaves surviving
-    boxes that still contain the whole witness orbit.
+    exact is False: proving that lower is the supremum needs an isolation
+    certificate for the witness orbit, which is not built yet.
     """
     gap = Fraction(gap)
     if gap <= 0:
         raise ValueError("gap must be positive")
-    ctx = torus_context(a, sconfig)
     effort = {"covering_boxes": 0, "m_exact_calls": 0}
     seen = set()
     denom = 4
@@ -506,7 +522,6 @@ def compute_M(a: FractionalIdeal, sconfig, gap,
     upper = None
     certificate = None
     gap_k = Fraction(1, 2)
-    failed_ts = []
     while effort["covering_boxes"] < budget:
         t = best_mv.value + gap_k
         slice_budget = min(max(400, budget // 8),
@@ -520,7 +535,6 @@ def compute_M(a: FractionalIdeal, sconfig, gap,
                 break
             gap_k = max(gap_k / 4, gap)
         else:
-            failed_ts.append(t)
             denom = min(denom * 2, 64)
             w2, mv2, orb2 = search_lower(a, sconfig, denom, seen, effort)
             if mv2.value > best_mv.value:
@@ -530,26 +544,9 @@ def compute_M(a: FractionalIdeal, sconfig, gap,
                     result.witness_minimum.value > best_mv.value:
                 witness, best_mv = result.witness, result.witness_minimum
                 orbit_size = len(orbit(a, sconfig, witness))
-    exact = False
-    if certificate is not None and upper == best_mv.value + gap and \
-            all(ft <= best_mv.value for ft in failed_ts):
-        # localization evidence: a deliberately under-budgeted covering just
-        # above the lower bound should get stuck exactly on the witness orbit
-        t_loc = best_mv.value + min(gap / 8, (upper - best_mv.value) / 8)
-        probe_budget = max(32, len(certificate.entries) // 2)
-        probe = covering_verify(a, sconfig, t_loc, budget=probe_budget,
-                                effort=effort)
-        if isinstance(probe, Unresolved) and probe.witness is not None:
-            # the lower bound was not the supremum after all
-            witness, best_mv = probe.witness, probe.witness_minimum
-            orbit_size = len(orbit(a, sconfig, witness))
-        elif isinstance(probe, Unresolved) and probe.boxes:
-            exact = all(
-                any(box_contains_rational(ctx, box, o) for box in probe.boxes)
-                for o in orbit(a, sconfig, witness))
     return MReport(lower=best_mv.value, witness=witness,
                    witness_minimum=best_mv, upper=upper,
-                   certificate=certificate, exact=exact,
+                   certificate=certificate, exact=False,
                    witness_orbit_size=orbit_size, effort=effort)
 
 

@@ -289,6 +289,7 @@ TAMPERS = (
     ("M", "witness", ["1/7"]),
     ("M", "upper", "1/3"),
     ("M", "upper", None),
+    ("M", "exact", True),
     ("M-uncertified", "upper", "1/3"),
     ("decide-euclidean", "verdict", "not_euclidean"),
     ("decide-euclidean", "verdict", "undecided"),

@@ -1,10 +1,13 @@
 import random
+from dataclasses import replace
 from fractions import Fraction as F
 
 import pytest
 
 from euclidmin import (UnverifiedUnits, compute_M, decide_norm_euclidean,
-                       ideal_from_gens, m_exact, orbit, s_norm, search_lower)
+                       ideal_from_gens, m_exact, make_sconfig, orbit, s_norm,
+                       search_lower)
+from euclidmin.minima import MinimumValue, witness_mismatch
 from euclidmin.places import SConfig
 from euclidmin.torus import torus_context
 
@@ -143,6 +146,38 @@ def test_compute_m_reports(field_q, field_qi, s_q_inf, s_qi_inf):
     assert rep.lower <= rep.upper
     rep = compute_M(field_qi.maximal_order(), s_qi_inf, F(1, 100), budget=20000)
     assert rep.lower == F(1, 2) and rep.upper == F(51, 100)
+
+
+def test_compute_m_claims_no_exactness(field_qi):
+    # the lower bound 1/9 is not the supremum: (1 + 2i)/5 has minimum 1/5
+    s_qi_2 = make_sconfig(field_qi, [2])
+    O = field_qi.maximal_order()
+    rep = compute_M(O, s_qi_2, F(1, 10))
+    assert rep.lower == F(1, 9) and rep.exact is False
+    xi = field_qi.from_power_basis([F(1, 5), F(2, 5)])
+    assert m_exact(O, s_qi_2, xi).value == F(1, 5) > rep.lower
+
+
+def test_witness_replay_checks_the_shift(field_q, s_q_23, field_sqrtm5,
+                                         s_sqrtm5_inf):
+    O = field_sqrtm5.maximal_order()
+    verdict = decide_norm_euclidean(O, s_sqrtm5_inf, budget=20000)
+    mv = verdict.witness_minimum
+    assert verdict.verdict == "not_euclidean" and verdict.replays(O, s_sqrtm5_inf)
+    seven = field_sqrtm5.from_rational(7)
+    forged = replace(verdict, witness_minimum=MinimumValue(
+        mv.value, seven, mv.search_box))
+    assert not forged.replays(O, s_sqrtm5_inf)
+    assert witness_mismatch(O, s_sqrtm5_inf, verdict.witness, mv.value,
+                            seven) == "recorded shift does not reproduce the value"
+    # N_S(1/5 - (-1/5)) = 1/5 too, but -1/5 is not in Z[1/6]
+    Z = field_q.maximal_order()
+    fifth = field_q.from_rational(F(1, 5))
+    assert witness_mismatch(Z, s_q_23, fifth, F(1, 5), field_q.zero()) is None
+    assert witness_mismatch(Z, s_q_23, fifth, F(1, 5), -fifth) == \
+        "recorded shift is not in the S-ideal"
+    assert witness_mismatch(Z, s_q_23, fifth, F(1, 6), field_q.zero()) == \
+        "witness value mismatch: recorded 1/6, recomputed 1/5"
 
 
 def test_decide_fixtures_small(field_qi, s_qi_inf, field_sqrtm5, s_sqrtm5_inf):

@@ -32,7 +32,7 @@ PINNED = [
     ("cover", Z16, {"t": F(21, 100)},
      "ca25c11fb664bce97b4f45bdb872872458bf74bd790fe74d0e3b4b479c8a2861"),
     ("M", Z16, {"gap": F(1, 100)},
-     "65cdac893daa71e8210ca13f59a3cf3fefbb27b61b018fa9691190ebf3ffc2d7"),
+     "2673a8af5fbece69049b32a331a1fd1de715e64c005b7031c281fc95cd14ea7f"),
     ("decide", Z16, {},
      "6f9f8668be386ebef18fff873b637a6c601c6becc686910167406b9d46e7d476"),
     ("decide", QI, {},
@@ -46,7 +46,7 @@ PINNED = [
     ("cover", QI_2, {"t": F(1, 4)},
      "3832eff5730a52ddd7f10125002d1ac02d365d71d0e4588222295a4379cc0b42"),
     ("M", QM3_3, {"gap": F(1, 10)},
-     "e11c81c9ed951ade7d95d71fd655dc5f9bbab802ab2eb00837bf0bfcb7936ce2"),
+     "238d9fdffe3e4c365e03580614c77ef45344e12a3eee6ad325adfc6e71daa833"),
 ]
 
 
