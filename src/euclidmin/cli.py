@@ -443,7 +443,7 @@ def _claim_mismatch(saved: dict, evidence: dict):
         if result.get("upper") != (cert["threshold"] if cert else None):
             return "upper must be the certificate threshold"
         if result.get("exact") is not False:
-            return "exact needs an isolation certificate, which no report carries"
+            return "exact needs an isolation certificate; no report has one"
     return None
 
 

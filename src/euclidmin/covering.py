@@ -482,9 +482,8 @@ def profiles_for_box(ctx: TorusContext, box: CoverBox, neg_depth: int = 2,
         menu = sorted({k, max(k - 1, 0), max(k - 2, 0), 0, -1, -neg_depth},
                       reverse=True)
         menus.append([m for m in menu if m <= k])
-    out = list(itertools.product(*menus))
     # most congruent profiles first: larger sum of depths first
-    out.sort(key=lambda pr: (-sum(pr), pr))
+    out = sorted(itertools.product(*menus), key=lambda pr: (-sum(pr), pr))
     return out[:cap]
 
 

@@ -97,7 +97,7 @@ class NumberField:
             for i in range(n))
         self._roots: RootEnclosures | None = None
         self._basis_rows: dict = {}   # bits -> basis_row_bounds(bits)
-        self.places: dict = {}        # p -> the places above p, see places_above
+        self.places: dict = {}        # p -> its places, see places_above
 
     # -- the integer kernel ----------------------------------------------------
     # Integral elements given by integer coordinates over the integral basis.

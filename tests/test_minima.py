@@ -163,13 +163,15 @@ def test_witness_replay_checks_the_shift(field_q, s_q_23, field_sqrtm5,
     O = field_sqrtm5.maximal_order()
     verdict = decide_norm_euclidean(O, s_sqrtm5_inf, budget=20000)
     mv = verdict.witness_minimum
-    assert verdict.verdict == "not_euclidean" and verdict.replays(O, s_sqrtm5_inf)
+    assert verdict.verdict == "not_euclidean"
+    assert verdict.replays(O, s_sqrtm5_inf)
     seven = field_sqrtm5.from_rational(7)
     forged = replace(verdict, witness_minimum=MinimumValue(
         mv.value, seven, mv.search_box))
     assert not forged.replays(O, s_sqrtm5_inf)
     assert witness_mismatch(O, s_sqrtm5_inf, verdict.witness, mv.value,
-                            seven) == "recorded shift does not reproduce the value"
+                            seven) == \
+        "recorded shift does not reproduce the value"
     # N_S(1/5 - (-1/5)) = 1/5 too, but -1/5 is not in Z[1/6]
     Z = field_q.maximal_order()
     fifth = field_q.from_rational(F(1, 5))
