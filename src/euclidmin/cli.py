@@ -447,9 +447,14 @@ def _claim_mismatch(saved: dict, evidence: dict):
     return None
 
 
+# what parsing a malformed report or its evidence can raise
+_MALFORMED = (EuclidMinError, AttributeError, KeyError, TypeError, ValueError)
+
+
 def replay_report(cfg: RunConfig, path: str):
     """Re-derive a report's evidence under the given config, and check that
-    the report was made for that config and claims no more than it shows."""
+    the report was made for that config and claims no more than it shows.
+    Evidence that does not parse, or has the wrong shape, fails."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             saved = json.load(fh)
@@ -469,7 +474,7 @@ def replay_report(cfg: RunConfig, path: str):
         return False, "report carries no evidence"
     try:
         claim = _claim_mismatch(saved, evidence)
-    except (EuclidMinError, KeyError, TypeError):
+    except _MALFORMED:
         claim = "report result does not parse"
     if claim:
         return False, claim
@@ -477,22 +482,28 @@ def replay_report(cfg: RunConfig, path: str):
     ctx = torus_context(cfg.ideal, sconfig)
 
     def replay_one(ev):
-        if ev.get("kind") == "covering":
-            cert = certificate_from_json(ev)
+        try:
+            kind = ev.get("kind")
+            if kind == "covering":
+                cert = certificate_from_json(ev)
+            elif kind == "witness":
+                xi, shift = [field.element([str_to_rat(c) for c in ev[key]])
+                             for key in ("xi", "shift")]
+                value = str_to_rat(ev["value"])
+        except _MALFORMED as exc:
+            return False, f"evidence does not parse: {exc!r}"
+        if kind == "covering":
             try:
                 verify_certificate(ctx, cert)
             except AssertionError as exc:
                 return False, f"covering replay failed: {exc}"
             return True, f"covering certificate with {len(cert.entries)} boxes"
-        if ev.get("kind") == "witness":
-            xi = field.element([str_to_rat(c) for c in ev["xi"]])
-            shift = field.element([str_to_rat(c) for c in ev["shift"]])
-            mismatch = witness_mismatch(cfg.ideal, sconfig, xi,
-                                        str_to_rat(ev["value"]), shift)
+        if kind == "witness":
+            mismatch = witness_mismatch(cfg.ideal, sconfig, xi, value, shift)
             if mismatch:
                 return False, mismatch
             return True, "witness replayed"
-        return False, f"unknown evidence kind {ev.get('kind')!r}"
+        return False, f"unknown evidence kind {kind!r}"
 
     if "kind" in evidence:
         return replay_one(evidence)

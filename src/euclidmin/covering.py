@@ -8,9 +8,9 @@ the finite ones; a recorded (box, shift, bound) triple can be re-derived by
 anyone from the box data alone, which is what makes certificates replayable.
 
 A covering only needs to know on which side of its threshold a screening
-bound lies, so it first encloses the bound between two floats, rounded
-outward (the bound screen below); floats decide comparisons only and never
-reach a recorded bound.
+bound lies, so it first encloses the bound between two integers on the
+dyadic grid of lattice enumeration (the bound screen below), which decides
+comparisons only and never reaches a recorded bound.
 """
 
 from __future__ import annotations
@@ -18,19 +18,22 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from math import floor, inf, lcm, nextafter
+from math import floor, lcm
 
-from .enumerate import embedding_rows
+from .enumerate import GRID_BITS, embedding_rows, grid_row
 from .errors import NoCandidates, SearchExhausted
 from .fields import FieldElement
 from .intervals import Iv
 from .places import s_norm, valuation
-from .qmath import int_valuation
+from .qmath import ceil_scaled, floor_scaled, int_valuation
 from .torus import (AdelePoint, TorusContext, congruent_lattice_point,
                     torus_context)
 
 # width of the embedding enclosures behind every recorded bound
 BOUND_WIDTH = Fraction(1, 2**24)
+CORNER_RADIUS = 1       # lattice steps around the box midpoint per coordinate
+PROFILE_NEG_DEPTH = 2   # the deepest denominator level of a profile
+PROFILE_CAP = 48        # profiles tried per box
 
 
 @dataclass(frozen=True, slots=True)
@@ -139,15 +142,15 @@ def split_finite(ctx: TorusContext, box: CoverBox, place_idx: int) -> list[Cover
 # -- bounds --------------------------------------------------------------------
 
 
-def _basis_rows(ctx: TorusContext, width: Fraction):
-    if width not in ctx.basis_rows:
-        ctx.basis_rows[width] = [embedding_rows(b, width) for b in ctx.basis]
-    return ctx.basis_rows[width]
+def _basis_rows(ctx: TorusContext):
+    if ctx.basis_rows is None:
+        ctx.basis_rows = [embedding_rows(b, BOUND_WIDTH) for b in ctx.basis]
+    return ctx.basis_rows
 
 
-def arch_intervals_for_box(ctx: TorusContext, box: CoverBox, width: Fraction):
+def arch_intervals_for_box(ctx: TorusContext, box: CoverBox):
     """Per-real-coordinate enclosures of the box's archimedean image."""
-    basis_rows = _basis_rows(ctx, width)
+    basis_rows = _basis_rows(ctx)
     n = ctx.field.degree
     out = []
     for coord in range(n):
@@ -158,17 +161,17 @@ def arch_intervals_for_box(ctx: TorusContext, box: CoverBox, width: Fraction):
     return out
 
 
-def _shift_rows(ctx: TorusContext, gamma: FieldElement, width: Fraction):
-    key = (gamma.nums, gamma.den, width)
+def _shift_rows(ctx: TorusContext, gamma: FieldElement):
+    key = (gamma.nums, gamma.den)
     if key not in ctx.shift_rows:
         if len(ctx.shift_rows) > 4096:
             ctx.shift_rows.clear()
-        ctx.shift_rows[key] = embedding_rows(gamma, width)
+        ctx.shift_rows[key] = embedding_rows(gamma, BOUND_WIDTH)
     return ctx.shift_rows[key]
 
 
 def norm_bound(ctx: TorusContext, arch, gamma: FieldElement,
-               finite: Fraction, width: Fraction = BOUND_WIDTH) -> Fraction:
+               finite: Fraction) -> Fraction:
     """Certified upper bound of N_S(x - gamma)/N_S(a) over a region.
 
     arch encloses the real coordinates of the archimedean image of x (the
@@ -176,7 +179,7 @@ def norm_bound(ctx: TorusContext, arch, gamma: FieldElement,
     product of |x - gamma|_v over the finite places of S. Every norm bound
     of this module is this product, deterministic in its inputs.
     """
-    g = _shift_rows(ctx, gamma, width)
+    g = _shift_rows(ctx, gamma)
     r1, r2 = ctx.field.signature
     bound = finite
     for i in range(r1):
@@ -196,18 +199,16 @@ def _finite_factor(terms) -> Fraction:
     return out
 
 
-def box_bound(ctx: TorusContext, box: CoverBox, gamma: FieldElement,
-              width=BOUND_WIDTH) -> Fraction:
+def box_bound(ctx: TorusContext, box: CoverBox,
+              gamma: FieldElement) -> Fraction:
     """Certified upper bound on sup over the box of N_S(x - gamma) / N_S(a).
 
-    Deterministic in (box, gamma, width), which is what certificate replay
-    relies on.
+    Deterministic in (box, gamma), which is what certificate replay relies on.
     """
     diff = box.center_element(ctx) - gamma
     finite = _finite_factor((v, diff, k) for v, k in
                             zip(ctx.sconfig.finite_places, box.exponents))
-    return norm_bound(ctx, arch_intervals_for_box(ctx, box, width), gamma,
-                      finite, width)
+    return norm_bound(ctx, arch_intervals_for_box(ctx, box), gamma, finite)
 
 
 def box_entry(ctx: TorusContext, box: CoverBox,
@@ -250,69 +251,58 @@ def m_upper_adele(a, sconfig, region: AdelePoint, candidates) -> Fraction:
 
 # -- the bound screen ----------------------------------------------------------
 #
-# Floats lo <= q <= hi around an exact rational q: every operation is
-# rounded to nearest and then moved one ulp outward with nextafter, which
-# covers its rounding error. An enclosure that cannot be formed safely
-# (integers beyond 2^53, overflow) comes out as [0, inf], which decides
-# nothing and sends the caller to the exact value.
-
-_EXACT_INT = 2**53          # integers up to this size are exact floats
-# width of the integral-basis embeddings the screen encloses shifts from
-SCREEN_WIDTH = Fraction(1, 2**60)
-
-
-def enclose(q) -> tuple[float, float]:
-    """Floats lo <= q <= hi around a rational or an integer q."""
-    f = float(q)            # correctly rounded, so within half an ulp of q
-    return nextafter(f, -inf), nextafter(f, inf)
+# Integers lo <= V <= hi around V = bound * N_S(a) * 2^(2bn), b = GRID_BITS:
+# each input is rounded outward to the grid 2^-b once, and all later
+# arithmetic is exact. A real coordinate carries the scale 2^(2b), that of
+# a box coordinate times an a-part basis row.
 
 
 def _screen_rows(ctx: TorusContext):
-    """Per context: the float rows the screen works from.
+    """Per context: (basis, delta), the integer rows the screen works from.
 
-    Returns (basis, omega, delta, inv_norm): basis[j][c] encloses the
-    endpoints of the exact rows of the a-part basis at BOUND_WIDTH (those
-    behind arch_intervals_for_box), omega[c][k] = (lo, hi) encloses real
-    coordinate c of the embedding of the k-th integral basis element, delta
-    bounds the width of a shift's exact rows (zero in degree one, where
-    embeddings are exact points), and inv_norm encloses 1 / N_S(a).
+    basis[j][c] = (lo_lo, lo_hi, hi_lo, hi_hi) encloses the endpoints of
+    real coordinate c of the exact rows of the a-part basis (those behind
+    arch_intervals_for_box) on the grid; delta is BOUND_WIDTH at the scale
+    2^(2b) and bounds the width of a shift's exact rows (zero in degree one,
+    where embeddings are exact points).
     """
     if ctx.screen_rows is None:
-        basis = [[enclose(iv.lo) + enclose(iv.hi) for iv in row]
-                 for row in _basis_rows(ctx, BOUND_WIDTH)]
-        rows = [embedding_rows(w, SCREEN_WIDTH)
-                for w in ctx.field.integral_basis]
-        omega = [[(enclose(row[c].lo)[0], enclose(row[c].hi)[1])
-                  for row in rows] for c in range(ctx.field.degree)]
-        delta = 0.0 if ctx.field.degree == 1 else float(BOUND_WIDTH)
-        ctx.screen_rows = (basis, omega, delta, enclose(1 / ctx.s_norm_a))
+        b = GRID_BITS
+        basis = [[(floor_scaled(iv.lo, b), ceil_scaled(iv.lo, b),
+                   floor_scaled(iv.hi, b), ceil_scaled(iv.hi, b))
+                  for iv in row] for row in _basis_rows(ctx)]
+        delta = 0 if ctx.field.degree == 1 else ceil_scaled(BOUND_WIDTH, 2 * b)
+        ctx.screen_rows = (basis, delta)
     return ctx.screen_rows
 
 
-def _product_enclosure(x, y) -> tuple[float, float]:
+def _product_enclosure(x, y) -> tuple[int, int]:
     """Enclosure of the product of two numbers enclosed by x and y."""
     ps = (x[0] * y[0], x[0] * y[1], x[1] * y[0], x[1] * y[1])
-    return nextafter(min(ps), -inf), nextafter(max(ps), inf)
+    return min(ps), max(ps)
 
 
 def arch_enclosure(ctx: TorusContext, box: CoverBox) -> list:
-    """Per real coordinate, enclosures (lo_lo, lo_hi, hi_lo, hi_hi) of the
-    endpoints of arch_intervals_for_box(ctx, box, BOUND_WIDTH)."""
+    """Per real coordinate, integers (lo_lo, lo_hi, hi_lo, hi_hi) enclosing
+    the endpoints of arch_intervals_for_box(ctx, box) times 2^(2b)."""
     basis = _screen_rows(ctx)[0]
-    xs = [(enclose(lo), enclose(hi)) for lo, hi in zip(box.lo, box.hi)]
+    b = GRID_BITS
+    xs = [((floor_scaled(lo, b), ceil_scaled(lo, b)),
+           (floor_scaled(hi, b), ceil_scaled(hi, b)))
+          for lo, hi in zip(box.lo, box.hi)]
     out = []
     for c in range(ctx.field.degree):
-        lo_l = lo_h = hi_l = hi_h = 0.0
+        lo_l = lo_h = hi_l = hi_h = 0
         for (x1, x2), row in zip(xs, basis):
-            b = row[c]
+            r = row[c]
             # the exact product interval runs from the least to the
             # greatest of the four corner products
             corners = [_product_enclosure(x, y)
-                       for x in (x1, x2) for y in (b[:2], b[2:])]
-            lo_l = nextafter(lo_l + min(p[0] for p in corners), -inf)
-            lo_h = nextafter(lo_h + min(p[1] for p in corners), inf)
-            hi_l = nextafter(hi_l + max(p[0] for p in corners), -inf)
-            hi_h = nextafter(hi_h + max(p[1] for p in corners), inf)
+                       for x in (x1, x2) for y in (r[:2], r[2:])]
+            lo_l += min(p[0] for p in corners)
+            lo_h += min(p[1] for p in corners)
+            hi_l += max(p[0] for p in corners)
+            hi_h += max(p[1] for p in corners)
         out.append((lo_l, lo_h, hi_l, hi_h))
     return out
 
@@ -329,72 +319,59 @@ def profile_factor(ctx: TorusContext, profile) -> tuple[int, int]:
     return num, den
 
 
-def screen_scale(ctx: TorusContext, num: int, den: int) -> tuple[float, float]:
-    """Enclosure of (num / den) / N_S(a)."""
-    inv_lo, inv_hi = _screen_rows(ctx)[3]
-    f = num / den           # correctly rounded, so within half an ulp
-    return (nextafter(nextafter(f, -inf) * inv_lo, -inf),
-            nextafter(nextafter(f, inf) * inv_hi, inf))
+def screen_threshold(ctx: TorusContext, t: Fraction) -> int:
+    """ceil(t * N_S(a) * 2^(2bn)): a bound whose enclosure starts at or
+    above it is at least t."""
+    return ceil_scaled(t * ctx.s_norm_a, 2 * GRID_BITS * ctx.field.degree)
 
 
 def bound_enclosure(ctx: TorusContext, arch, gamma: FieldElement,
-                    scale) -> tuple[float, float]:
-    """Floats lo <= norm_bound(ctx, exact arch, gamma, finite) <= hi.
+                    num: int, den: int) -> tuple[int, int]:
+    """Integers lo <= V <= hi for V = norm_bound(ctx, exact arch, gamma,
+    num / den) * N_S(a) * 2^(2bn).
 
-    arch is arch_enclosure of the box and scale encloses finite / N_S(a).
-    The shift's exact rows come from embed at BOUND_WIDTH: they hold the
-    true embedding and are at most delta wide, so each endpoint lies within
-    delta of the enclosure of the true embedding computed here.
+    arch is arch_enclosure of the box. The shift's exact rows come from
+    embed at BOUND_WIDTH: they hold the true embedding and are at most
+    delta wide, so each endpoint lies within delta of the grid enclosure of
+    the true embedding computed here.
     """
-    _, omega, delta, _ = _screen_rows(ctx)
-    den = gamma.den
-    nums = gamma.nums
-    if den > _EXACT_INT or any(abs(a) > _EXACT_INT for a in nums):
-        return 0.0, inf
+    delta = _screen_rows(ctx)[1]
+    b = GRID_BITS
     r1, _ = ctx.field.signature
-    lo, hi = scale
-    sq_lo = sq_hi = 0.0
-    for c, (rows, (al_l, al_h, ah_l, ah_h)) in enumerate(zip(omega, arch)):
-        s_lo = s_hi = 0.0
-        for a, (wl, wh) in zip(nums, rows):
-            if a > 0:
-                s_lo = nextafter(s_lo + nextafter(a * wl, -inf), -inf)
-                s_hi = nextafter(s_hi + nextafter(a * wh, inf), inf)
-            elif a < 0:
-                s_lo = nextafter(s_lo + nextafter(a * wh, -inf), -inf)
-                s_hi = nextafter(s_hi + nextafter(a * wl, inf), inf)
-        gl = nextafter(s_lo / den, -inf)
-        gh = nextafter(s_hi / den, inf)
+    lo, hi = num, num
+    sq_lo = sq_hi = 0
+    rows = grid_row(gamma, ctx.field.basis_row_bounds(b))
+    for c, ((gl, gh), (al_l, al_h, ah_l, ah_h)) in enumerate(zip(rows, arch)):
+        gl <<= b
+        gh <<= b
         # exact rows [g_lo, g_hi]: g_lo in [gl - delta, gh], g_hi in
         # [gl, gh + delta]; norm_bound takes max(|a_lo - g_hi|,
         # |a_hi - g_lo|) per coordinate
-        d1l = nextafter(al_l - nextafter(gh + delta, inf), -inf)
-        d1h = nextafter(al_h - gl, inf)
-        d2l = nextafter(ah_l - gh, -inf)
-        d2h = nextafter(ah_h - nextafter(gl - delta, -inf), inf)
-        t_lo = max(d1l, -d1h, d2l, -d2h, 0.0)
+        d1l = al_l - gh - delta
+        d1h = al_h - gl
+        d2l = ah_l - gh
+        d2h = ah_h - gl + delta
+        t_lo = max(d1l, -d1h, d2l, -d2h, 0)
         t_hi = max(-d1l, d1h, -d2l, d2h)
         if c < r1:
-            lo = nextafter(lo * t_lo, -inf)
-            hi = nextafter(hi * t_hi, inf)
+            lo *= t_lo
+            hi *= t_hi
         else:
             # a complex place: the sum of the squares of its two coordinates
-            sq_lo = nextafter(sq_lo + nextafter(t_lo * t_lo, -inf), -inf)
-            sq_hi = nextafter(sq_hi + nextafter(t_hi * t_hi, inf), inf)
+            sq_lo += t_lo * t_lo
+            sq_hi += t_hi * t_hi
             if (c - r1) % 2:
-                lo = nextafter(lo * sq_lo, -inf)
-                hi = nextafter(hi * sq_hi, inf)
-                sq_lo = sq_hi = 0.0
-    if not 0.0 <= lo <= hi < inf:
-        return 0.0, inf
-    return lo, hi
+                lo *= sq_lo
+                hi *= sq_hi
+                sq_lo = sq_hi = 0
+    return lo // den, -(-hi // den)
 
 
 # -- candidate shifts ----------------------------------------------------------
 
 
-def candidate_shifts(ctx: TorusContext, box: CoverBox, profile,
-                     corner_radius: int = 1) -> list[FieldElement]:
+def candidate_shifts(ctx: TorusContext, box: CoverBox,
+                     profile) -> list[FieldElement]:
     """Nearby elements of the S-ideal matching a congruence profile.
 
     profile[v] = m_v: m_v > 0 demands gamma = center mod P_v^{m_v} (and then
@@ -427,7 +404,7 @@ def candidate_shifts(ctx: TorusContext, box: CoverBox, profile,
     cols = [[row[j] * scale for row in lattice.hnf] for j in range(len(base))]
     start = [a * (den // gamma0.den) for a in gamma0.nums]
     out = []
-    steps = range(-corner_radius, corner_radius + 1)
+    steps = range(-CORNER_RADIUS, CORNER_RADIUS + 1)
     for offsets in itertools.product(steps, repeat=len(base)):
         nums = start
         for z0, dz, col in zip(base, offsets, cols):
@@ -466,8 +443,7 @@ def _congruent_point(ctx: TorusContext, center: FieldElement, profile):
     return FieldElement(ctx.field, point[:-1], point[-1])
 
 
-def profiles_for_box(ctx: TorusContext, box: CoverBox, neg_depth: int = 2,
-                     cap: int = 48):
+def profiles_for_box(ctx: TorusContext, box: CoverBox):
     """Deterministic profile schedule, most congruent first.
 
     The menu per place keeps the deepest congruences, the free level, and a
@@ -479,12 +455,13 @@ def profiles_for_box(ctx: TorusContext, box: CoverBox, neg_depth: int = 2,
         return [()]
     menus = []
     for v, k in zip(places, box.exponents):
-        menu = sorted({k, max(k - 1, 0), max(k - 2, 0), 0, -1, -neg_depth},
+        menu = sorted({k, max(k - 1, 0), max(k - 2, 0), 0, -1,
+                       -PROFILE_NEG_DEPTH},
                       reverse=True)
         menus.append([m for m in menu if m <= k])
     # most congruent profiles first: larger sum of depths first
     out = sorted(itertools.product(*menus), key=lambda pr: (-sum(pr), pr))
-    return out[:cap]
+    return out[:PROFILE_CAP]
 
 
 # -- certificates ---------------------------------------------------------------
@@ -569,8 +546,8 @@ def verify_certificate(ctx: TorusContext, cert: CoveringCertificate,
     for e in cert.entries:
         box = e.box
         if (len(box.lo) != n or len(box.hi) != n or len(box.center) != n
-                or len(box.exponents) != nfin):
-            raise AssertionError("box shape mismatch")
+                or len(box.exponents) != nfin or len(e.gamma_coords) != n):
+            raise AssertionError("entry shape mismatch")
         for a, b in zip(box.lo, box.hi):
             if not (0 <= a < b <= 1):
                 raise AssertionError("box outside the fundamental parallelepiped")

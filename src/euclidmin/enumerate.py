@@ -6,14 +6,14 @@ whose embeddings fall inside the box. Callers filter candidates exactly, so
 interval slack here costs time but never correctness.
 
 The solve works on bounded-size data: every row entry is an integer
-interval on the grid 2^-bits. The rows of a basis vector and of the offset
-are exact rational combinations of the field's integral-basis rows
-(NumberField.basis_row_bounds), rounded outward to that grid, and the
-targets are rounded outward to it as well; this is the only rounding in
-enumeration. Cramer's rule then runs exactly on Iv with integer
-endpoints, whose sizes the grid bounds, and when the determinant's
-enclosure holds 0 the solve is retried on a finer grid. Iv itself stays
-exact, and so does embedding_rows, which the covering bounds use.
+interval on the grid 2^-bits. The rows of an element (grid_row) are exact
+combinations of the field's integral-basis rows (basis_row_bounds),
+rounded outward to that grid, as are the targets; this is the only
+rounding here, and the covering's bound screen takes its shift rows from
+grid_row at GRID_BITS as well. Cramer's rule runs exactly on Iv with
+integer endpoints, whose sizes the grid bounds; a determinant enclosure
+holding 0 retries on a finer grid. Iv stays exact, and so does
+embedding_rows, behind every recorded covering bound.
 """
 
 from __future__ import annotations
@@ -31,11 +31,12 @@ from .qmath import ceil_scaled, floor_scaled, sqrt_upper
 GRID_BITS = 64
 GRID_STEP = 16
 GRID_TRIES = 12
+POINT_CAP = 4_000_000   # most integer points one enumeration may yield
 
 
-def _grid_row(elem: FieldElement, omega) -> list[Iv]:
-    """Integer enclosures on the grid of elem's real coordinates: the exact
-    combination sum nums_k * omega_k / den, rounded outward."""
+def grid_row(elem: FieldElement, omega) -> list[tuple[int, int]]:
+    """Integer enclosures (lo, hi) on the grid of elem's real coordinates:
+    the exact combination sum nums_k * omega_k / den, rounded outward."""
     den = elem.den
     out = []
     for c in range(len(omega)):
@@ -47,7 +48,7 @@ def _grid_row(elem: FieldElement, omega) -> list[Iv]:
             elif a:
                 lo += a * row[c][1]
                 hi += a * row[c][0]
-        out.append(Iv(lo // den, -(-hi // den)))
+        out.append((lo // den, -(-hi // den)))
     return out
 
 
@@ -96,7 +97,7 @@ def real_box_targets(field, real_bounds, complex_bounds):
 
 
 def lattice_points_in_box(basis: list[FieldElement], offset: FieldElement,
-                          targets: list[Iv], cap: int = 4_000_000):
+                          targets: list[Iv]):
     """Yield all z in Z^n with embed(offset + sum z_j basis_j) possibly in
     the target box (a certified superset of the true solution set)."""
     field = offset.field
@@ -105,11 +106,13 @@ def lattice_points_in_box(basis: list[FieldElement], offset: FieldElement,
     for _ in range(GRID_TRIES):
         try:
             omega = field.basis_row_bounds(bits)
-            a_rows = [_grid_row(b, omega) for b in basis]
+            a_rows = [[Iv(lo, hi) for lo, hi in grid_row(b, omega)]
+                      for b in basis]
             # columns of A are basis embedding vectors: A z = target - offset
             a = [[a_rows[j][i] for j in range(n)] for i in range(n)]
-            o = _grid_row(offset, omega)
-            rhs = [_grid_target(targets[i], bits) - o[i] for i in range(n)]
+            o = grid_row(offset, omega)
+            rhs = [_grid_target(targets[i], bits) - Iv(*o[i])
+                   for i in range(n)]
             ranges = _interval_solve(a, rhs)
             break
         except ZeroDivisionError:
@@ -125,14 +128,14 @@ def lattice_points_in_box(basis: list[FieldElement], offset: FieldElement,
             return
         bounds.append((lo, hi))
         total *= hi - lo + 1
-        if total > cap:
+        if total > POINT_CAP:
             raise SearchExhausted(f"enumeration box too large ({total} points)")
     yield from itertools.product(*[range(lo, hi + 1) for lo, hi in bounds])
 
 
-def elements_in_box(basis, offset, targets, cap: int = 4_000_000):
+def elements_in_box(basis, offset, targets):
     """Same as lattice_points_in_box but yields exact field elements."""
-    for z in lattice_points_in_box(basis, offset, targets, cap):
+    for z in lattice_points_in_box(basis, offset, targets):
         elem = offset
         for zj, bj in zip(z, basis):
             if zj:

@@ -21,11 +21,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import gcd
+from math import gcd, lcm
 
 from .errors import PrecisionUnreachable, UnsupportedDegree, ZeroIdeal
 from .hnf import (fp_kernel, hnf_columns, int_det, int_solve, kernel_int,
-                  lcm_list, mat_inverse, mat_vec)
+                  mat_inverse, mat_vec)
 from .intervals import Iv
 from .polynomials import (certify_irreducible, count_real_roots, deg,
                           poly_discriminant, poly_divmod, poly_mul, root_bound)
@@ -60,7 +60,7 @@ class NumberField:
         basis_pb = _maximal_order(list(self.coeffs), self.poly_disc)
         self.basis_pb = tuple(tuple(row) for row in basis_pb)
         # basis rows over the power basis, as integers over one denominator
-        den = lcm_list([c.denominator for row in basis_pb for c in row])
+        den = lcm(*[c.denominator for row in basis_pb for c in row])
         self._pb_den = den
         self._pb_num = [[int(c * den) for c in row] for row in basis_pb]
         self.index = den**n // abs(int_det(self._pb_num))  # [O : Z[theta]]
@@ -131,7 +131,7 @@ class NumberField:
         coords = [Fraction(c) for c in coords]
         if len(coords) != self.degree:
             raise ValueError("coordinate length mismatch")
-        den = lcm_list([c.denominator for c in coords])
+        den = lcm(*[c.denominator for c in coords])
         return FieldElement(self, tuple(c.numerator * (den // c.denominator)
                                         for c in coords), den)
 
@@ -151,7 +151,7 @@ class NumberField:
 
     def from_power_basis(self, pb_coords) -> "FieldElement":
         pb = [Fraction(x) for x in pb_coords]
-        den = lcm_list([c.denominator for c in pb])
+        den = lcm(*[c.denominator for c in pb])
         nums = [c.numerator * (den // c.denominator) for c in pb]
         return FieldElement(self, tuple(mat_vec(self._ib_of_pb, nums)), den)
 
@@ -314,7 +314,7 @@ def _enlarge_at_p(f_coeffs, basis, p):
 def _hnf_basis(rows) -> list[list[Fraction]]:
     """Canonical HNF form of an order basis given by power-basis rows."""
     n = len(rows)
-    den = lcm_list([c.denominator for row in rows for c in row] or [1])
+    den = lcm(*[c.denominator for row in rows for c in row])
     cols = [[int(rows[j][i] * den) for i in range(n)] for j in range(n)]
     h = hnf_columns(cols)
     return [[Fraction(h[i][j], den) for i in range(n)] for j in range(n)]
@@ -613,7 +613,7 @@ def ideal_from_gens(gens) -> FractionalIdeal:
         raise ZeroIdeal("all generators are zero")
     field = gens[0].field
     elems = [g * w for g in gens for w in field.integral_basis]
-    den = lcm_list([e.den for e in elems])
+    den = lcm(*[e.den for e in elems])
     cols = [[a * (den // e.den) for a in e.nums] for e in elems]
     h = hnf_columns(cols)
     return FractionalIdeal(field, h, den)

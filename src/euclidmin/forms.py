@@ -11,13 +11,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import ceil, floor, gcd
+from math import ceil, floor, gcd, lcm
 
 from .errors import (DegenerateForm, NonFundamental, NonFundamentalIndefinite,
                      NotABasis, NotQuadratic, SearchExhausted)
 from .fields import (FieldElement, FractionalIdeal, NumberField,
                      ideal_from_gens, ideal_norm, make_field)
-from .hnf import hnf_columns, lcm_list
+from .hnf import hnf_columns
 from .minima import m_exact_attained
 from .places import make_sconfig
 from .qmath import is_fundamental_discriminant, sqrt_upper
@@ -66,8 +66,7 @@ def form_from_ideal(ideal: FractionalIdeal, basis) -> BinaryQuadraticForm:
     if not is_fundamental_discriminant(field.discriminant):
         raise NonFundamental(f"discriminant {field.discriminant}")
     alpha1, alpha2 = basis
-    den = lcm_list([c.denominator for c in alpha1.coords]
-                   + [c.denominator for c in alpha2.coords])
+    den = lcm(*[c.denominator for c in alpha1.coords + alpha2.coords])
     cols = [[int(c * den) for c in alpha1.coords],
             [int(c * den) for c in alpha2.coords]]
     try:

@@ -9,7 +9,6 @@ reduced modulo the diagonal entry of its row.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
 
 
 def xgcd(a: int, b: int) -> tuple[int, int, int]:
@@ -74,40 +73,49 @@ def hnf_columns(columns: list[list[int]]) -> list[list[int]]:
     return [[hnf_cols[j][i] for j in range(n)] for i in range(n)]
 
 
-def kernel_int(rows: list[list[int]]) -> list[list[int]]:
-    """Basis of the integer kernel {z in Z^m : A z = 0} of a k x m matrix."""
+def _column_echelon(rows: list[list[int]]):
+    """Column echelon form of a k x m integer matrix by xgcd column steps.
+
+    Returns (a, u, pivots) with a = A u for a unimodular m x m matrix u:
+    pivots[r] is the column of row r's pivot, or None when row r has none;
+    the pivot columns are 0, 1, ... in row order, each pivot clears the
+    rest of its row to the right, and the columns after the last pivot are
+    zero.
+    """
     k = len(rows)
     m = len(rows[0]) if k else 0
-    # column operations on A, mirrored on an identity; zero columns of the
-    # reduced A mark kernel vectors in the transform.
     a = [list(r) for r in rows]
     u = [[1 if i == j else 0 for j in range(m)] for i in range(m)]
-
-    def col(mat, j):
-        return [mat[i][j] for i in range(len(mat))]
-
-    def combine(mat, dst, src, x, y, xx, yy):
-        for i in range(len(mat)):
-            mat[i][dst], mat[i][src] = (x * mat[i][dst] + y * mat[i][src],
-                                        xx * mat[i][dst] + yy * mat[i][src])
-
-    pivot_col = 0
+    pivots = []
+    pc = 0
     for r in range(k):
-        nz = [t for t in range(pivot_col, m) if a[r][t] != 0]
+        nz = [t for t in range(pc, m) if a[r][t] != 0]
         if not nz:
+            pivots.append(None)
             continue
         p = nz[0]
         for t in nz[1:]:
             g, x, y = xgcd(a[r][p], a[r][t])
             ap, at = a[r][p] // g, a[r][t] // g
-            combine(a, p, t, x, y, -at, ap)
-            combine(u, p, t, x, y, -at, ap)
-        if p != pivot_col:
             for mat in (a, u):
-                for i in range(len(mat)):
-                    mat[i][p], mat[i][pivot_col] = mat[i][pivot_col], mat[i][p]
-        pivot_col += 1
-    return [col(u, j) for j in range(pivot_col, m)]
+                for line in mat:
+                    line[p], line[t] = (x * line[p] + y * line[t],
+                                        -at * line[p] + ap * line[t])
+        if p != pc:
+            for mat in (a, u):
+                for line in mat:
+                    line[p], line[pc] = line[pc], line[p]
+        pivots.append(pc)
+        pc += 1
+    return a, u, pivots
+
+
+def kernel_int(rows: list[list[int]]) -> list[list[int]]:
+    """Basis of the integer kernel {z in Z^m : A z = 0} of a k x m matrix:
+    the columns of the echelon transform that reduce A to zero columns."""
+    _, u, pivots = _column_echelon(rows)
+    rank = sum(p is not None for p in pivots)
+    return [[line[j] for line in u] for j in range(rank, len(u))]
 
 
 def mat_vec(m, v):
@@ -216,31 +224,9 @@ def solve_linear_mod_lattice(a_cols, w_cols, target):
     n = len(target)
     cols = [list(c) for c in a_cols] + [list(c) for c in w_cols]
     m = len(cols)
-    # track transformation: cols stay integer combinations of originals
-    u = [[1 if i == j else 0 for j in range(m)] for i in range(m)]
-    mat = [[cols[j][i] for j in range(m)] for i in range(n)]
-    # column echelon, one row at a time
-    piv = []
-    pc = 0
-    for r in range(n):
-        nz = [t for t in range(pc, m) if mat[r][t] != 0]
-        if not nz:
-            piv.append(None)
-            continue
-        p = nz[0]
-        for t in nz[1:]:
-            g, x, y = xgcd(mat[r][p], mat[r][t])
-            ap, at = mat[r][p] // g, mat[r][t] // g
-            for mm in (mat, u):
-                for i in range(len(mm)):
-                    mm[i][p], mm[i][t] = (x * mm[i][p] + y * mm[i][t],
-                                          -at * mm[i][p] + ap * mm[i][t])
-        if p != pc:
-            for mm in (mat, u):
-                for i in range(len(mm)):
-                    mm[i][p], mm[i][pc] = mm[i][pc], mm[i][p]
-        piv.append(pc)
-        pc += 1
+    # u tracks the transformation: columns stay integer combinations of
+    # the originals
+    mat, u, piv = _column_echelon([[c[i] for c in cols] for i in range(n)])
     # back-solve target against echelon columns
     t = list(target)
     coeff = [0] * m
@@ -291,10 +277,3 @@ def fp_kernel(rows: list[list[int]], p: int) -> list[list[int]]:
             v[pc] = (-a[i][fc]) % p
         basis.append(v)
     return basis
-
-
-def lcm_list(xs) -> int:
-    out = 1
-    for x in xs:
-        out = out * x // gcd(out, x)
-    return out

@@ -3,10 +3,10 @@
 Endpoints are Fractions, so all arithmetic is exact; Iv and CIv never
 round. Enclosures only widen through genuine interval semantics, and their
 endpoints can grow long. Code that needs bounded sizes rounds outward
-itself, outside this module: lattice enumeration moves its rows and
-targets to integers on a dyadic grid (enumerate.py), and the log-rank
-check rounds magnitudes to 64-bit dyadics before taking logs
-(places._log_abs_interval, with qmath.dyadic_outward).
+itself, outside this module: lattice enumeration and the covering's bound
+screen move their data to integers on one dyadic grid (enumerate.py,
+covering.py), and the log-rank check rounds magnitudes to 64-bit dyadics
+before taking logs (places._log_abs_interval, qmath.dyadic_outward).
 """
 
 from __future__ import annotations

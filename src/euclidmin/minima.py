@@ -24,20 +24,18 @@ import itertools
 from collections.abc import Mapping
 from dataclasses import dataclass
 from fractions import Fraction
-from math import ceil, gcd, inf
+from math import ceil, gcd, lcm
 from types import MappingProxyType
 
-from .covering import (BOUND_WIDTH, CoverBox, CoveringCertificate,
-                       CoveringState, Unresolved, arch_enclosure,
-                       arch_intervals_for_box, bound_enclosure, box_entry,
-                       candidate_shifts, enclose, gamma_in_s_ideal,
-                       initial_box, norm_bound, profile_factor,
-                       profiles_for_box, screen_scale, split_arch, split_finite,
-                       verify_certificate)
+from .covering import (CoverBox, CoveringCertificate, CoveringState,
+                       Unresolved, arch_enclosure, arch_intervals_for_box,
+                       bound_enclosure, box_entry, candidate_shifts,
+                       gamma_in_s_ideal, initial_box, norm_bound,
+                       profile_factor, profiles_for_box, screen_threshold,
+                       split_arch, split_finite, verify_certificate)
 from .enumerate import elements_in_box, real_box_targets
 from .errors import UnverifiedUnits
 from .fields import FieldElement, FractionalIdeal, embed
-from .hnf import lcm_list
 from .places import s_norm, valuation
 from .qmath import nth_root_upper, sqrt_upper
 from .torus import (TorusContext, orbit, orbit_with_units, reduce_mod,
@@ -107,7 +105,10 @@ class EuclideanVerdict:
     def replays(self, a, sconfig) -> bool:
         ctx = torus_context(a, sconfig)
         if self.verdict == "euclidean":
-            verify_certificate(ctx, self.certificate, Fraction(1))
+            try:
+                verify_certificate(ctx, self.certificate, Fraction(1))
+            except AssertionError:
+                return False
             return True
         if self.verdict == "not_euclidean":
             mv = self.witness_minimum
@@ -199,7 +200,7 @@ def m_exact_attained(a: FractionalIdeal, sconfig, xi: FieldElement):
         return MinimumValue(Fraction(0), gamma0, _TRIVIAL), None, None
     orbit_pairs = orbit_with_units(a, sconfig, xi)
     # discreteness floor: d * rho0 lands in the a-part lattice
-    d = lcm_list([c.denominator for c in ctx.a_part.coords_in_basis(rho0)])
+    d = lcm(*[c.denominator for c in ctx.a_part.coords_in_basis(rho0)])
     floor_raw = ctx.s_norm_a / _s_norm_of_int(ctx, d)
     # initial best: corner shifts of every orbit representative
     best_raw = None
@@ -282,7 +283,7 @@ def _certify_box(ctx: TorusContext, box: CoverBox, t: Fraction):
 
     Candidates are screened with the cheap profile factor (the congruence
     depth bounds the finite contribution without valuation work), and each
-    screening bound is first decided against t from its float enclosure.
+    screening bound is first decided against t from its integer enclosure.
     The exact bound is computed only where the enclosure straddles t, for
     the winner, and, when the box fails, for the candidates whose enclosure
     could hold the least bound, so the result equals that of an all-exact
@@ -290,25 +291,24 @@ def _certify_box(ctx: TorusContext, box: CoverBox, t: Fraction):
     bound that the certificate records, which is never larger than the
     screening bound.
     """
-    arch_f = arch_enclosure(ctx, box)
+    arch_grid = arch_enclosure(ctx, box)
     arch = None                 # the exact enclosures, built when needed
 
     def exact(gamma, num, den):
         nonlocal arch
         if arch is None:
-            arch = arch_intervals_for_box(ctx, box, BOUND_WIDTH)
+            arch = arch_intervals_for_box(ctx, box)
         return norm_bound(ctx, arch, gamma, Fraction(num, den))
 
-    t_hi = enclose(t)[1]
-    least = inf                 # least upper end of an enclosure so far
+    t_grid = screen_threshold(ctx, t)
+    least = None                # least upper end of an enclosure so far
     near = []                   # (lo, exact bound | None, shift, num, den)
     for profile in profiles_for_box(ctx, box):
         num, den = profile_factor(ctx, profile)
-        scale = screen_scale(ctx, num, den)
         for gamma in candidate_shifts(ctx, box, profile):
-            lo, hi = bound_enclosure(ctx, arch_f, gamma, scale)
+            lo, hi = bound_enclosure(ctx, arch_grid, gamma, num, den)
             quick = None
-            if lo < t_hi:       # not certainly at or above t
+            if lo < t_grid:     # not certainly at or above t
                 quick = exact(gamma, num, den)
                 if quick < t:
                     entry = box_entry(ctx, box, gamma)
@@ -316,7 +316,7 @@ def _certify_box(ctx: TorusContext, box: CoverBox, t: Fraction):
                         raise AssertionError(
                             "canonical bound exceeds screening")
                     return entry, entry.bound
-            least = min(least, hi)
+            least = hi if least is None else min(least, hi)
             if lo <= least:
                 near.append((lo, quick, gamma, num, den))
     best = None
@@ -329,7 +329,10 @@ def _certify_box(ctx: TorusContext, box: CoverBox, t: Fraction):
     return None, best
 
 
-def _split_box(ctx: TorusContext, box: CoverBox, max_depth: int = 24):
+MAX_SPLIT_DEPTH = 24    # the deepest finite precision a box split refines to
+
+
+def _split_box(ctx: TorusContext, box: CoverBox):
     """Scale-balancing split: refine whichever factor is coarsest."""
     widths = [h - l for l, h in zip(box.lo, box.hi)]
     widest = max(widths)
@@ -339,7 +342,7 @@ def _split_box(ctx: TorusContext, box: CoverBox, max_depth: int = 24):
     if finite_scales:
         coarsest = max(finite_scales)
         place_idx = finite_scales.index(coarsest)
-        if (coarsest > widest and box.exponents[place_idx] < max_depth):
+        if coarsest > widest and box.exponents[place_idx] < MAX_SPLIT_DEPTH:
             return split_finite(ctx, box, place_idx)
     return split_arch(box, axis)
 

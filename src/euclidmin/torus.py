@@ -12,12 +12,12 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import floor, gcd
+from math import floor, gcd, lcm
 
 from .errors import SearchExhausted, UnverifiedUnits
 from .fields import (FieldElement, FractionalIdeal, NumberField,
                      ideal_from_gens, ideal_norm, mat_inverse)
-from .hnf import lcm_list, solve_linear_mod_lattice
+from .hnf import solve_linear_mod_lattice
 from .places import Place, SConfig, places_above, strip_s_part, valuation
 from .polynomials import hensel_lift_blocks, pmod, pmul, trace_mod_pk
 from .qmath import int_valuation
@@ -109,11 +109,11 @@ class TorusContext:
         self.lattices = {}          # (over_order, exponents) -> s_lattice
         self.residue_reps = {}      # (p, gen_poly) -> representatives of O/P
         self.split_scales = {}      # (place index, exponents) -> element
-        self.basis_rows = {}        # width -> embedding rows of the basis
-        self.shift_rows = {}        # (nums, den, width) -> embedding row
+        self.basis_rows = None      # embedding rows of the basis
+        self.shift_rows = {}        # (nums, den) -> embedding row
         self.congruent_points = {}  # center nums, den, profile -> shift ints
         self.cert_entries = {}      # box, shift nums, den -> CertEntry
-        self.screen_rows = None     # float rows of the bound screen
+        self.screen_rows = None     # integer grid rows of the bound screen
         self.unit_factors = None    # per-place unit box factors of m_exact
 
     def s_lattice(self, exponents, over_order: bool = False) -> FractionalIdeal:
@@ -144,29 +144,27 @@ def torus_context(a: FractionalIdeal, sconfig: SConfig) -> TorusContext:
     return ctx
 
 
-def congruent_lattice_point(lattice: FractionalIdeal, scale,
+def congruent_lattice_point(lattice: FractionalIdeal, scale: int,
                             modulus: FractionalIdeal, target: FieldElement):
     """g in the lattice with scale * g - target in the integral modulus.
 
-    Solved as an integer linear system over the integral basis; returns
-    None when no such g exists.
+    Solved as an integer linear system over the integral basis, the HNF
+    columns and the target brought to one common denominator; returns None
+    when no such g exists.
     """
-    basis = lattice.basis_elements()
-    a_cols = [[c * scale for c in b.coords] for b in basis]
-    w_cols = [list(b.coords) for b in modulus.basis_elements()]
-    den = lcm_list([c.denominator for col in a_cols + w_cols for c in col]
-                   + [c.denominator for c in target.coords])
+    den = lcm(lattice.den, modulus.den, target.den)
+    n = lattice.field.degree
+    to_lattice = scale * (den // lattice.den)
+    to_modulus = den // modulus.den
     u = solve_linear_mod_lattice(
-        [[int(c * den) for c in col] for col in a_cols],
-        [[int(c * den) for c in col] for col in w_cols],
-        [int(c * den) for c in target.coords])
+        [[row[j] * to_lattice for row in lattice.hnf] for j in range(n)],
+        [[row[j] * to_modulus for row in modulus.hnf] for j in range(n)],
+        [x * (den // target.den) for x in target.nums])
     if u is None:
         return None
-    g = lattice.field.zero()
-    for coef, b in zip(u, basis):
-        if coef:
-            g = g + b * coef
-    return g
+    return FieldElement(lattice.field, tuple([
+        sum([z * h for z, h in zip(u, row)]) for row in lattice.hnf]),
+        lattice.den)
 
 
 def reduce_mod(a: FractionalIdeal, sconfig: SConfig, xi: FieldElement):
@@ -346,7 +344,7 @@ def local_trace_polar(x: FieldElement, place: Place) -> Fraction:
     if x.is_zero():
         return Fraction(0)
     pb = x.power_basis()
-    den = lcm_list([c.denominator for c in pb])
+    den = lcm(*[c.denominator for c in pb])
     p = place.p
     a = int_valuation(den, p)
     if a == 0:

@@ -296,6 +296,41 @@ TAMPERS = (
     ("decide-not", "verdict", "euclidean"),
 )
 
+# (report, path into its evidence, edited value): malformed evidence; DROP
+# deletes the key
+DROP = object()
+EVIDENCE_TAMPERS = (
+    ("cover", ("entries", 0, "gamma"), ["0", "0"]),
+    ("cover", ("entries", 0, "gamma"), DROP),
+    ("cover", ("entries", 0, "box", "exponents", 0), "a"),
+    ("cover", ("entries", 0, "box", "lo", 0), "x"),
+    ("cover", ("entries",), DROP),
+    ("cover", ("ideal_den",), "x"),
+    ("M", ("certificate", "entries", 0, "gamma"), ["0", "0"]),
+    ("M", ("certificate", "entries", 0, "gamma"), DROP),
+    ("M", ("certificate", "entries", 0, "box", "exponents", 0), "a"),
+    ("M", ("certificate", "entries"), DROP),
+    ("M", ("certificate", "ideal_den"), "x"),
+    ("M", ("witness", "shift"), ["0", "0"]),
+    ("M", ("witness", "shift"), DROP),
+    ("m", ("xi",), "x"),
+    ("decide-euclidean", ("entries", 0, "gamma"), ["0"]),
+    ("decide-not", ("shift",), ["0"]),
+)
+
+
+def edit_evidence(report, path, value):
+    """A copy of the report with the evidence entry at path replaced."""
+    evidence = json.loads(json.dumps(report["evidence"]))
+    node = evidence
+    for key in path[:-1]:
+        node = node[key]
+    if value is DROP:
+        del node[path[-1]]
+    else:
+        node[path[-1]] = value
+    return dict(report, evidence=evidence)
+
 
 @pytest.fixture(scope="module")
 def evidence_reports(tmp_path_factory):
@@ -339,3 +374,11 @@ def test_verify_cert_tamper_table(tmp_path, evidence_reports):
     stale = dict(report, effort=dict(report["effort"], covering_boxes=1))
     code, result = verify_detail(tmp_path, cfg_path, stale, restamp=False)
     assert code == 3 and "content_hash" in result["detail"]
+
+
+def test_verify_cert_fails_on_malformed_evidence(tmp_path, evidence_reports):
+    for name, path, value in EVIDENCE_TAMPERS:
+        cfg_path, report = evidence_reports[name]
+        code, result = verify_detail(tmp_path, cfg_path,
+                                     edit_evidence(report, path, value))
+        assert code == 3 and result["replay"] == "fail", (name, path, value)

@@ -78,12 +78,12 @@ def test_grid_rows_enclose_embeddings(coeffs):
         grid_t = enum._grid_target(t, GRID_BITS)
         assert grid_t.lo / scale <= t.lo and t.hi <= grid_t.hi / scale
         elem = _random_element(rng, field)
-        got = enum._grid_row(elem, omega)
-        for c, iv in enumerate(got):
+        got = enum.grid_row(elem, omega)
+        for c, (lo, hi) in enumerate(got):
             exact = sum((Iv(row[c][0], row[c][1]) * x
                          for x, row in zip(elem.coords, omega)), Iv(0))
-            assert iv.contains(exact)
-            assert iv.lo.denominator == iv.hi.denominator == 1
+            assert Iv(lo, hi).contains(exact)
+            assert type(lo) is int and type(hi) is int
 
 
 def _reference_points(basis, offset, targets):

@@ -182,6 +182,17 @@ def test_witness_replay_checks_the_shift(field_q, s_q_23, field_sqrtm5,
         "witness value mismatch: recorded 1/6, recomputed 1/5"
 
 
+def test_certificate_replay_failure_is_false(field_qi, s_qi_inf):
+    O = field_qi.maximal_order()
+    verdict = decide_norm_euclidean(O, s_qi_inf, budget=20000)
+    assert verdict.verdict == "euclidean" and verdict.replays(O, s_qi_inf)
+    cert = verdict.certificate
+    first = cert.entries[0]
+    edited = replace(cert, entries=(replace(first, bound=first.bound / 2),)
+                     + cert.entries[1:])
+    assert replace(verdict, certificate=edited).replays(O, s_qi_inf) is False
+
+
 def test_decide_fixtures_small(field_qi, s_qi_inf, field_sqrtm5, s_sqrtm5_inf):
     verdict = decide_norm_euclidean(field_qi.maximal_order(), s_qi_inf,
                                     budget=20000)

@@ -1,24 +1,26 @@
-"""The float bound screen of the covering.
+"""The integer bound screen of the covering.
 
-Soundness: every float enclosure holds the exact Fraction value it stands
-for. Equivalence: the screened `_certify_box` returns exactly what an
-all-exact screen returns, entry and best bound alike.
+Soundness: every integer enclosure holds the exact Fraction value it stands
+for, on the scale 2^(2b) per real coordinate and N_S(a) * 2^(2bn) per
+bound (b = GRID_BITS). Equivalence: the screened `_certify_box` returns
+exactly what an all-exact screen returns, entry and best bound alike.
 """
 
 import itertools
 import random
+from dataclasses import replace
 from fractions import Fraction as F
 
 import pytest
 
 from euclidmin import (SConfig, ideal_from_gens, make_field, make_sconfig,
                        verify_s_unit_basis)
-from euclidmin.covering import (BOUND_WIDTH, CertEntry, _congruent_point,
-                                arch_enclosure, arch_intervals_for_box,
-                                bound_enclosure, box_bound, candidate_shifts,
-                                initial_box, norm_bound, profile_factor,
-                                profiles_for_box, screen_scale, split_arch,
-                                split_finite)
+from euclidmin.covering import (CertEntry, _congruent_point, arch_enclosure,
+                                arch_intervals_for_box, bound_enclosure,
+                                box_bound, candidate_shifts, initial_box,
+                                norm_bound, profile_factor, profiles_for_box,
+                                screen_threshold, split_arch, split_finite)
+from euclidmin.enumerate import GRID_BITS
 from euclidmin.minima import _certify_box
 from euclidmin.torus import torus_context
 
@@ -73,37 +75,61 @@ def _random_element(field, rng):
 
 def _exact_screen_bound(ctx, box, gamma, profile):
     num, den = profile_factor(ctx, profile)
-    arch = arch_intervals_for_box(ctx, box, BOUND_WIDTH)
+    arch = arch_intervals_for_box(ctx, box)
     return norm_bound(ctx, arch, gamma, F(num, den))
+
+
+def _off_grid(box):
+    """The box shrunk to coordinates that are not dyadic."""
+    lo = tuple(a + (b - a) / 3 for a, b in zip(box.lo, box.hi))
+    hi = tuple(b - (b - a) / 5 for a, b in zip(box.lo, box.hi))
+    return replace(box, lo=lo, hi=hi)
+
+
+def _huge_element(field, rng):
+    """An element whose numerators and denominator lie beyond 2^53."""
+    return field.element([F(rng.randint(2**60, 2**70) * rng.choice((-1, 1)),
+                            rng.randint(2**55, 2**60))
+                          for _ in range(field.degree)])
 
 
 @pytest.mark.parametrize("case", sorted(CASES))
 def test_enclosures_hold_the_exact_values(case):
     a, sconfig = CASES[case]()
     ctx = torus_context(a, sconfig)
+    n = ctx.field.degree
+    coord_scale = F(2)**(2 * GRID_BITS)
+    bound_scale = ctx.s_norm_a * F(2)**(2 * GRID_BITS * n)
     rng = random.Random(f"screen:{case}")
-    checked = 0
-    for _ in range(12):
+    checked = huge = 0
+    for i in range(12):
         box = _random_box(ctx, rng, rng.randint(0, 10))
-        arch = arch_intervals_for_box(ctx, box, BOUND_WIDTH)
-        for iv, (lo_l, lo_h, hi_l, hi_h) in zip(arch,
-                                                arch_enclosure(ctx, box)):
-            assert lo_l <= iv.lo <= lo_h and hi_l <= iv.hi <= hi_h
+        if i % 2:
+            box = _off_grid(box)
+        arch = arch_intervals_for_box(ctx, box)
+        arch_grid = arch_enclosure(ctx, box)
+        for iv, (lo_l, lo_h, hi_l, hi_h) in zip(arch, arch_grid):
+            assert lo_l <= iv.lo * coord_scale <= lo_h
+            assert hi_l <= iv.hi * coord_scale <= hi_h
         profiles = profiles_for_box(ctx, box)
         for profile in rng.sample(profiles, min(3, len(profiles))):
             num, den = profile_factor(ctx, profile)
-            scale = screen_scale(ctx, num, den)
-            assert scale[0] <= F(num, den) / ctx.s_norm_a <= scale[1]
             shifts = candidate_shifts(ctx, box, profile)
             shifts += [_random_element(ctx.field, rng) for _ in range(2)]
+            shifts.append(_huge_element(ctx.field, rng))
             for gamma in shifts:
-                lo, hi = bound_enclosure(ctx, arch_enclosure(ctx, box),
-                                         gamma, scale)
+                lo, hi = bound_enclosure(ctx, arch_grid, gamma, num, den)
                 exact = _exact_screen_bound(ctx, box, gamma, profile)
-                assert lo <= exact <= hi
-                assert hi < float("inf")
+                assert type(lo) is int and type(hi) is int
+                assert lo <= exact * bound_scale <= hi
                 checked += 1
-    assert checked > 50
+                huge += max(gamma.den, *map(abs, gamma.nums)) > 2**53
+    assert checked > 50 and huge >= 12
+    # an enclosure starting at or above screen_threshold(t) holds a bound
+    # of at least t
+    for t in (F(1, 3), F(7, 5), F(2)**-40):
+        t_grid = screen_threshold(ctx, t)
+        assert t_grid - 1 < t * bound_scale <= t_grid
 
 
 def _reference_shifts(ctx, box, profile):
@@ -131,7 +157,7 @@ def _reference_shifts(ctx, box, profile):
 
 def _reference_certify(ctx, box, t):
     """The all-exact screen: every candidate's bound as a Fraction."""
-    arch = arch_intervals_for_box(ctx, box, BOUND_WIDTH)
+    arch = arch_intervals_for_box(ctx, box)
     best = None
     for profile in profiles_for_box(ctx, box):
         fin = F(1)

@@ -88,3 +88,34 @@ def test_no_private_attribute_of_another_module():
     assert modules
     found = [hit for path in modules for hit in _foreign_private_reads(path)]
     assert found == []
+
+
+# Floats may only propose candidates that exact code then verifies: the
+# Durand-Kerner seeds of roots.py and the cube-root proposals of units.py.
+FLOAT_MODULES = {"roots.py", "units.py"}
+FLOAT_NAMES = {"nextafter", "inf"}
+
+
+def _float_uses(path):
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Name) \
+                and node.func.id in ("float", "complex"):
+            yield f"{path.name}:{node.lineno} calls {node.func.id}"
+        elif isinstance(node, ast.Constant) and \
+                isinstance(node.value, (float, complex)):
+            yield f"{path.name}:{node.lineno} writes {node.value!r}"
+        elif isinstance(node, ast.ImportFrom):
+            for alias in node.names:
+                if alias.name in FLOAT_NAMES:
+                    yield f"{path.name}:{node.lineno} imports {alias.name}"
+        elif isinstance(node, ast.Attribute) and node.attr in FLOAT_NAMES:
+            yield f"{path.name}:{node.lineno} reads .{node.attr}"
+
+
+def test_floats_only_propose_candidates():
+    modules = sorted(PACKAGE.glob("*.py"))
+    assert FLOAT_MODULES <= {path.name for path in modules}
+    found = [hit for path in modules if path.name not in FLOAT_MODULES
+             for hit in _float_uses(path)]
+    assert found == []
