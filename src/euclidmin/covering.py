@@ -26,7 +26,7 @@ from .fields import FieldElement
 from .intervals import Iv
 from .places import s_norm, valuation
 from .qmath import ceil_scaled, floor_scaled, int_valuation
-from .torus import (AdelePoint, TorusContext, congruent_lattice_point,
+from .torus import (AdelePoint, CongruenceSystem, TorusContext,
                     torus_context)
 
 # width of the embedding enclosures behind every recorded bound
@@ -320,8 +320,12 @@ def profile_factor(ctx: TorusContext, profile) -> tuple[int, int]:
 
 
 def screen_threshold(ctx: TorusContext, t: Fraction) -> int:
-    """ceil(t * N_S(a) * 2^(2bn)): a bound whose enclosure starts at or
-    above it is at least t."""
+    """ceil(t * N_S(a) * 2^(2bn)), t on the scale of the screen rounded up.
+
+    A bound whose enclosure starts at or above it is at least t, one whose
+    enclosure ends below it is below t, and t is at most an enclosure's
+    upper end hi exactly when this is at most hi.
+    """
     return ceil_scaled(t * ctx.s_norm_a, 2 * GRID_BITS * ctx.field.degree)
 
 
@@ -367,35 +371,68 @@ def bound_enclosure(ctx: TorusContext, arch, gamma: FieldElement,
     return lo // den, -(-hi // den)
 
 
+def box_floor(ctx: TorusContext, arch) -> int:
+    """An integer F such that num * F // den is at most the V of
+    bound_enclosure(ctx, arch, gamma, num, den) for every shift gamma.
+
+    arch is arch_enclosure of the box. No point lies closer to both ends of
+    an interval than half its width, so the term norm_bound takes per real
+    coordinate is at least half the width of the box's image there,
+    whatever the shift.
+    """
+    r1, _ = ctx.field.signature
+    out = 1
+    sq = 0
+    for c, (_, lo_h, hi_l, _) in enumerate(arch):
+        half = max(hi_l - lo_h, 0) // 2
+        if c < r1:
+            out *= half
+        else:
+            # a complex place: the sum of the squares of its two coordinates
+            sq += half * half
+            if (c - r1) % 2:
+                out *= sq
+                sq = 0
+    return out
+
+
 # -- candidate shifts ----------------------------------------------------------
 
 
-def candidate_shifts(ctx: TorusContext, box: CoverBox,
-                     profile) -> list[FieldElement]:
+def shift_targets(ctx: TorusContext, box: CoverBox):
+    """(center, midpoint): what the candidate shifts of every profile of a
+    box aim at, the class center and, at the archimedean places, the box
+    midpoint sum_j (lo_j + hi_j) / 2 * basis_j."""
+    mid_den = lcm(*[x.denominator for x in box.lo + box.hi])
+    mids = [lo.numerator * (mid_den // lo.denominator)
+            + hi.numerator * (mid_den // hi.denominator)
+            for lo, hi in zip(box.lo, box.hi)]
+    midpoint = FieldElement(ctx.field, tuple([
+        sum([m * h for m, h in zip(mids, row)]) for row in ctx.a_part.hnf]),
+        2 * mid_den * ctx.a_part.den)
+    return box.center_element(ctx), midpoint
+
+
+def candidate_shifts(ctx: TorusContext, box: CoverBox, profile,
+                     targets=None) -> list[FieldElement]:
     """Nearby elements of the S-ideal matching a congruence profile.
 
     profile[v] = m_v: m_v > 0 demands gamma = center mod P_v^{m_v} (and then
     |x-gamma|_v <= Np^{-m_v} over a box of depth k_v >= m_v); m_v <= 0 allows
     a denominator, with |x-gamma|_v <= Np^{-m_v}. The candidates lie in the
-    affine family of the a-part times prod P_v^{m_v}.
+    affine family of the a-part times prod P_v^{m_v}. targets is
+    shift_targets(ctx, box), computed here when not given.
     """
     field = ctx.field
+    center, midpoint = targets or shift_targets(ctx, box)
     lattice = ctx.s_lattice(profile)
     if any(m > 0 for m in profile):
-        gamma0 = _congruent_point(ctx, box.center_element(ctx), profile)
+        gamma0 = _congruent_point(ctx, center, profile)
         if gamma0 is None:
             return []
     else:
         gamma0 = field.zero()
-    # arch target: the box midpoint, sum_j (lo_j + hi_j) / 2 * basis_j
-    mid_den = lcm(*[x.denominator for x in box.lo + box.hi])
-    mids = [lo.numerator * (mid_den // lo.denominator)
-            + hi.numerator * (mid_den // hi.denominator)
-            for lo, hi in zip(box.lo, box.hi)]
-    target = FieldElement(field, tuple([
-        sum([m * h for m, h in zip(mids, row)]) for row in ctx.a_part.hnf]),
-        2 * mid_den * ctx.a_part.den)
-    w, d = lattice.int_coords(target - gamma0)
+    w, d = lattice.int_coords(midpoint - gamma0)
     base = [_round_half_even(c, d) for c in w]
     # gamma0 + H z / den over the common denominator, z = base + offsets,
     # the last coordinate of z running fastest
@@ -425,8 +462,7 @@ def _round_half_even(num: int, den: int) -> int:
 
 def _congruent_point(ctx: TorusContext, center: FieldElement, profile):
     """Element of the S-ideal congruent to center at the positive depths."""
-    key = center.nums + (center.den,) + profile
-    if key not in ctx.congruent_points:
+    if profile not in ctx.congruences:
         places = ctx.sconfig.finite_places
         lattice = ctx.s_lattice([min(m, 0) for m in profile])
         d0 = lattice.den
@@ -434,13 +470,10 @@ def _congruent_point(ctx: TorusContext, center: FieldElement, profile):
         modulus = ctx.s_lattice(
             [m + int_valuation(d0, v.p) * v.e if m > 0 else 0
              for v, m in zip(places, profile)], over_order=True)
-        g = congruent_lattice_point(lattice, d0, modulus, center * d0)
-        # kept as integers (numerators, then the denominator), or None
-        ctx.congruent_points[key] = None if g is None else g.nums + (g.den,)
-    point = ctx.congruent_points[key]
-    if point is None:
-        return None
-    return FieldElement(ctx.field, point[:-1], point[-1])
+        ctx.congruences[profile] = CongruenceSystem(lattice, d0, modulus)
+    system = ctx.congruences[profile]
+    return system.solve(FieldElement(ctx.field, tuple([
+        a * system.scale for a in center.nums]), center.den))
 
 
 def profiles_for_box(ctx: TorusContext, box: CoverBox):

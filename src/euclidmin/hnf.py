@@ -215,18 +215,29 @@ def mat_inverse(m) -> list[list[Fraction]]:
     return [row[n:] for row in a]
 
 
-def solve_linear_mod_lattice(a_cols, w_cols, target):
-    """Find integer u with A u = target - W w for some integer w.
+def echelon_mod_lattice(a_cols, w_cols):
+    """The column echelon of [A | W] that solve_echelon solves against.
 
-    A and W are given as lists of columns over Z; returns u or None when the
-    target is not in the column span of [A | W].
+    A and W are given as lists of columns over Z. The echelon depends on
+    the matrices alone, so a system solved for many targets is reduced once.
     """
-    n = len(target)
+    n = len(a_cols[0])
     cols = [list(c) for c in a_cols] + [list(c) for c in w_cols]
-    m = len(cols)
     # u tracks the transformation: columns stay integer combinations of
     # the originals
     mat, u, piv = _column_echelon([[c[i] for c in cols] for i in range(n)])
+    return mat, u, piv, len(a_cols)
+
+
+def solve_echelon(echelon, target):
+    """Find integer u with A u = target - W w for some integer w.
+
+    echelon is echelon_mod_lattice(A, W); returns u or None when the target
+    is not in the column span of [A | W].
+    """
+    mat, u, piv, k = echelon
+    n = len(target)
+    m = len(u)
     # back-solve target against echelon columns
     t = list(target)
     coeff = [0] * m
@@ -242,8 +253,7 @@ def solve_linear_mod_lattice(a_cols, w_cols, target):
             t[i] -= q * mat[i][j]
     if any(t):
         return None
-    orig = [sum(u[i][j] * coeff[j] for j in range(m)) for i in range(m)]
-    return orig[:len(a_cols)]
+    return [sum([u[i][j] * coeff[j] for j in range(m)]) for i in range(k)]
 
 
 def fp_kernel(rows: list[list[int]], p: int) -> list[list[int]]:

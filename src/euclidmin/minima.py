@@ -29,10 +29,11 @@ from types import MappingProxyType
 
 from .covering import (CoverBox, CoveringCertificate, CoveringState,
                        Unresolved, arch_enclosure, arch_intervals_for_box,
-                       bound_enclosure, box_entry, candidate_shifts,
-                       gamma_in_s_ideal, initial_box, norm_bound,
-                       profile_factor, profiles_for_box, screen_threshold,
-                       split_arch, split_finite, verify_certificate)
+                       bound_enclosure, box_entry, box_floor,
+                       candidate_shifts, gamma_in_s_ideal, initial_box,
+                       norm_bound, profile_factor, profiles_for_box,
+                       screen_threshold, shift_targets, split_arch,
+                       split_finite, verify_certificate)
 from .enumerate import elements_in_box, real_box_targets
 from .errors import UnverifiedUnits
 from .fields import FieldElement, FractionalIdeal, embed
@@ -284,14 +285,19 @@ def _certify_box(ctx: TorusContext, box: CoverBox, t: Fraction):
     Candidates are screened with the cheap profile factor (the congruence
     depth bounds the finite contribution without valuation work), and each
     screening bound is first decided against t from its integer enclosure.
-    The exact bound is computed only where the enclosure straddles t, for
-    the winner, and, when the box fails, for the candidates whose enclosure
-    could hold the least bound, so the result equals that of an all-exact
-    screen. Only a winning candidate gets the canonical exact-valuation
-    bound that the certificate records, which is never larger than the
-    screening bound.
+    A profile whose floor (the box's width alone bounds every shift's
+    screening bound from below) lies above the least enclosure end so far
+    can neither win nor lower the least bound, so its shifts are never
+    made. A shift whose enclosure ends below t wins outright. The exact
+    bound is computed only where the enclosure straddles t and, when the
+    box fails, for the candidates whose enclosure could hold the least
+    bound, so the result equals that of an all-exact screen. Only a winning
+    candidate gets the canonical exact-valuation bound that the certificate
+    records, which is never larger than the screening bound.
     """
     arch_grid = arch_enclosure(ctx, box)
+    floor = box_floor(ctx, arch_grid)
+    targets = shift_targets(ctx, box)
     arch = None                 # the exact enclosures, built when needed
 
     def exact(gamma, num, den):
@@ -305,10 +311,18 @@ def _certify_box(ctx: TorusContext, box: CoverBox, t: Fraction):
     near = []                   # (lo, exact bound | None, shift, num, den)
     for profile in profiles_for_box(ctx, box):
         num, den = profile_factor(ctx, profile)
-        for gamma in candidate_shifts(ctx, box, profile):
+        # least >= t_grid, so such a profile holds no winner either
+        if least is not None and num * floor // den > least:
+            continue
+        for gamma in candidate_shifts(ctx, box, profile, targets):
             lo, hi = bound_enclosure(ctx, arch_grid, gamma, num, den)
+            if hi < t_grid:     # certainly below t
+                entry = box_entry(ctx, box, gamma)
+                if screen_threshold(ctx, entry.bound) > hi:
+                    raise AssertionError("canonical bound exceeds screening")
+                return entry, entry.bound
             quick = None
-            if lo < t_grid:     # not certainly at or above t
+            if lo < t_grid:     # the enclosure straddles t
                 quick = exact(gamma, num, den)
                 if quick < t:
                     entry = box_entry(ctx, box, gamma)

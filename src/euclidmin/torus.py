@@ -17,7 +17,7 @@ from math import floor, gcd, lcm
 from .errors import SearchExhausted, UnverifiedUnits
 from .fields import (FieldElement, FractionalIdeal, NumberField,
                      ideal_from_gens, ideal_norm, mat_inverse)
-from .hnf import solve_linear_mod_lattice
+from .hnf import echelon_mod_lattice, solve_echelon
 from .places import Place, SConfig, places_above, strip_s_part, valuation
 from .polynomials import hensel_lift_blocks, pmod, pmul, trace_mod_pk
 from .qmath import int_valuation
@@ -111,7 +111,7 @@ class TorusContext:
         self.split_scales = {}      # (place index, exponents) -> element
         self.basis_rows = None      # embedding rows of the basis
         self.shift_rows = {}        # (nums, den) -> embedding row
-        self.congruent_points = {}  # center nums, den, profile -> shift ints
+        self.congruences = {}       # profile -> CongruenceSystem
         self.cert_entries = {}      # box, shift nums, den -> CertEntry
         self.screen_rows = None     # integer grid rows of the bound screen
         self.unit_factors = None    # per-place unit box factors of m_exact
@@ -144,27 +144,47 @@ def torus_context(a: FractionalIdeal, sconfig: SConfig) -> TorusContext:
     return ctx
 
 
+class CongruenceSystem:
+    """g in a lattice with scale * g - target in an integral modulus.
+
+    The integer linear system over the integral basis, the HNF columns of
+    the lattice (times scale) and of the modulus brought to one common
+    denominator, is put in column echelon form once; each target is then
+    one back-solve.
+    """
+
+    def __init__(self, lattice: FractionalIdeal, scale: int,
+                 modulus: FractionalIdeal):
+        self.lattice = lattice
+        self.scale = scale
+        self.den = lcm(lattice.den, modulus.den)
+        n = lattice.field.degree
+        to_lattice = scale * (self.den // lattice.den)
+        to_modulus = self.den // modulus.den
+        self.echelon = echelon_mod_lattice(
+            [[row[j] * to_lattice for row in lattice.hnf] for j in range(n)],
+            [[row[j] * to_modulus for row in modulus.hnf] for j in range(n)])
+
+    def solve(self, target: FieldElement):
+        """The g for this target, or None when no such g exists."""
+        # the system's entries are integers, so den * target must be too
+        rhs = [x * self.den for x in target.nums]
+        if any(x % target.den for x in rhs):
+            return None
+        u = solve_echelon(self.echelon, [x // target.den for x in rhs])
+        if u is None:
+            return None
+        lattice = self.lattice
+        return FieldElement(lattice.field, tuple([
+            sum([z * h for z, h in zip(u, row)]) for row in lattice.hnf]),
+            lattice.den)
+
+
 def congruent_lattice_point(lattice: FractionalIdeal, scale: int,
                             modulus: FractionalIdeal, target: FieldElement):
-    """g in the lattice with scale * g - target in the integral modulus.
-
-    Solved as an integer linear system over the integral basis, the HNF
-    columns and the target brought to one common denominator; returns None
-    when no such g exists.
-    """
-    den = lcm(lattice.den, modulus.den, target.den)
-    n = lattice.field.degree
-    to_lattice = scale * (den // lattice.den)
-    to_modulus = den // modulus.den
-    u = solve_linear_mod_lattice(
-        [[row[j] * to_lattice for row in lattice.hnf] for j in range(n)],
-        [[row[j] * to_modulus for row in modulus.hnf] for j in range(n)],
-        [x * (den // target.den) for x in target.nums])
-    if u is None:
-        return None
-    return FieldElement(lattice.field, tuple([
-        sum([z * h for z, h in zip(u, row)]) for row in lattice.hnf]),
-        lattice.den)
+    """g in the lattice with scale * g - target in the integral modulus,
+    or None when no such g exists."""
+    return CongruenceSystem(lattice, scale, modulus).solve(target)
 
 
 def reduce_mod(a: FractionalIdeal, sconfig: SConfig, xi: FieldElement):

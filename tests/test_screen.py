@@ -15,14 +15,20 @@ import pytest
 
 from euclidmin import (SConfig, ideal_from_gens, make_field, make_sconfig,
                        verify_s_unit_basis)
+from euclidmin import covering, minima
 from euclidmin.covering import (CertEntry, _congruent_point, arch_enclosure,
                                 arch_intervals_for_box, bound_enclosure,
-                                box_bound, candidate_shifts, initial_box,
-                                norm_bound, profile_factor, profiles_for_box,
-                                screen_threshold, split_arch, split_finite)
+                                box_bound, box_floor, candidate_shifts,
+                                initial_box, norm_bound, profile_factor,
+                                profiles_for_box, screen_threshold,
+                                split_arch, split_finite)
 from euclidmin.enumerate import GRID_BITS
 from euclidmin.minima import _certify_box
-from euclidmin.torus import torus_context
+from euclidmin.places import valuation
+from euclidmin.qmath import int_valuation
+from euclidmin.torus import (TorusContext, congruent_lattice_point,
+                             torus_context)
+from test_covering import _fresh_python
 
 
 def _q_23():
@@ -101,7 +107,7 @@ def test_enclosures_hold_the_exact_values(case):
     coord_scale = F(2)**(2 * GRID_BITS)
     bound_scale = ctx.s_norm_a * F(2)**(2 * GRID_BITS * n)
     rng = random.Random(f"screen:{case}")
-    checked = huge = 0
+    checked = huge = floored = 0
     for i in range(12):
         box = _random_box(ctx, rng, rng.randint(0, 10))
         if i % 2:
@@ -111,9 +117,12 @@ def test_enclosures_hold_the_exact_values(case):
         for iv, (lo_l, lo_h, hi_l, hi_h) in zip(arch, arch_grid):
             assert lo_l <= iv.lo * coord_scale <= lo_h
             assert hi_l <= iv.hi * coord_scale <= hi_h
+        floor = box_floor(ctx, arch_grid)
         profiles = profiles_for_box(ctx, box)
         for profile in rng.sample(profiles, min(3, len(profiles))):
             num, den = profile_factor(ctx, profile)
+            profile_floor = num * floor // den
+            floored += profile_floor > 0
             shifts = candidate_shifts(ctx, box, profile)
             shifts += [_random_element(ctx.field, rng) for _ in range(2)]
             shifts.append(_huge_element(ctx.field, rng))
@@ -122,9 +131,11 @@ def test_enclosures_hold_the_exact_values(case):
                 exact = _exact_screen_bound(ctx, box, gamma, profile)
                 assert type(lo) is int and type(hi) is int
                 assert lo <= exact * bound_scale <= hi
+                # the box's width alone bounds every shift from below
+                assert profile_floor <= exact * bound_scale
                 checked += 1
                 huge += max(gamma.den, *map(abs, gamma.nums)) > 2**53
-    assert checked > 50 and huge >= 12
+    assert checked > 50 and huge >= 12 and floored > 0
     # an enclosure starting at or above screen_threshold(t) holds a bound
     # of at least t
     for t in (F(1, 3), F(7, 5), F(2)**-40):
@@ -174,10 +185,18 @@ def _reference_certify(ctx, box, t):
 
 
 @pytest.mark.parametrize("case", sorted(CASES))
-def test_screen_matches_the_exact_screen(case):
+def test_screen_matches_the_exact_screen(case, monkeypatch):
     a, sconfig = CASES[case]()
     ctx = torus_context(a, sconfig)
     rng = random.Random(f"screen-equivalence:{case}")
+    asked = []                  # profiles asked for shifts, per screen
+
+    def counting_shifts(*args):
+        asked[-1] += 1
+        return candidate_shifts(*args)
+
+    monkeypatch.setattr(minima, "candidate_shifts", counting_shifts)
+    pruned = False
     outcomes = set()
     for _ in range(10):
         box = _random_box(ctx, rng, rng.randint(0, 10))
@@ -188,7 +207,89 @@ def test_screen_matches_the_exact_screen(case):
         # below the least bound, exactly at it (a tie that only the exact
         # value decides), just above it, and well above it
         for t in (least / 2, least, least + F(1, 10**9), least * 2):
+            asked.append(0)
             got = _certify_box(ctx, box, t)
             assert got == _reference_certify(ctx, box, t)
             outcomes.add(got[0] is None)
+            assert 1 <= asked[-1] <= len(profiles_for_box(ctx, box))
+            # a box that fails asks every profile the floor does not skip
+            if got[0] is None:
+                pruned |= asked[-1] < len(profiles_for_box(ctx, box))
     assert outcomes == {True, False}
+    # the profile floor skips profiles wherever there is more than one
+    assert pruned == bool(sconfig.finite_places)
+
+
+# far above every bound of the initial box, so its first shift wins from
+# its enclosure alone
+_DECISIVE_T = F(10**6)
+
+
+def test_decisive_winner_checks_the_canonical_bound(monkeypatch):
+    a, sconfig = _q_23()
+    entry, bound = _certify_box(TorusContext(a, sconfig),
+                                initial_box(TorusContext(a, sconfig)),
+                                _DECISIVE_T)
+    assert entry is not None and bound < _DECISIVE_T
+    # a canonical bound above the threshold, hence above the enclosure
+    exact = covering.box_bound
+    monkeypatch.setattr(covering, "box_bound",
+                        lambda c, b, g: exact(c, b, g) + _DECISIVE_T)
+    ctx = TorusContext(a, sconfig)
+    with pytest.raises(AssertionError,
+                       match="canonical bound exceeds screening"):
+        _certify_box(ctx, initial_box(ctx), _DECISIVE_T)
+
+
+def test_decisive_winner_check_survives_optimize():
+    # `python -O` strips assert statements; the soundness check must stay
+    script = (
+        "from fractions import Fraction\n"
+        "from euclidmin import covering, make_field, make_sconfig\n"
+        "from euclidmin.minima import _certify_box\n"
+        "from euclidmin.torus import torus_context\n"
+        "field = make_field([-1, 1])\n"
+        "ctx = torus_context(field.maximal_order(),\n"
+        "                    make_sconfig(field, [2, 3]))\n"
+        f"t = Fraction({_DECISIVE_T.numerator})\n"
+        "exact = covering.box_bound\n"
+        "covering.box_bound = lambda c, b, g: exact(c, b, g) + t\n"
+        "try:\n"
+        "    _certify_box(ctx, covering.initial_box(ctx), t)\n"
+        "except AssertionError as exc:\n"
+        "    ok = 'canonical bound exceeds screening' in str(exc)\n"
+        "    raise SystemExit(0 if ok else 1)\n"
+        "raise SystemExit(1)\n")
+    done = _fresh_python(script, "-O")
+    assert done.returncode == 0, done.stderr.decode()
+
+
+@pytest.mark.parametrize("case", ["Q_S23", "Qi_S2"])
+def test_congruent_point_solves_the_congruence(case):
+    a, sconfig = CASES[case]()
+    ctx = torus_context(a, sconfig)
+    places = sconfig.finite_places
+    rng = random.Random(f"congruent-point:{case}")
+    solved = 0
+    for _ in range(12):
+        box = _random_box(ctx, rng, rng.randint(0, 12))
+        center = box.center_element(ctx)
+        for profile in profiles_for_box(ctx, box):
+            if not any(m > 0 for m in profile):
+                continue
+            lattice = ctx.s_lattice([min(m, 0) for m in profile])
+            d0 = lattice.den
+            modulus = ctx.s_lattice(
+                [m + int_valuation(d0, v.p) * v.e if m > 0 else 0
+                 for v, m in zip(places, profile)], over_order=True)
+            got = _congruent_point(ctx, center, profile)
+            assert got == congruent_lattice_point(lattice, d0, modulus,
+                                                  center * d0)
+            if got is None:
+                continue
+            solved += 1
+            assert lattice.contains(got)
+            diff = got - center
+            for v, m in zip(places, profile):
+                assert m <= 0 or diff.is_zero() or valuation(diff, v) >= m
+    assert solved >= 10
