@@ -227,11 +227,11 @@ _DECISIVE_T = F(10**6)
 
 def test_decisive_winner_checks_the_canonical_bound(monkeypatch):
     a, sconfig = _q_23()
-    entry, bound = _certify_box(TorusContext(a, sconfig),
-                                initial_box(TorusContext(a, sconfig)),
-                                _DECISIVE_T)
+    ctx = TorusContext(a, sconfig)
+    entry, bound = _certify_box(ctx, initial_box(ctx), _DECISIVE_T)
     assert entry is not None and bound < _DECISIVE_T
-    # a canonical bound above the threshold, hence above the enclosure
+    # a canonical bound above the threshold, hence above the enclosure; a
+    # fresh context, since box_entry keeps the entries it made
     exact = covering.box_bound
     monkeypatch.setattr(covering, "box_bound",
                         lambda c, b, g: exact(c, b, g) + _DECISIVE_T)
