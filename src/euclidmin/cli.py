@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import re
 import sys
 import time
 from fractions import Fraction
@@ -29,6 +30,7 @@ FORMAT_VERSION = 1
 
 COMMANDS = ("info", "snorm", "m", "search", "cover", "M", "decide", "form",
             "orbit", "dual", "verify-cert")
+_CANONICAL_RAT = re.compile(r"-?[0-9]+/[0-9]+")    # what rat_to_str writes
 
 
 # -- rationals -----------------------------------------------------------------
@@ -44,6 +46,8 @@ def str_to_rat(s, path="") -> Fraction:
         if isinstance(s, int):
             return Fraction(s)
         if isinstance(s, str):
+            if _CANONICAL_RAT.fullmatch(s):     # without Fraction's grammar
+                return Fraction(*map(int, s.split("/")))
             return Fraction(s)
     except (ValueError, ZeroDivisionError):
         pass
@@ -398,7 +402,7 @@ def _config_mismatch(cfg: RunConfig, saved: dict):
     return None
 
 
-def _claim_mismatch(saved: dict, evidence: dict):
+def _claim_mismatch(cfg: RunConfig, saved: dict, evidence: dict):
     """Whether a report's result claims more than, or other than, its
     evidence shows."""
     result = saved.get("result") or {}
@@ -444,6 +448,12 @@ def _claim_mismatch(saved: dict, evidence: dict):
             return "upper must be the certificate threshold"
         if result.get("exact") is not False:
             return "exact needs an isolation certificate; no report has one"
+    if command in ("search", "M"):
+        xi = evidence.get("witness", evidence)["xi"]
+        xi = cfg.field.element(map(str_to_rat, xi))
+        if result.get("witness_orbit_size") != len(
+                orbit(cfg.ideal, cfg.sconfig, xi)):
+            return "witness_orbit_size must be the size of the witness's orbit"
     return None
 
 
@@ -473,7 +483,7 @@ def replay_report(cfg: RunConfig, path: str):
     if evidence is None:
         return False, "report carries no evidence"
     try:
-        claim = _claim_mismatch(saved, evidence)
+        claim = _claim_mismatch(cfg, saved, evidence)
     except _MALFORMED:
         claim = "report result does not parse"
     if claim:

@@ -4,8 +4,10 @@ A box is an axis-aligned half-open cell in the coordinates of the ideal
 basis (the archimedean block) times one residue class per finite place of S
 (a center known modulo P_v^{k_v}). Bounds over a box are computed by exact
 interval evaluation at the archimedean places and ultrametric estimates at
-the finite ones; a recorded (box, shift, bound) triple can be re-derived by
-anyone from the box data alone, which is what makes certificates replayable.
+the finite ones, all on integers over common denominators, with one Fraction
+per bound (exact_bound); a recorded (box, shift, bound) triple can be
+re-derived by anyone from the box data alone, which is what makes
+certificates replayable.
 
 A covering only needs to know on which side of its threshold a screening
 bound lies, so it first encloses the bound between two integers on the
@@ -18,14 +20,14 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from math import floor, lcm
+from math import floor, lcm, prod
 
 from .enumerate import GRID_BITS, embedding_rows, grid_row
 from .errors import NoCandidates, SearchExhausted
 from .fields import FieldElement
 from .intervals import Iv
 from .places import s_norm, valuation
-from .qmath import ceil_scaled, floor_scaled, int_valuation
+from .qmath import ceil_scaled, int_valuation
 from .torus import (AdelePoint, CongruenceSystem, TorusContext,
                     torus_context)
 
@@ -53,9 +55,7 @@ class CoverBox:
         return vol
 
     def center_element(self, ctx: TorusContext) -> FieldElement:
-        den = lcm(*[c.denominator for c in self.center])
-        return FieldElement(ctx.field, tuple([
-            c.numerator * (den // c.denominator) for c in self.center]), den)
+        return ctx.field.element(self.center)
 
     def sort_key(self):
         return (self.lo, self.hi, self.exponents, self.center)
@@ -142,61 +142,116 @@ def split_finite(ctx: TorusContext, box: CoverBox, place_idx: int) -> list[Cover
 # -- bounds --------------------------------------------------------------------
 
 
+def _scaled(x, den: int) -> int:
+    """The numerator of the rational x over den, a multiple of its own."""
+    return x.numerator * (den // x.denominator)
+
+
+def _int_rows(ctx: TorusContext, rows) -> list:
+    """Rows of intervals per real coordinate as (lo, hi, den) integers, den
+    shared by every row in a coordinate and by a complex place's two."""
+    dens = [lcm(*[x.denominator for iv in col for x in (iv.lo, iv.hi)])
+            for col in zip(*rows)]
+    for c in range(ctx.field.signature[0], len(dens), 2):
+        dens[c] = dens[c + 1] = lcm(dens[c], dens[c + 1])
+    return [[(_scaled(iv.lo, d), _scaled(iv.hi, d), d)
+             for iv, d in zip(row, dens)] for row in rows]
+
+
 def _basis_rows(ctx: TorusContext):
     if ctx.basis_rows is None:
-        ctx.basis_rows = [embedding_rows(b, BOUND_WIDTH) for b in ctx.basis]
+        ctx.basis_rows = _int_rows(ctx, [embedding_rows(b, BOUND_WIDTH)
+                                         for b in ctx.basis])
     return ctx.basis_rows
+
+
+def box_arch(ctx: TorusContext, box: CoverBox) -> list:
+    """(lo, hi, den) per real coordinate: the exact interval sum over j of
+    [lo_j, hi_j] times basis row j, which encloses the box's image."""
+    rows = _basis_rows(ctx)
+    d = lcm(*[x.denominator for x in box.lo + box.hi])
+    xs = [(_scaled(lo, d), _scaled(hi, d)) for lo, hi in zip(box.lo, box.hi)]
+    out = []
+    for c in range(len(xs)):
+        lo = hi = 0
+        for (x1, x2), row in zip(xs, rows):
+            b1, b2, dc = row[c]
+            ps = (x1 * b1, x1 * b2, x2 * b1, x2 * b2)
+            lo += min(ps)
+            hi += max(ps)
+        out.append((lo, hi, d * dc))
+    return out
 
 
 def arch_intervals_for_box(ctx: TorusContext, box: CoverBox):
     """Per-real-coordinate enclosures of the box's archimedean image."""
-    basis_rows = _basis_rows(ctx)
-    n = ctx.field.degree
-    out = []
-    for coord in range(n):
-        acc = Iv.point(0)
-        for j in range(n):
-            acc = acc + Iv(box.lo[j], box.hi[j]) * basis_rows[j][coord]
-        out.append(acc)
-    return out
+    return [Iv(Fraction(lo, d), Fraction(hi, d))
+            for lo, hi, d in box_arch(ctx, box)]
 
 
 def _shift_rows(ctx: TorusContext, gamma: FieldElement):
     key = (gamma.nums, gamma.den)
-    if key not in ctx.shift_rows:
+    rows = ctx.shift_rows.get(key)
+    if rows is None:
         if len(ctx.shift_rows) > 4096:
             ctx.shift_rows.clear()
-        ctx.shift_rows[key] = embedding_rows(gamma, BOUND_WIDTH)
-    return ctx.shift_rows[key]
+        rows = ctx.shift_rows[key] = _int_rows(
+            ctx, [embedding_rows(gamma, BOUND_WIDTH)])[0]
+    return rows
+
+
+def exact_bound(ctx: TorusContext, arch, gamma: FieldElement,
+                num: int, den: int) -> Fraction:
+    """Certified upper bound of N_S(x - gamma)/N_S(a) over a region.
+
+    arch, (lo, hi, den) per real coordinate (the real places, then re and
+    im per complex place), encloses the archimedean image of x; num / den
+    bounds the product of |x - gamma|_v over the finite places of S. Every
+    norm bound of this module is this product, deterministic in its inputs.
+    """
+    r1 = ctx.field.signature[0]
+    num *= ctx.s_norm_a.denominator
+    den *= ctx.s_norm_a.numerator
+    for c, ((al, ah, ad), (gl, gh, gd)) in enumerate(
+            zip(arch, _shift_rows(ctx, gamma))):
+        # max(|a_lo - g_hi|, |a_hi - g_lo|) over ad * gd
+        term = max(ah * gd - gl * ad, gh * ad - al * gd)
+        den *= ad * gd
+        if c < r1:
+            num *= term
+        elif (c - r1) % 2 == 0:
+            re = term
+        else:
+            # a complex place: the sum of the squares of its coordinates,
+            # which share their denominator
+            num *= re * re + term * term
+    return Fraction(num, den)
 
 
 def norm_bound(ctx: TorusContext, arch, gamma: FieldElement,
                finite: Fraction) -> Fraction:
-    """Certified upper bound of N_S(x - gamma)/N_S(a) over a region.
-
-    arch encloses the real coordinates of the archimedean image of x (the
-    real places, then re and im per complex place); finite bounds the
-    product of |x - gamma|_v over the finite places of S. Every norm bound
-    of this module is this product, deterministic in its inputs.
-    """
-    g = _shift_rows(ctx, gamma)
-    r1, r2 = ctx.field.signature
-    bound = finite
-    for i in range(r1):
-        bound *= (arch[i] - g[i]).abs().hi
-    for i in range(r1, r1 + 2 * r2, 2):
-        bound *= ((arch[i] - g[i]).sq() + (arch[i + 1] - g[i + 1]).sq()).hi
-    return bound / ctx.s_norm_a
+    """exact_bound for arch given as intervals and a rational finite."""
+    return exact_bound(ctx, _int_rows(ctx, [arch])[0], gamma,
+                       finite.numerator, finite.denominator)
 
 
-def _finite_factor(terms) -> Fraction:
-    """Exact upper bound of prod |x - gamma|_v for x = center mod P_v^k,
-    over the (place, center - gamma, k) terms."""
-    out = Fraction(1)
-    for v, diff, k in terms:
-        m = k if diff.is_zero() else min(k, valuation(diff, v))
-        out *= Fraction(v.residue_norm()) ** (-m)
-    return out
+def _norm_factor(pairs) -> tuple[int, int]:
+    """Integers (num, den) with num / den = prod Np^-m over (place, m)."""
+    num = den = 1
+    for v, m in pairs:
+        if m > 0:
+            den *= v.residue_norm() ** m
+        elif m < 0:
+            num *= v.residue_norm() ** -m
+    return num, den
+
+
+def _finite_factor(terms) -> tuple[int, int]:
+    """Exact upper bound (num, den) of prod |x - gamma|_v for
+    x = center mod P_v^k, over the (place, center - gamma, k) terms."""
+    return _norm_factor(
+        (v, k if diff.is_zero() else min(k, valuation(diff, v)))
+        for v, diff, k in terms)
 
 
 def box_bound(ctx: TorusContext, box: CoverBox,
@@ -206,9 +261,9 @@ def box_bound(ctx: TorusContext, box: CoverBox,
     Deterministic in (box, gamma), which is what certificate replay relies on.
     """
     diff = box.center_element(ctx) - gamma
-    finite = _finite_factor((v, diff, k) for v, k in
-                            zip(ctx.sconfig.finite_places, box.exponents))
-    return norm_bound(ctx, arch_intervals_for_box(ctx, box), gamma, finite)
+    num, den = _finite_factor((v, diff, k) for v, k in
+                              zip(ctx.sconfig.finite_places, box.exponents))
+    return exact_bound(ctx, box_arch(ctx, box), gamma, num, den)
 
 
 def box_entry(ctx: TorusContext, box: CoverBox,
@@ -240,11 +295,11 @@ def m_upper_adele(a, sconfig, region: AdelePoint, candidates) -> Fraction:
     arch = list(region.arch_real)
     for z in region.arch_complex:
         arch += [z.re, z.im]
+    arch = _int_rows(ctx, [arch])[0]
 
     def bound(g):
-        finite = _finite_factor((v, center - g, k)
-                                for v, center, k in region.finite)
-        return norm_bound(ctx, arch, g, finite)
+        return exact_bound(ctx, arch, g, *_finite_factor(
+            (v, center - g, k) for v, center, k in region.finite))
 
     return min(bound(g) for g in candidates)
 
@@ -252,71 +307,32 @@ def m_upper_adele(a, sconfig, region: AdelePoint, candidates) -> Fraction:
 # -- the bound screen ----------------------------------------------------------
 #
 # Integers lo <= V <= hi around V = bound * N_S(a) * 2^(2bn), b = GRID_BITS:
-# each input is rounded outward to the grid 2^-b once, and all later
-# arithmetic is exact. A real coordinate carries the scale 2^(2b), that of
-# a box coordinate times an a-part basis row.
+# a box's exact image (box_arch) is rounded outward to the scale 2^(2b),
+# that of a box coordinate times an a-part basis row, and a shift's rows to
+# the grid 2^-b, once each; all later arithmetic is exact.
+
+# BOUND_WIDTH at the scale 2^(2b): it bounds the width of a shift's exact
+# rows outside degree one, where embeddings are exact points
+SCREEN_DELTA = ceil_scaled(BOUND_WIDTH, 2 * GRID_BITS)
 
 
-def _screen_rows(ctx: TorusContext):
-    """Per context: (basis, delta), the integer rows the screen works from.
-
-    basis[j][c] = (lo_lo, lo_hi, hi_lo, hi_hi) encloses the endpoints of
-    real coordinate c of the exact rows of the a-part basis (those behind
-    arch_intervals_for_box) on the grid; delta is BOUND_WIDTH at the scale
-    2^(2b) and bounds the width of a shift's exact rows (zero in degree one,
-    where embeddings are exact points).
-    """
-    if ctx.screen_rows is None:
-        b = GRID_BITS
-        basis = [[(floor_scaled(iv.lo, b), ceil_scaled(iv.lo, b),
-                   floor_scaled(iv.hi, b), ceil_scaled(iv.hi, b))
-                  for iv in row] for row in _basis_rows(ctx)]
-        delta = 0 if ctx.field.degree == 1 else ceil_scaled(BOUND_WIDTH, 2 * b)
-        ctx.screen_rows = (basis, delta)
-    return ctx.screen_rows
-
-
-def _product_enclosure(x, y) -> tuple[int, int]:
-    """Enclosure of the product of two numbers enclosed by x and y."""
-    ps = (x[0] * y[0], x[0] * y[1], x[1] * y[0], x[1] * y[1])
-    return min(ps), max(ps)
+def grid_enclosure(arch) -> list:
+    """Per real coordinate, integers (lo_lo, lo_hi, hi_lo, hi_hi): the floor
+    and the ceiling of each endpoint of arch, a box_arch, times 2^(2b)."""
+    k = 2 * GRID_BITS
+    return [((lo << k) // d, -((-lo << k) // d),
+             (hi << k) // d, -((-hi << k) // d)) for lo, hi, d in arch]
 
 
 def arch_enclosure(ctx: TorusContext, box: CoverBox) -> list:
-    """Per real coordinate, integers (lo_lo, lo_hi, hi_lo, hi_hi) enclosing
-    the endpoints of arch_intervals_for_box(ctx, box) times 2^(2b)."""
-    basis = _screen_rows(ctx)[0]
-    b = GRID_BITS
-    xs = [((floor_scaled(lo, b), ceil_scaled(lo, b)),
-           (floor_scaled(hi, b), ceil_scaled(hi, b)))
-          for lo, hi in zip(box.lo, box.hi)]
-    out = []
-    for c in range(ctx.field.degree):
-        lo_l = lo_h = hi_l = hi_h = 0
-        for (x1, x2), row in zip(xs, basis):
-            r = row[c]
-            # the exact product interval runs from the least to the
-            # greatest of the four corner products
-            corners = [_product_enclosure(x, y)
-                       for x in (x1, x2) for y in (r[:2], r[2:])]
-            lo_l += min(p[0] for p in corners)
-            lo_h += min(p[1] for p in corners)
-            hi_l += max(p[0] for p in corners)
-            hi_h += max(p[1] for p in corners)
-        out.append((lo_l, lo_h, hi_l, hi_h))
-    return out
+    """grid_enclosure of the endpoints of arch_intervals_for_box(ctx, box)."""
+    return grid_enclosure(box_arch(ctx, box))
 
 
 def profile_factor(ctx: TorusContext, profile) -> tuple[int, int]:
     """Integers (num, den) with num / den = prod Np^-m_v, which bounds the
     finite part of the norm over a box for shifts of a congruence profile."""
-    num = den = 1
-    for v, m in zip(ctx.sconfig.finite_places, profile):
-        if m > 0:
-            den *= v.residue_norm() ** m
-        elif m < 0:
-            num *= v.residue_norm() ** -m
-    return num, den
+    return _norm_factor(zip(ctx.sconfig.finite_places, profile))
 
 
 def screen_threshold(ctx: TorusContext, t: Fraction) -> int:
@@ -339,7 +355,7 @@ def bound_enclosure(ctx: TorusContext, arch, gamma: FieldElement,
     delta wide, so each endpoint lies within delta of the grid enclosure of
     the true embedding computed here.
     """
-    delta = _screen_rows(ctx)[1]
+    delta = 0 if ctx.field.degree == 1 else SCREEN_DELTA
     b = GRID_BITS
     r1, _ = ctx.field.signature
     lo, hi = num, num
@@ -404,8 +420,7 @@ def shift_targets(ctx: TorusContext, box: CoverBox):
     box aim at, the class center and, at the archimedean places, the box
     midpoint sum_j (lo_j + hi_j) / 2 * basis_j."""
     mid_den = lcm(*[x.denominator for x in box.lo + box.hi])
-    mids = [lo.numerator * (mid_den // lo.denominator)
-            + hi.numerator * (mid_den // hi.denominator)
+    mids = [_scaled(lo, mid_den) + _scaled(hi, mid_den)
             for lo, hi in zip(box.lo, box.hi)]
     midpoint = FieldElement(ctx.field, tuple([
         sum([m * h for m, h in zip(mids, row)]) for row in ctx.a_part.hnf]),
@@ -566,28 +581,39 @@ def verify_certificate(ctx: TorusContext, cert: CoveringCertificate,
 
     Checks: bounds below the threshold, bit-exact bound re-derivation from
     (box, gamma), shifts inside the S-ideal, boxes inside the fundamental
-    domain, pairwise disjointness, and total measure exactly 1.
+    domain, pairwise disjointness, and total measure exactly 1, the last two
+    on box coordinates and centers read once as integers over one
+    denominator each.
     """
     t = Fraction(threshold) if threshold is not None else cert.threshold
     if cert.threshold > t:
         raise AssertionError("certificate threshold exceeds requested one")
     if (cert.ideal_hnf, cert.ideal_den) != (ctx.a_part.hnf, ctx.a_part.den):
         raise AssertionError("certificate is for a different ideal")
-    total = Fraction(0)
     n = ctx.field.degree
-    nfin = len(ctx.sconfig.finite_places)
-    for e in cert.entries:
+    places = ctx.sconfig.finite_places
+    nfin = len(places)
+    entries = cert.entries
+    xden = lcm(*[x.denominator for e in entries for x in e.box.lo + e.box.hi])
+    zden = lcm(*[x.denominator for e in entries for x in e.box.center])
+    boxes = []      # (lo, hi, center, exponents) per entry, on integers
+    volumes = {}    # exponents -> sum of prod (hi - lo) over xden^n
+    for e in entries:
         box = e.box
         if (len(box.lo) != n or len(box.hi) != n or len(box.center) != n
                 or len(box.exponents) != nfin or len(e.gamma_coords) != n):
             raise AssertionError("entry shape mismatch")
-        for a, b in zip(box.lo, box.hi):
-            if not (0 <= a < b <= 1):
+        lo = tuple([_scaled(x, xden) for x in box.lo])
+        hi = tuple([_scaled(x, xden) for x in box.hi])
+        vol = 1
+        for a, b in zip(lo, hi):
+            if not (0 <= a < b <= xden):
                 raise AssertionError("box outside the fundamental parallelepiped")
+            vol *= b - a
         if any(k < 0 for k in box.exponents):
             raise AssertionError("negative finite precision")
-        center = box.center_element(ctx)
-        if not center.is_integral():
+        center = tuple([_scaled(x, zden) for x in box.center])
+        if any(c % zden for c in center):
             raise AssertionError("box center is not integral")
         if not e.bound < t:
             raise AssertionError(f"bound {e.bound} not below threshold {t}")
@@ -598,40 +624,38 @@ def verify_certificate(ctx: TorusContext, cert: CoveringCertificate,
         if replayed != e.bound:
             raise AssertionError(
                 f"bound replay mismatch: recorded {e.bound}, got {replayed}")
-        total += box.volume_fraction(ctx)
-    if total != 1:
-        raise AssertionError(f"boxes measure {total}, expected exactly 1")
-    _check_disjoint(ctx, cert.entries)
+        volumes[box.exponents] = volumes.get(box.exponents, 0) + vol
+        boxes.append((lo, hi, center, box.exponents))
+    # the boxes of one finite depth measure their volume sum / prod Np^k
+    total = sum([Fraction(vol, prod([v.residue_norm() ** k for v, k in zip(
+        places, exponents)])) for exponents, vol in volumes.items()])
+    if total != xden ** n:
+        raise AssertionError(
+            f"boxes measure {total / xden ** n}, expected exactly 1")
+    _check_disjoint(ctx, boxes, zden)
 
 
-def _classes_compatible(ctx, box1, box2) -> bool:
-    """Whether the two finite residue classes intersect."""
-    diff = box1.center_element(ctx) - box2.center_element(ctx)
-    for v, k1, k2 in zip(ctx.sconfig.finite_places, box1.exponents,
-                         box2.exponents):
-        k = min(k1, k2)
-        if k == 0:
-            continue
-        if not diff.is_zero() and valuation(diff, v) < k:
-            return False
-    return True
-
-
-def _check_disjoint(ctx, entries):
-    """Pairwise disjointness via a sweep on the first coordinate."""
-    idx = sorted(range(len(entries)), key=lambda i: entries[i].box.lo[0])
+def _check_disjoint(ctx, boxes, den):
+    """Pairwise disjointness via a sweep on the first coordinate, over the
+    (lo, hi, center, exponents) integer boxes, centers over den."""
+    idx = sorted(range(len(boxes)), key=lambda i: boxes[i][0][0])
     compat_cache = {}
     active = []
     for i in idx:
-        b = entries[i].box
-        active = [j for j in active if entries[j].box.hi[0] > b.lo[0]]
+        lo, hi, center, exponents = boxes[i]
+        active = [j for j in active if boxes[j][1][0] > lo[0]]
         for j in active:
-            ob = entries[j].box
-            if all(a < d and c < b_ for a, b_, c, d in
-                   zip(b.lo, b.hi, ob.lo, ob.hi)):
-                key = (b.center, b.exponents, ob.center, ob.exponents)
+            lo2, hi2, center2, exponents2 = boxes[j]
+            if all(a < d and c < b for a, b, c, d in zip(lo, hi, lo2, hi2)):
+                key = (center, exponents, center2, exponents2)
                 if key not in compat_cache:
-                    compat_cache[key] = _classes_compatible(ctx, b, ob)
+                    # the classes of two integral centers meet exactly when
+                    # the centers differ by an element of prod P_v^{min k_v}
+                    depths = tuple(map(min, exponents, exponents2))
+                    modulus = ctx.s_lattice(depths, over_order=True)
+                    diff = tuple([a - b for a, b in zip(center, center2)])
+                    compat_cache[key] = modulus.contains(
+                        FieldElement(ctx.field, diff, den))
                 if compat_cache[key]:
                     raise AssertionError("overlapping boxes in certificate")
         active.append(i)

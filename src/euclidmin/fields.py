@@ -128,7 +128,7 @@ class NumberField:
     # -- public ----------------------------------------------------------------
 
     def element(self, coords) -> "FieldElement":
-        coords = [Fraction(c) for c in coords]
+        coords = [c if type(c) is Fraction else Fraction(c) for c in coords]
         if len(coords) != self.degree:
             raise ValueError("coordinate length mismatch")
         den = lcm(*[c.denominator for c in coords])
@@ -429,9 +429,6 @@ class FieldElement:
         """Least d > 0 with d * self integral."""
         return self.den
 
-    def is_integral(self) -> bool:
-        return self.den == 1
-
     def as_rational(self) -> Fraction:
         """The value when the element lies in Q; raises otherwise."""
         pb = self.power_basis()
@@ -601,9 +598,6 @@ class FractionalIdeal:
         if k % 2:
             out = out * self
         return out
-
-    def is_integral(self) -> bool:
-        return self.den == 1
 
 
 def ideal_from_gens(gens) -> FractionalIdeal:

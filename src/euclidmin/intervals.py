@@ -6,7 +6,8 @@ endpoints can grow long. Code that needs bounded sizes rounds outward
 itself, outside this module: lattice enumeration and the covering's bound
 screen move their data to integers on one dyadic grid (enumerate.py,
 covering.py), and the log-rank check rounds magnitudes to 64-bit dyadics
-before taking logs (places._log_abs_interval, qmath.dyadic_outward).
+before taking logs (places._log_abs_interval, qmath.dyadic_outward). The
+covering's exact bounds follow Iv's semantics on integers (exact_bound).
 """
 
 from __future__ import annotations
@@ -26,8 +27,8 @@ class Iv:
     def __init__(self, lo: Rat, hi: Rat = None):
         if hi is None:
             hi = lo
-        lo = Fraction(lo)
-        hi = Fraction(hi)
+        lo = lo if type(lo) is Fraction else Fraction(lo)
+        hi = hi if type(hi) is Fraction else Fraction(hi)
         if lo > hi:
             raise ValueError(f"empty interval [{lo}, {hi}]")
         self.lo = lo
@@ -161,9 +162,6 @@ class CIv:
             return CIv(self.re * other.re - self.im * other.im,
                        self.re * other.im + self.im * other.re)
         return CIv(self.re * other, self.im * other)
-
-    def conj(self) -> "CIv":
-        return CIv(self.re, -self.im)
 
     def abs_sq(self) -> Iv:
         return self.re.sq() + self.im.sq()

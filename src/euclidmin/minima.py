@@ -28,12 +28,12 @@ from math import ceil, gcd, lcm
 from types import MappingProxyType
 
 from .covering import (CoverBox, CoveringCertificate, CoveringState,
-                       Unresolved, arch_enclosure, arch_intervals_for_box,
-                       bound_enclosure, box_entry, box_floor,
-                       candidate_shifts, gamma_in_s_ideal, initial_box,
-                       norm_bound, profile_factor, profiles_for_box,
-                       screen_threshold, shift_targets, split_arch,
-                       split_finite, verify_certificate)
+                       Unresolved, bound_enclosure, box_arch, box_entry,
+                       box_floor, candidate_shifts, exact_bound,
+                       gamma_in_s_ideal, grid_enclosure, initial_box,
+                       profile_factor, profiles_for_box, screen_threshold,
+                       shift_targets, split_arch, split_finite,
+                       verify_certificate)
 from .enumerate import elements_in_box, real_box_targets
 from .errors import UnverifiedUnits
 from .fields import FieldElement, FractionalIdeal, embed
@@ -295,17 +295,10 @@ def _certify_box(ctx: TorusContext, box: CoverBox, t: Fraction):
     candidate gets the canonical exact-valuation bound that the certificate
     records, which is never larger than the screening bound.
     """
-    arch_grid = arch_enclosure(ctx, box)
+    arch = box_arch(ctx, box)
+    arch_grid = grid_enclosure(arch)
     floor = box_floor(ctx, arch_grid)
     targets = shift_targets(ctx, box)
-    arch = None                 # the exact enclosures, built when needed
-
-    def exact(gamma, num, den):
-        nonlocal arch
-        if arch is None:
-            arch = arch_intervals_for_box(ctx, box)
-        return norm_bound(ctx, arch, gamma, Fraction(num, den))
-
     t_grid = screen_threshold(ctx, t)
     least = None                # least upper end of an enclosure so far
     near = []                   # (lo, exact bound | None, shift, num, den)
@@ -323,7 +316,7 @@ def _certify_box(ctx: TorusContext, box: CoverBox, t: Fraction):
                 return entry, entry.bound
             quick = None
             if lo < t_grid:     # the enclosure straddles t
-                quick = exact(gamma, num, den)
+                quick = exact_bound(ctx, arch, gamma, num, den)
                 if quick < t:
                     entry = box_entry(ctx, box, gamma)
                     if entry.bound > quick:
@@ -337,7 +330,7 @@ def _certify_box(ctx: TorusContext, box: CoverBox, t: Fraction):
     for lo, quick, gamma, num, den in near:
         if lo <= least:
             if quick is None:
-                quick = exact(gamma, num, den)
+                quick = exact_bound(ctx, arch, gamma, num, den)
             if best is None or quick < best:
                 best = quick
     return None, best

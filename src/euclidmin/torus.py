@@ -113,7 +113,6 @@ class TorusContext:
         self.shift_rows = {}        # (nums, den) -> embedding row
         self.congruences = {}       # profile -> CongruenceSystem
         self.cert_entries = {}      # box, shift nums, den -> CertEntry
-        self.screen_rows = None     # integer grid rows of the bound screen
         self.unit_factors = None    # per-place unit box factors of m_exact
 
     def s_lattice(self, exponents, over_order: bool = False) -> FractionalIdeal:

@@ -7,7 +7,7 @@ import pytest
 from euclidmin import ParseError, ValidationError
 from euclidmin.cli import (certificate_from_json, certificate_to_json,
                            content_hash, emit_report, main, parse_config,
-                           run_command)
+                           run_command, str_to_rat)
 
 
 def make_cfg(tmp_path, name, data):
@@ -20,6 +20,20 @@ QI = {"field": {"poly": [1, 0, 1]}, "S": {"primes": []},
       "ideal": {"gens": [[1, 0]]}}
 Z16 = {"field": {"poly": [-1, 1]}, "S": {"primes": [2, 3]},
        "ideal": {"gens": [[1]]}}
+
+
+def test_str_to_rat_is_fraction_of_the_string():
+    # canonical strings take the fast path, every other one Fraction's
+    for s in ("1/2", "-3/4", "2/4", "-0/3", "0/1", "00012/0006",
+              "-123456789012345678901234567890/1099511627776", " 1/2",
+              "1/2 ", "1.5", "-7", "+1/2", "1e3", "1_000/3", "\u0661/2"):
+        got = str_to_rat(s)
+        assert type(got) is F and got == F(s), s
+    assert str_to_rat(5) == F(5)
+    for bad in ("1/0", "-3/00", "x", "", "1/-2", "1//2", "1/2/3", None, 1.5,
+                [1, 2]):
+        with pytest.raises(ValidationError):
+            str_to_rat(bad)
 
 
 def test_parse_config_examples():
@@ -279,6 +293,8 @@ TAMPERS = (
     ("m", "attaining_shift", ["123/1"]),
     ("search", "value", "1/7"),
     ("search", "witness", ["1/7"]),
+    ("search", "witness_orbit_size", 5),
+    ("search", "witness_orbit_size", "4"),
     ("cover", "threshold", "1/100"),
     ("cover", "covered", False),
     ("cover", "boxes", 1),
@@ -290,6 +306,8 @@ TAMPERS = (
     ("M", "upper", "1/3"),
     ("M", "upper", None),
     ("M", "exact", True),
+    ("M", "witness_orbit_size", 1),
+    ("M-uncertified", "witness_orbit_size", 2),
     ("M-uncertified", "upper", "1/3"),
     ("decide-euclidean", "verdict", "not_euclidean"),
     ("decide-euclidean", "verdict", "undecided"),

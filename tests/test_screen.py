@@ -16,12 +16,12 @@ import pytest
 from euclidmin import (SConfig, ideal_from_gens, make_field, make_sconfig,
                        verify_s_unit_basis)
 from euclidmin import covering, minima
-from euclidmin.covering import (CertEntry, _congruent_point, arch_enclosure,
-                                arch_intervals_for_box, bound_enclosure,
-                                box_bound, box_floor, candidate_shifts,
-                                initial_box, norm_bound, profile_factor,
-                                profiles_for_box, screen_threshold,
-                                split_arch, split_finite)
+from euclidmin.covering import (CertEntry, CoverBox, _congruent_point,
+                                arch_enclosure, arch_intervals_for_box,
+                                bound_enclosure, box_bound, box_floor,
+                                candidate_shifts, initial_box, norm_bound,
+                                profile_factor, profiles_for_box,
+                                screen_threshold, split_arch, split_finite)
 from euclidmin.enumerate import GRID_BITS
 from euclidmin.minima import _certify_box
 from euclidmin.places import valuation
@@ -218,6 +218,30 @@ def test_screen_matches_the_exact_screen(case, monkeypatch):
     assert outcomes == {True, False}
     # the profile floor skips profiles wherever there is more than one
     assert pruned == bool(sconfig.finite_places)
+
+
+# boxes where a less congruent profile holds the least bound, so that a
+# profile skipped on any floor above the exact one changes the result
+SKIP_BOXES = (
+    ("Q_S23", CoverBox((F(5, 8),), (F(11, 16),), (F(0),), (0, 1))),
+    ("Qi_S2", CoverBox((F(0), F(1, 2)), (F(1), F(5, 8)), (F(1), F(0)),
+                       (1,))),
+)
+
+
+@pytest.mark.parametrize("case, box", SKIP_BOXES)
+def test_skipped_profiles_hold_no_least_bound(case, box):
+    a, sconfig = CASES[case]()
+    ctx = torus_context(a, sconfig)
+    profiles = profiles_for_box(ctx, box)
+    per_profile = [min([_exact_screen_bound(ctx, box, gamma, profile)
+                        for gamma in candidate_shifts(ctx, box, profile)],
+                       default=None) for profile in profiles]
+    _, least = _reference_certify(ctx, box, F(0))
+    # the first profile to reach the least bound is not the most congruent
+    assert per_profile.index(least) > 0
+    for t in (least, least * 2):
+        assert _certify_box(ctx, box, t) == _reference_certify(ctx, box, t)
 
 
 # far above every bound of the initial box, so its first shift wins from

@@ -1,0 +1,97 @@
+#!/usr/bin/env python3
+"""Hash the answers of one benchmark round, to show that a change keeps
+every answer byte for byte.
+
+    python3 tools/roundhash.py SEED ROUND            # one `bounds` round
+    python3 tools/roundhash.py SEED ROUND minima     # `minima` rounds 0..ROUND
+
+For `bounds`, the digest covers every certificate, witness and effort of
+round ROUND, and the surviving boxes of every Unresolved covering, also
+those inside compute_M. For `minima`, it covers every m_exact value,
+attaining shift and search tag, and every m_form value of rounds 0..ROUND.
+The first line counts what was hashed, the second is the SHA-256 digest.
+The workloads are those of perfbench/workloads.py, run on the euclidmin
+source of this checkout.
+"""
+
+import hashlib
+import json
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
+
+import euclidmin as em  # noqa: E402
+from euclidmin import minima  # noqa: E402
+from euclidmin.cli import certificate_to_json as cert  # noqa: E402
+from euclidmin.cli import witness_to_json as wit  # noqa: E402
+from workloads import Bounds, Minima  # noqa: E402
+
+
+def minima_rounds(seed: int, last: int):
+    wl = Minima()
+    wl.setup(em, seed)
+    docs = []
+    for r in range(last + 1):
+        for op in wl.round_ops(r, Path(".")):
+            res = wl.run_op(op, None)
+            docs.append([r, op.kind, op.case and op.case.name, str(op.args),
+                         str(res) if op.kind == "form" else
+                         [str(res.value),
+                          [str(c) for c in res.attaining_shift.coords],
+                          dict(res.search_box)]])
+    print(len(docs), "operations")
+    return docs
+
+
+def doc(res):
+    if isinstance(res, em.CoveringCertificate):
+        return {"cert": cert(res)}
+    if isinstance(res, em.Unresolved):
+        boxes = [[str(c) for c in b.lo + b.hi + b.center] + list(b.exponents)
+                 for b in res.boxes]
+        return {"boxes": sorted(boxes), "entries": len(res.state.entries),
+                "processed": res.processed, "witness": res.witness and
+                wit(res.witness, res.witness_minimum)}
+    return {"M": [str(res.lower), str(res.upper), res.exact, res.effort,
+                  res.witness_orbit_size,
+                  wit(res.witness, res.witness_minimum),
+                  res.certificate and cert(res.certificate)]}
+
+
+def bounds_round(seed: int, r: int):
+    inner, covering = [], minima.covering_verify
+
+    def traced(*args, **kwargs):
+        res = covering(*args, **kwargs)
+        inner.append(doc(res))
+        return res
+
+    minima.covering_verify = traced
+    wl = Bounds()
+    wl.setup(em, seed)
+    docs = []
+    for op in wl.round_ops(r, Path(".")):
+        inner.clear()
+        docs.append([op.kind, op.case.name, str(op.args),
+                     doc(wl.run_op(op, None)), list(inner)])
+    print(len(docs), "operations,", sum(len(d[4]) for d in docs),
+          "inner coverings,",
+          sum("boxes" in c for d in docs for c in d[4]), "unresolved")
+    return docs
+
+
+def main(argv) -> int:
+    if len(argv) not in (3, 4) or argv[3:] not in ([], ["minima"]):
+        print(__doc__.strip(), file=sys.stderr)
+        return 2
+    seed, r = int(argv[1]), int(argv[2])
+    docs = minima_rounds(seed, r) if argv[3:] else bounds_round(seed, r)
+    print(hashlib.sha256(json.dumps(docs, sort_keys=True).encode())
+          .hexdigest())
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv))
