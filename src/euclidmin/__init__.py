@@ -5,8 +5,8 @@ enclosures; results ship with replayable evidence (an explicit witness with
 its exact minimum, or a finite covering certificate).
 """
 
-from .covering import (AdelePoint, CoverBox, CoveringCertificate, Unresolved,
-                       m_upper_adele, verify_certificate)
+from .covering import (CoverBox, CoveringCertificate, Unresolved,
+                       verify_certificate)
 from .errors import *  # noqa: F401,F403
 from .fields import (EmbeddingBox, FieldElement, FractionalIdeal, NumberField,
                      elem_norm_trace, embed, ideal_from_gens, ideal_invert,
@@ -19,8 +19,8 @@ from .minima import (EuclideanVerdict, MinimumValue, MReport, compute_M,
 from .places import (Place, SConfig, make_sconfig, places_above, s_norm,
                      shrinking_unit, strip_s_part, valuation,
                      verify_s_unit_basis)
-from .torus import (FundamentalDomain, QmodZ, char_pair, inverse_different,
-                    orbit, reduce_mod, s_trace_dual, torsion_reps)
+from .torus import (QmodZ, char_pair, inverse_different, orbit, reduce_mod,
+                    s_trace_dual, torsion_reps)
 from .units import fundamental_unit, torsion_generator
 
 __version__ = "0.1.0"

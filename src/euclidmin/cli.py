@@ -43,7 +43,7 @@ def rat_to_str(q) -> str:
 
 def str_to_rat(s, path="") -> Fraction:
     try:
-        if isinstance(s, int):
+        if type(s) is int:      # not a bool
             return Fraction(s)
         if isinstance(s, str):
             if _CANONICAL_RAT.fullmatch(s):     # without Fraction's grammar
@@ -62,7 +62,7 @@ def _positive_rat(s, path) -> Fraction:
 
 
 def _positive_int(value, path) -> int:
-    if isinstance(value, bool) or not isinstance(value, int) or value < 1:
+    if type(value) is not int or value < 1:
         raise ValidationError(f"must be an integer >= 1, got {value!r}", path)
     return value
 
@@ -108,7 +108,7 @@ class RunConfig:
             raise ValidationError("missing polynomial", "field.poly")
         poly = field_spec["poly"]
         if (not isinstance(poly, list) or not poly
-                or not all(isinstance(c, int) for c in poly)):
+                or not all(type(c) is int for c in poly)):
             raise ValidationError("poly must be a list of integers", "field.poly")
         try:
             self.field = make_field(poly)
@@ -123,7 +123,7 @@ class RunConfig:
                 p = entry["p"]
             else:
                 p = entry
-            if isinstance(p, bool) or not isinstance(p, int):
+            if type(p) is not int:
                 raise ValidationError("prime entries are ints or {p, indices}",
                                       path)
             if p in primes:
@@ -164,6 +164,10 @@ class RunConfig:
                                       "params.point")
             self.point = tuple(str_to_rat(c, "params.point") for c in point)
         self.cert_path = params.get("cert_path")
+        if self.cert_path is not None and not (
+                isinstance(self.cert_path, str) and self.cert_path):
+            raise ValidationError("must be a non-empty path string",
+                                  "params.cert_path")
 
     def _place_indices(self, p, indices, path) -> list:
         """Indices into places_above(field, p): distinct and in range."""
@@ -172,8 +176,8 @@ class RunConfig:
         except EuclidMinError as exc:
             raise ValidationError(str(exc), "S")
         if (not isinstance(indices, list)
-                or not all(isinstance(k, int) and not isinstance(k, bool)
-                           and 0 <= k < count for k in indices)
+                or not all(type(k) is int and 0 <= k < count
+                           for k in indices)
                 or len(set(indices)) != len(indices)):
             raise ValidationError(
                 f"must be a list of distinct place indices below {count}",
@@ -231,6 +235,13 @@ def certificate_to_json(cert: CoveringCertificate) -> dict:
     }
 
 
+def _evidence_int(value) -> int:
+    """An integer of evidence, read exactly: 1.7, 1.0, "1" and true are not."""
+    if type(value) is not int:
+        raise ValueError(f"not an integer: {value!r}")
+    return value
+
+
 def certificate_from_json(data: dict) -> CoveringCertificate:
     entries = []
     for e in data["entries"]:
@@ -238,15 +249,16 @@ def certificate_from_json(data: dict) -> CoveringCertificate:
             lo=tuple(str_to_rat(c) for c in e["box"]["lo"]),
             hi=tuple(str_to_rat(c) for c in e["box"]["hi"]),
             center=tuple(str_to_rat(c) for c in e["box"]["center"]),
-            exponents=tuple(int(k) for k in e["box"]["exponents"]),
+            exponents=tuple(map(_evidence_int, e["box"]["exponents"])),
         )
         entries.append(CertEntry(box, tuple(str_to_rat(c) for c in e["gamma"]),
                                  str_to_rat(e["bound"])))
     return CoveringCertificate(
         threshold=str_to_rat(data["threshold"]),
         entries=tuple(entries),
-        ideal_hnf=tuple(tuple(int(c) for c in row) for row in data["ideal_hnf"]),
-        ideal_den=int(data["ideal_den"]))
+        ideal_hnf=tuple(tuple(map(_evidence_int, row))
+                        for row in data["ideal_hnf"]),
+        ideal_den=_evidence_int(data["ideal_den"]))
 
 
 def witness_to_json(xi, mv) -> dict:
@@ -422,6 +434,7 @@ def _claim_mismatch(cfg: RunConfig, saved: dict, evidence: dict):
         t = str_to_rat(result.get("threshold"))
         if result.get("covered") is True and not (
                 kind == "covering" and str_to_rat(evidence["threshold"]) <= t
+                and type(result.get("boxes")) is int
                 and result.get("boxes") == len(evidence["entries"])):
             return "covered needs a covering of that many boxes at t"
         if result.get("covered") is False and not (
@@ -448,12 +461,10 @@ def _claim_mismatch(cfg: RunConfig, saved: dict, evidence: dict):
             return "upper must be the certificate threshold"
         if result.get("exact") is not False:
             return "exact needs an isolation certificate; no report has one"
-    if command in ("search", "M"):
-        xi = evidence.get("witness", evidence)["xi"]
-        xi = cfg.field.element(map(str_to_rat, xi))
-        if result.get("witness_orbit_size") != len(
-                orbit(cfg.ideal, cfg.sconfig, xi)):
-            return "witness_orbit_size must be the size of the witness's orbit"
+    if command in ("search", "M") and \
+            type(result.get("witness_orbit_size")) is not int:
+        # its value is checked where the witness's minimum is replayed
+        return "witness_orbit_size must be an integer"
     return None
 
 
@@ -490,6 +501,8 @@ def replay_report(cfg: RunConfig, path: str):
         return False, claim
     field, sconfig = cfg.field, cfg.sconfig
     ctx = torus_context(cfg.ideal, sconfig)
+    orbit_size = saved["result"].get("witness_orbit_size") \
+        if saved.get("command") in ("search", "M") else None
 
     def replay_one(ev):
         try:
@@ -509,7 +522,8 @@ def replay_report(cfg: RunConfig, path: str):
                 return False, f"covering replay failed: {exc}"
             return True, f"covering certificate with {len(cert.entries)} boxes"
         if kind == "witness":
-            mismatch = witness_mismatch(cfg.ideal, sconfig, xi, value, shift)
+            mismatch = witness_mismatch(cfg.ideal, sconfig, xi, value, shift,
+                                        orbit_size)
             if mismatch:
                 return False, mismatch
             return True, "witness replayed"

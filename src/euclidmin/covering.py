@@ -23,13 +23,11 @@ from fractions import Fraction
 from math import floor, lcm, prod
 
 from .enumerate import GRID_BITS, embedding_rows, grid_row
-from .errors import NoCandidates, SearchExhausted
+from .errors import SearchExhausted
 from .fields import FieldElement
-from .intervals import Iv
-from .places import s_norm, valuation
+from .places import valuation
 from .qmath import ceil_scaled, int_valuation
-from .torus import (AdelePoint, CongruenceSystem, TorusContext,
-                    torus_context)
+from .torus import CongruenceSystem, TorusContext
 
 # width of the embedding enclosures behind every recorded bound
 BOUND_WIDTH = Fraction(1, 2**24)
@@ -183,12 +181,6 @@ def box_arch(ctx: TorusContext, box: CoverBox) -> list:
     return out
 
 
-def arch_intervals_for_box(ctx: TorusContext, box: CoverBox):
-    """Per-real-coordinate enclosures of the box's archimedean image."""
-    return [Iv(Fraction(lo, d), Fraction(hi, d))
-            for lo, hi, d in box_arch(ctx, box)]
-
-
 def _shift_rows(ctx: TorusContext, gamma: FieldElement):
     key = (gamma.nums, gamma.den)
     rows = ctx.shift_rows.get(key)
@@ -226,13 +218,6 @@ def exact_bound(ctx: TorusContext, arch, gamma: FieldElement,
             # which share their denominator
             num *= re * re + term * term
     return Fraction(num, den)
-
-
-def norm_bound(ctx: TorusContext, arch, gamma: FieldElement,
-               finite: Fraction) -> Fraction:
-    """exact_bound for arch given as intervals and a rational finite."""
-    return exact_bound(ctx, _int_rows(ctx, [arch])[0], gamma,
-                       finite.numerator, finite.denominator)
 
 
 def _norm_factor(pairs) -> tuple[int, int]:
@@ -282,28 +267,6 @@ def box_entry(ctx: TorusContext, box: CoverBox,
     return entry
 
 
-def m_upper_adele(a, sconfig, region: AdelePoint, candidates) -> Fraction:
-    """Least certified upper bound of N_S(x - gamma)/N_S(a) over an adele
-    region and the candidate shifts; exact when the region is the diagonal
-    image of a tagged field element."""
-    if not candidates:
-        raise NoCandidates("no candidate shifts supplied")
-    ctx = torus_context(a, sconfig)
-    if region.exact_tag is not None:
-        return min(s_norm(region.exact_tag - g, sconfig) / ctx.s_norm_a
-                   for g in candidates)
-    arch = list(region.arch_real)
-    for z in region.arch_complex:
-        arch += [z.re, z.im]
-    arch = _int_rows(ctx, [arch])[0]
-
-    def bound(g):
-        return exact_bound(ctx, arch, g, *_finite_factor(
-            (v, center - g, k) for v, center, k in region.finite))
-
-    return min(bound(g) for g in candidates)
-
-
 # -- the bound screen ----------------------------------------------------------
 #
 # Integers lo <= V <= hi around V = bound * N_S(a) * 2^(2bn), b = GRID_BITS:
@@ -324,11 +287,6 @@ def grid_enclosure(arch) -> list:
              (hi << k) // d, -((-hi << k) // d)) for lo, hi, d in arch]
 
 
-def arch_enclosure(ctx: TorusContext, box: CoverBox) -> list:
-    """grid_enclosure of the endpoints of arch_intervals_for_box(ctx, box)."""
-    return grid_enclosure(box_arch(ctx, box))
-
-
 def profile_factor(ctx: TorusContext, profile) -> tuple[int, int]:
     """Integers (num, den) with num / den = prod Np^-m_v, which bounds the
     finite part of the norm over a box for shifts of a congruence profile."""
@@ -347,13 +305,13 @@ def screen_threshold(ctx: TorusContext, t: Fraction) -> int:
 
 def bound_enclosure(ctx: TorusContext, arch, gamma: FieldElement,
                     num: int, den: int) -> tuple[int, int]:
-    """Integers lo <= V <= hi for V = norm_bound(ctx, exact arch, gamma,
-    num / den) * N_S(a) * 2^(2bn).
+    """Integers lo <= V <= hi for V = exact_bound(ctx, box_arch(ctx, box),
+    gamma, num, den) * N_S(a) * 2^(2bn).
 
-    arch is arch_enclosure of the box. The shift's exact rows come from
-    embed at BOUND_WIDTH: they hold the true embedding and are at most
-    delta wide, so each endpoint lies within delta of the grid enclosure of
-    the true embedding computed here.
+    arch is grid_enclosure(box_arch(ctx, box)). The shift's exact rows
+    come from embed at BOUND_WIDTH: they hold the true embedding and are at
+    most delta wide, so each endpoint lies within delta of the grid
+    enclosure of the true embedding computed here.
     """
     delta = 0 if ctx.field.degree == 1 else SCREEN_DELTA
     b = GRID_BITS
@@ -365,7 +323,7 @@ def bound_enclosure(ctx: TorusContext, arch, gamma: FieldElement,
         gl <<= b
         gh <<= b
         # exact rows [g_lo, g_hi]: g_lo in [gl - delta, gh], g_hi in
-        # [gl, gh + delta]; norm_bound takes max(|a_lo - g_hi|,
+        # [gl, gh + delta]; exact_bound takes max(|a_lo - g_hi|,
         # |a_hi - g_lo|) per coordinate
         d1l = al_l - gh - delta
         d1h = al_h - gl
@@ -391,10 +349,10 @@ def box_floor(ctx: TorusContext, arch) -> int:
     """An integer F such that num * F // den is at most the V of
     bound_enclosure(ctx, arch, gamma, num, den) for every shift gamma.
 
-    arch is arch_enclosure of the box. No point lies closer to both ends of
-    an interval than half its width, so the term norm_bound takes per real
-    coordinate is at least half the width of the box's image there,
-    whatever the shift.
+    arch is grid_enclosure(box_arch(ctx, box)). No point lies closer to both
+    ends of an interval than half its width, so the term exact_bound takes
+    per real coordinate is at least half the width of the box's image
+    there, whatever the shift.
     """
     r1, _ = ctx.field.signature
     out = 1
@@ -547,17 +505,19 @@ class Unresolved:
 
     Either the budget ran out, or a surviving box held a class `witness`
     whose exact minimum `witness_minimum` is at least the threshold, which
-    proves that no certificate at that threshold exists. The surviving boxes
-    localize the high-minimum region; `state` resumes the covering.
+    proves that no certificate at that threshold exists; its unit orbit has
+    `witness_orbit_size` classes. The surviving boxes localize the
+    high-minimum region; `state` resumes the covering.
     """
 
     def __init__(self, state: CoveringState, witness=None,
-                 witness_minimum=None):
+                 witness_minimum=None, witness_orbit_size=None):
         self.state = state
         self.boxes = state.boxes
         self.processed = state.processed
         self.witness = witness
         self.witness_minimum = witness_minimum
+        self.witness_orbit_size = witness_orbit_size
 
     def __repr__(self):
         found = ("" if self.witness_minimum is None

@@ -63,10 +63,6 @@ class UnverifiedUnits(EuclidMinError):
     pass
 
 
-class NoCandidates(EuclidMinError):
-    pass
-
-
 # -- forms -------------------------------------------------------------------
 
 class NotQuadratic(EuclidMinError):

@@ -298,7 +298,7 @@ def m_form_reduced(f: BinaryQuadraticForm, p):
     g, q, u_mat = _transport_to_positive(f, p)
     field, ideal, alpha1, alpha2 = standard_module(g)
     xi = alpha1 * q[0] + alpha2 * q[1]
-    mv, rep, rep_shift = m_exact_attained(ideal, _sconfig_for(field), xi)
+    mv, rep, rep_shift, _ = m_exact_attained(ideal, _sconfig_for(field), xi)
     from .hnf import mat_inverse, mat_vec
 
     mat = [[alpha1.coords[i], alpha2.coords[i]] for i in range(2)]

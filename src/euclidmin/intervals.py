@@ -171,9 +171,6 @@ class CIv:
         inv = m.inverse()
         return CIv(self.re * inv, (-self.im) * inv)
 
-    def contains(self, other: "CIv") -> bool:
-        return self.re.contains(other.re) and self.im.contains(other.im)
-
     def strictly_contains(self, other: "CIv") -> bool:
         return self.re.strictly_contains(other.re) and self.im.strictly_contains(other.im)
 

@@ -39,7 +39,7 @@ from .errors import UnverifiedUnits
 from .fields import FieldElement, FractionalIdeal, embed
 from .places import s_norm, valuation
 from .qmath import nth_root_upper, sqrt_upper
-from .torus import (TorusContext, orbit, orbit_with_units, reduce_mod,
+from .torus import (TorusContext, orbit_with_units, reduce_mod,
                     shift_into_depths, torsion_reps, torus_context)
 
 
@@ -186,11 +186,13 @@ def m_exact(a: FractionalIdeal, sconfig, xi: FieldElement) -> MinimumValue:
 
 
 def m_exact_attained(a: FractionalIdeal, sconfig, xi: FieldElement):
-    """m_exact and where the search attained it: (MinimumValue, rep, shift).
+    """m_exact, where the search attained it, and the orbit it searched:
+    (MinimumValue, rep, shift, orbit).
 
     rep is the reduced representative of the unit orbit of xi at which the
     least S-norm difference rep - shift was found, and shift is a small
     element of the S-ideal; both are None when xi lies in the S-ideal.
+    orbit is that of torus.orbit(a, sconfig, xi), closed once here.
     """
     if not sconfig.verified:
         raise UnverifiedUnits("m_exact requires a verified S-unit basis")
@@ -198,7 +200,7 @@ def m_exact_attained(a: FractionalIdeal, sconfig, xi: FieldElement):
     field = ctx.field
     rho0, gamma0 = reduce_mod(a, sconfig, xi)
     if rho0.is_zero():
-        return MinimumValue(Fraction(0), gamma0, _TRIVIAL), None, None
+        return MinimumValue(Fraction(0), gamma0, _TRIVIAL), None, None, [rho0]
     orbit_pairs = orbit_with_units(a, sconfig, xi)
     # discreteness floor: d * rho0 lands in the a-part lattice
     d = lcm(*[c.denominator for c in ctx.a_part.coords_in_basis(rho0)])
@@ -255,20 +257,25 @@ def m_exact_attained(a: FractionalIdeal, sconfig, xi: FieldElement):
     if not gamma_in_s_ideal(ctx, gamma):
         raise AssertionError("shift left the S-ideal")
     return (MinimumValue(value, gamma, search_info), best_rep,
-            best_rep - best_eta)
+            best_rep - best_eta, [rep for rep, _ in orbit_pairs])
 
 
 def witness_mismatch(a: FractionalIdeal, sconfig, xi: FieldElement,
-                     value: Fraction, shift: FieldElement):
+                     value: Fraction, shift: FieldElement,
+                     orbit_size: int | None = None):
     """Why a recorded witness does not replay, or None when it does: the
-    exact minimum at xi is recomputed and must equal value, and shift must
-    lie in the S-ideal and attain it."""
+    exact minimum at xi is recomputed and must equal value, orbit_size, when
+    given, must be the size of the unit orbit that recomputation closes,
+    and shift must lie in the S-ideal and attain the value."""
     ctx = torus_context(a, sconfig)
-    again = m_exact(a, sconfig, xi).value
+    mv, _, _, orb = m_exact_attained(a, sconfig, xi)
+    again = mv.value
     if again != value:
         return (f"witness value mismatch: recorded "
                 f"{value.numerator}/{value.denominator}, recomputed "
                 f"{again.numerator}/{again.denominator}")
+    if orbit_size is not None and orbit_size != len(orb):
+        return "witness_orbit_size must be the size of the witness's orbit"
     if s_norm(xi - shift, sconfig) / ctx.s_norm_a != value:
         return "recorded shift does not reproduce the value"
     if not gamma_in_s_ideal(ctx, shift):
@@ -387,10 +394,10 @@ def _probe_box(a: FractionalIdeal, ctx: TorusContext, box: CoverBox,
                t: Fraction, tested: set, effort):
     """A class in a small surviving box with exact minimum >= t, or None.
 
-    Returns (reduced representative, MinimumValue). `tested` holds the
-    classes already looked at in this covering. A corner shift whose norm
-    ratio is below t bounds the minimum below t, so m_exact only runs on
-    points that pass that screen.
+    Returns (reduced representative, MinimumValue, orbit size). `tested`
+    holds the classes already looked at in this covering. A corner shift
+    whose norm ratio is below t bounds the minimum below t, so m_exact only
+    runs on points that pass that screen.
     """
     if box.volume_fraction(ctx) > PROBE_VOLUME:
         return None
@@ -405,9 +412,9 @@ def _probe_box(a: FractionalIdeal, ctx: TorusContext, box: CoverBox,
             continue
         if effort is not None:
             effort["m_exact_calls"] += 1
-        mv = m_exact(a, sconfig, rho)
+        mv, _, _, orb = m_exact_attained(a, sconfig, rho)
         if mv.value >= t:
-            return rho, mv
+            return rho, mv, len(orb)
     return None
 
 
@@ -454,7 +461,7 @@ def covering_verify(a: FractionalIdeal, sconfig, t, budget: int = 20000,
         effort["covering_boxes"] += processed
     if heap:
         state = CoveringState(entries, [item[2] for item in heap], processed)
-        return Unresolved(state, *(found or (None, None)))
+        return Unresolved(state, *(found or ()))
     entries.sort(key=lambda e: e.box.sort_key())
     return CoveringCertificate(threshold=t, entries=tuple(entries),
                                ideal_hnf=ctx.a_part.hnf,
@@ -497,12 +504,10 @@ def search_lower(a: FractionalIdeal, sconfig, denom_bound: int,
             rho, _ = reduce_mod(a, sconfig, rep)
             if rho.coords in seen:
                 continue
-            orb = orbit(a, sconfig, rho)
-            for o in orb:
-                seen.add(o.coords)
             if effort is not None:
                 effort["m_exact_calls"] = effort.get("m_exact_calls", 0) + 1
-            mv = m_exact(a, sconfig, rho)
+            mv, _, _, orb = m_exact_attained(a, sconfig, rho)
+            seen.update(o.coords for o in orb)
             if best is None or mv.value > best[1].value:
                 best = (rho, mv, len(orb))
     if best is None:
@@ -553,7 +558,7 @@ def compute_M(a: FractionalIdeal, sconfig, gap,
             if result.witness is not None and \
                     result.witness_minimum.value > best_mv.value:
                 witness, best_mv = result.witness, result.witness_minimum
-                orbit_size = len(orbit(a, sconfig, witness))
+                orbit_size = result.witness_orbit_size
     return MReport(lower=best_mv.value, witness=witness,
                    witness_minimum=best_mv, upper=upper,
                    certificate=certificate, exact=False,

@@ -9,7 +9,6 @@ character pairing into Q/Z, and the trace-dual ideal.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import floor, gcd, lcm
@@ -54,43 +53,6 @@ class QmodZ:
 
     def __repr__(self):
         return f"QmodZ({self.value})"
-
-
-@dataclass(frozen=True)
-class FundamentalDomain:
-    """Half-open parallelepiped of the ideal basis times local integer rings."""
-    ideal: FractionalIdeal            # the prime-to-S O-part
-    sconfig: SConfig
-
-    def basis(self):
-        return self.ideal.basis_elements()
-
-    def contains_rational(self, x: FieldElement) -> bool:
-        """Exact membership test for K-points."""
-        for v in self.sconfig.finite_places:
-            if not x.is_zero() and valuation(x, v) < 0:
-                return False
-        coords = self.ideal.coords_in_basis(x)
-        return all(0 <= c < 1 for c in coords)
-
-
-@dataclass(frozen=True)
-class AdelePoint:
-    """A region of the S-adele block: one certified component per place.
-
-    Archimedean components are intervals (a rectangle for complex places);
-    finite components give a center known modulo P_v^k. Zero-width intervals
-    plus an exact_tag describe the diagonal image of a field element.
-    """
-    arch_real: tuple          # Iv per real place
-    arch_complex: tuple       # CIv per complex place
-    finite: tuple             # (place, center FieldElement, precision k >= 0)
-    exact_tag: object = None  # FieldElement when the point is diagonal
-
-    def __post_init__(self):
-        for _, _, k in self.finite:
-            if k < 0:
-                raise ValueError("finite precision exponents must be >= 0")
 
 
 class TorusContext:
@@ -179,13 +141,6 @@ class CongruenceSystem:
             lattice.den)
 
 
-def congruent_lattice_point(lattice: FractionalIdeal, scale: int,
-                            modulus: FractionalIdeal, target: FieldElement):
-    """g in the lattice with scale * g - target in the integral modulus,
-    or None when no such g exists."""
-    return CongruenceSystem(lattice, scale, modulus).solve(target)
-
-
 def reduce_mod(a: FractionalIdeal, sconfig: SConfig, xi: FieldElement):
     """Canonical representative of xi modulo the S-ideal of a.
 
@@ -197,10 +152,9 @@ def reduce_mod(a: FractionalIdeal, sconfig: SConfig, xi: FieldElement):
     field = ctx.field
     rho = xi
     gamma = field.zero()
-    neg = [v for v in sconfig.finite_places
-           if not xi.is_zero() and valuation(xi, v) < 0]
-    if neg:
-        gamma = _clear_denominators(ctx, xi)
+    if not xi.is_zero() and any(valuation(xi, v) < 0
+                                for v in sconfig.finite_places):
+        gamma = shift_into_depths(ctx, xi, (0,) * len(sconfig.finite_places))
         rho = xi - gamma
         if not rho.is_zero() and any(valuation(rho, v) < 0
                                      for v in sconfig.finite_places):
@@ -214,10 +168,6 @@ def reduce_mod(a: FractionalIdeal, sconfig: SConfig, xi: FieldElement):
     rho = rho - shift
     gamma = gamma + shift
     return rho, gamma
-
-
-def _clear_denominators(ctx: TorusContext, xi: FieldElement) -> FieldElement:
-    return shift_into_depths(ctx, xi, (0,) * len(ctx.sconfig.finite_places))
 
 
 def shift_into_depths(ctx: TorusContext, xi: FieldElement,
@@ -265,8 +215,8 @@ def shift_into_depths(ctx: TorusContext, xi: FieldElement,
          for v, depth in zip(sconfig.finite_places, depths)], over_order=True)
     if modulus.den != 1:
         raise AssertionError("finite shift modulus is not integral")
-    g = congruent_lattice_point(lattice_a, d_rest * d0, modulus,
-                                xi * (t * d_rest * d0))
+    g = CongruenceSystem(lattice_a, d_rest * d0, modulus).solve(
+        xi * (t * d_rest * d0))
     if g is None:
         raise SearchExhausted("finite shift system unsolvable (bug)")
     gamma = g / t
@@ -277,22 +227,20 @@ def shift_into_depths(ctx: TorusContext, xi: FieldElement,
     return gamma
 
 
-def torsion_reps(a: FractionalIdeal, m: int, sconfig: SConfig = None,
+def torsion_reps(a: FractionalIdeal, m: int, sconfig: SConfig,
                  primitive: bool = False):
     """The m^n coset representatives of (1/m)a modulo a.
 
-    Pure lattice quotient over the ideal's O-part: representatives have
-    coordinates c/m in [0, 1) over the HNF basis, so they are exactly m^n
-    distinct reduced points of the parallelepiped, in lexicographic order of
-    c. With primitive, only the classes of exact order m (gcd(m, c) = 1).
+    Pure lattice quotient over the a-part of the ideal (its prime-to-S
+    part): representatives have coordinates c/m in [0, 1) over its HNF
+    basis, so they are exactly m^n distinct reduced points of the
+    parallelepiped, in lexicographic order of c. With primitive, only the
+    classes of exact order m (gcd(m, c) = 1).
     """
     if m < 1:
         raise ValueError("m must be >= 1")
-    if sconfig is not None:
-        basis = torus_context(a, sconfig).basis
-    else:
-        basis = a.basis_elements()
-    field = basis[0].field
+    basis = torus_context(a, sconfig).basis
+    field = a.field
     out = []
     for coords in itertools.product(range(m), repeat=field.degree):
         if primitive and gcd(m, *coords) != 1:

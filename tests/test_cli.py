@@ -31,7 +31,7 @@ def test_str_to_rat_is_fraction_of_the_string():
         assert type(got) is F and got == F(s), s
     assert str_to_rat(5) == F(5)
     for bad in ("1/0", "-3/00", "x", "", "1/-2", "1//2", "1/2/3", None, 1.5,
-                [1, 2]):
+                [1, 2], True, False):
         with pytest.raises(ValidationError):
             str_to_rat(bad)
 
@@ -77,7 +77,17 @@ def test_parse_config_errors():
                              ("S", {"primes": ["5"]}, "S.primes[0]"),
                              ("params", {"xi": ["1/5", "1/3"]}, "params.xi"),
                              ("params", {"x": "1/5"}, "params.x"),
-                             ("params", {"point": ["1/2"]}, "params.point")):
+                             ("params", {"point": ["1/2"]}, "params.point"),
+                             # booleans are not numbers
+                             ("field", {"poly": [True, 0, True]},
+                              "field.poly"),
+                             ("params", {"t": True}, "params.t"),
+                             ("params", {"xi": [False]}, "params.xi"),
+                             ("params", {"cert_path": 1}, "params.cert_path"),
+                             ("params", {"cert_path": ["a"]},
+                              "params.cert_path"),
+                             ("params", {"cert_path": ""},
+                              "params.cert_path")):
         with pytest.raises(ValidationError) as err:
             parse_config(json.dumps(dict(Z16, **{key: value})))
         assert path in str(err.value)
@@ -161,6 +171,19 @@ def test_cli_error_exit(tmp_path):
     code = main(["--config", bad, "--command", "info", "--output", str(out)])
     assert code == 1
     assert json.loads(out.read_text())["error"]["type"] == "ValidationError"
+
+
+def test_cli_rejects_cert_path_that_is_not_a_path(tmp_path):
+    # 1 would otherwise be opened as a file descriptor
+    for cert_path in (1, ["a"]):
+        cfg = make_cfg(tmp_path, "cfg.json",
+                       dict(Z16, params={"cert_path": cert_path}))
+        out = tmp_path / "err.json"
+        code = main(["--config", cfg, "--command", "verify-cert",
+                     "--output", str(out)])
+        error = json.loads(out.read_text())["error"]
+        assert code == 1 and error["type"] == "ValidationError"
+        assert "params.cert_path" in error["message"]
 
 
 def test_cli_form_rejects_degree_one(tmp_path):
@@ -279,6 +302,7 @@ def test_cli_usage_errors_exit_1(tmp_path, capsys):
 EVIDENCE_REPORTS = {
     "m": (dict(Z16, params={"xi": ["1/5"]}), "m", []),
     "search": (Z16, "search", ["--denom-bound", "6"]),
+    "search-1": (Z16, "search", ["--denom-bound", "1"]),
     "cover": (Z16, "cover", ["--t", "21/100"]),
     "cover-witness": (Z16, "cover", ["--t", "19/100", "--budget", "1500"]),
     "M": (Z16, "M", ["--gap", "1/10"]),
@@ -286,6 +310,9 @@ EVIDENCE_REPORTS = {
     "decide-euclidean": (QI, "decide", []),
     "decide-not": (ZM5, "decide", []),
 }
+
+# DROP as an edited value deletes the key
+DROP = object()
 
 # (report, result field, edited value): every field verify-cert checks
 TAMPERS = (
@@ -295,6 +322,8 @@ TAMPERS = (
     ("search", "witness", ["1/7"]),
     ("search", "witness_orbit_size", 5),
     ("search", "witness_orbit_size", "4"),
+    ("search", "witness_orbit_size", DROP),
+    ("search-1", "witness_orbit_size", True),
     ("cover", "threshold", "1/100"),
     ("cover", "covered", False),
     ("cover", "boxes", 1),
@@ -307,6 +336,7 @@ TAMPERS = (
     ("M", "upper", None),
     ("M", "exact", True),
     ("M", "witness_orbit_size", 1),
+    ("M", "witness_orbit_size", DROP),
     ("M-uncertified", "witness_orbit_size", 2),
     ("M-uncertified", "upper", "1/3"),
     ("decide-euclidean", "verdict", "not_euclidean"),
@@ -314,13 +344,15 @@ TAMPERS = (
     ("decide-not", "verdict", "euclidean"),
 )
 
-# (report, path into its evidence, edited value): malformed evidence; DROP
-# deletes the key
-DROP = object()
+# (report, path into its evidence, edited value): malformed evidence
 EVIDENCE_TAMPERS = (
     ("cover", ("entries", 0, "gamma"), ["0", "0"]),
     ("cover", ("entries", 0, "gamma"), DROP),
     ("cover", ("entries", 0, "box", "exponents", 0), "a"),
+    # integers are read exactly: 1.7 and true are not the exponent 1
+    ("cover", ("entries", 0, "box", "exponents", 0), 1.7),
+    ("cover", ("entries", 0, "box", "exponents", 0), True),
+    ("cover", ("ideal_den",), 1.0),
     ("cover", ("entries", 0, "box", "lo", 0), "x"),
     ("cover", ("entries",), DROP),
     ("cover", ("ideal_den",), "x"),
@@ -376,9 +408,15 @@ def test_verify_cert_tamper_table(tmp_path, evidence_reports):
             (0, {"replay": "pass", "detail": ANY}), name
     for name, key, value in TAMPERS:
         cfg_path, report = evidence_reports[name]
-        assert report["result"][key] != value, (name, key)
-        edited = dict(report, result=dict(report["result"], **{key: value}))
-        code, result = verify_detail(tmp_path, cfg_path, edited)
+        claims = dict(report["result"])
+        if value is DROP:
+            del claims[key]
+        else:
+            # compared as JSON, where true is not 1
+            assert json.dumps(claims[key]) != json.dumps(value), (name, key)
+            claims[key] = value
+        code, result = verify_detail(tmp_path, cfg_path,
+                                     dict(report, result=claims))
         assert code == 3 and result["replay"] == "fail", (name, key, value)
         assert "content_hash" not in result["detail"], (name, key)
     cfg_path, report = evidence_reports["m"]

@@ -4,13 +4,11 @@ from fractions import Fraction as F
 
 import pytest
 
-from euclidmin import (CoveringCertificate, NoCandidates, Unresolved,
-                       covering_verify, m_exact, m_upper_adele, s_norm,
-                       verify_certificate)
+from euclidmin import (CoveringCertificate, Unresolved, covering_verify,
+                       m_exact, s_norm, verify_certificate)
 from euclidmin.covering import CoverBox, box_bound
-from euclidmin.intervals import Iv
 from euclidmin.minima import box_contains_rational
-from euclidmin.torus import AdelePoint, torus_context
+from euclidmin.torus import torus_context
 
 
 def test_covering_easy(field_q, s_q_inf):
@@ -101,22 +99,6 @@ def test_covering_resume(field_qi, s_qi_inf):
                            resume=partial.state)
     assert isinstance(done, CoveringCertificate)
     verify_certificate(torus_context(Oi, s_qi_inf), done)
-
-
-def test_m_upper_adele(field_q, s_q_inf):
-    Z = field_q.maximal_order()
-    zero = field_q.zero()
-    point = AdelePoint((Iv.point(0),), (), (), exact_tag=zero)
-    assert m_upper_adele(Z, s_q_inf, point, [zero]) == 0
-    half = field_q.from_rational(F(1, 2))
-    point = AdelePoint((Iv.point(F(1, 2)),), (), (), exact_tag=half)
-    cands = [zero, field_q.one()]
-    assert m_upper_adele(Z, s_q_inf, point, cands) == F(1, 2)
-    region = AdelePoint((Iv(0, 1),), (), ())
-    bound = m_upper_adele(Z, s_q_inf, region, cands)
-    assert bound >= F(1, 2)
-    with pytest.raises(NoCandidates):
-        m_upper_adele(Z, s_q_inf, region, [])
 
 
 def test_box_bound_replay_determinism(field_q, s_q_23):

@@ -139,6 +139,28 @@ def test_search_lower(field_q, field_qi, s_q_inf, s_qi_inf, s_q_23):
     assert (xi.as_rational(), mv.value) == (F(1, 5), F(1, 5))
 
 
+def test_search_lower_closes_each_orbit_once(field_q, s_q_23, monkeypatch):
+    import euclidmin.minima as minima
+    import euclidmin.torus as torus
+
+    closed = []
+    closure = torus.orbit_with_units
+
+    def counting_closure(a, sconfig, xi):
+        closed.append(xi.coords)
+        return closure(a, sconfig, xi)
+
+    monkeypatch.setattr(torus, "orbit_with_units", counting_closure)
+    monkeypatch.setattr(minima, "orbit_with_units", counting_closure)
+    effort = {}
+    xi, mv, size = search_lower(field_q.maximal_order(), s_q_23, 20,
+                                effort=effort)
+    assert (xi.as_rational(), mv.value, size) == (F(1, 5), F(1, 5), 4)
+    # one closure per class searched; the class of 0 needs none
+    assert 0 < len(closed) <= effort["m_exact_calls"]
+    assert len(set(closed)) == len(closed)
+
+
 def test_compute_m_reports(field_q, field_qi, s_q_inf, s_qi_inf):
     rep = compute_M(field_q.maximal_order(), s_q_inf, F(1, 100), budget=20000)
     assert rep.lower == F(1, 2) and rep.witness.as_rational() == F(1, 2)
@@ -180,6 +202,12 @@ def test_witness_replay_checks_the_shift(field_q, s_q_23, field_sqrtm5,
         "recorded shift is not in the S-ideal"
     assert witness_mismatch(Z, s_q_23, fifth, F(1, 6), field_q.zero()) == \
         "witness value mismatch: recorded 1/6, recomputed 1/5"
+    # the orbit of 1/5 is {1/5, 2/5, 3/5, 4/5}
+    assert witness_mismatch(Z, s_q_23, fifth, F(1, 5), field_q.zero(),
+                            4) is None
+    assert witness_mismatch(Z, s_q_23, fifth, F(1, 5), field_q.zero(),
+                            5) == \
+        "witness_orbit_size must be the size of the witness's orbit"
 
 
 def test_certificate_replay_failure_is_false(field_qi, s_qi_inf):
@@ -260,7 +288,7 @@ def test_compute_m_effort_counts_every_box(field_q, s_q_23, monkeypatch):
     import euclidmin.minima as minima
 
     calls = {"boxes": 0, "m_exact": 0}
-    certify, exact = minima._certify_box, minima.m_exact
+    certify, exact = minima._certify_box, minima.m_exact_attained
 
     def counting_certify(*args, **kwargs):
         calls["boxes"] += 1
@@ -271,7 +299,7 @@ def test_compute_m_effort_counts_every_box(field_q, s_q_23, monkeypatch):
         return exact(*args, **kwargs)
 
     monkeypatch.setattr(minima, "_certify_box", counting_certify)
-    monkeypatch.setattr(minima, "m_exact", counting_m_exact)
+    monkeypatch.setattr(minima, "m_exact_attained", counting_m_exact)
     rep = compute_M(field_q.maximal_order(), s_q_23, F(1, 100), budget=3200)
     assert (rep.lower, rep.upper) == (F(1, 5), F(21, 100))
     assert rep.effort["covering_boxes"] == calls["boxes"]

@@ -17,17 +17,16 @@ from euclidmin import (SConfig, ideal_from_gens, make_field, make_sconfig,
                        verify_s_unit_basis)
 from euclidmin import covering, minima
 from euclidmin.covering import (CertEntry, CoverBox, _congruent_point,
-                                arch_enclosure, arch_intervals_for_box,
-                                bound_enclosure, box_bound, box_floor,
-                                candidate_shifts, initial_box, norm_bound,
-                                profile_factor, profiles_for_box,
-                                screen_threshold, split_arch, split_finite)
+                                bound_enclosure, box_arch, box_bound,
+                                box_floor, candidate_shifts, exact_bound,
+                                grid_enclosure, initial_box, profile_factor,
+                                profiles_for_box, screen_threshold,
+                                split_arch, split_finite)
 from euclidmin.enumerate import GRID_BITS
 from euclidmin.minima import _certify_box
 from euclidmin.places import valuation
 from euclidmin.qmath import int_valuation
-from euclidmin.torus import (TorusContext, congruent_lattice_point,
-                             torus_context)
+from euclidmin.torus import CongruenceSystem, TorusContext, torus_context
 from test_covering import _fresh_python
 
 
@@ -81,8 +80,7 @@ def _random_element(field, rng):
 
 def _exact_screen_bound(ctx, box, gamma, profile):
     num, den = profile_factor(ctx, profile)
-    arch = arch_intervals_for_box(ctx, box)
-    return norm_bound(ctx, arch, gamma, F(num, den))
+    return exact_bound(ctx, box_arch(ctx, box), gamma, num, den)
 
 
 def _off_grid(box):
@@ -112,11 +110,11 @@ def test_enclosures_hold_the_exact_values(case):
         box = _random_box(ctx, rng, rng.randint(0, 10))
         if i % 2:
             box = _off_grid(box)
-        arch = arch_intervals_for_box(ctx, box)
-        arch_grid = arch_enclosure(ctx, box)
-        for iv, (lo_l, lo_h, hi_l, hi_h) in zip(arch, arch_grid):
-            assert lo_l <= iv.lo * coord_scale <= lo_h
-            assert hi_l <= iv.hi * coord_scale <= hi_h
+        arch = box_arch(ctx, box)
+        arch_grid = grid_enclosure(arch)
+        for (lo, hi, d), (lo_l, lo_h, hi_l, hi_h) in zip(arch, arch_grid):
+            assert lo_l <= F(lo, d) * coord_scale <= lo_h
+            assert hi_l <= F(hi, d) * coord_scale <= hi_h
         floor = box_floor(ctx, arch_grid)
         profiles = profiles_for_box(ctx, box)
         for profile in rng.sample(profiles, min(3, len(profiles))):
@@ -168,14 +166,15 @@ def _reference_shifts(ctx, box, profile):
 
 def _reference_certify(ctx, box, t):
     """The all-exact screen: every candidate's bound as a Fraction."""
-    arch = arch_intervals_for_box(ctx, box)
+    arch = box_arch(ctx, box)
     best = None
     for profile in profiles_for_box(ctx, box):
         fin = F(1)
         for v, m in zip(ctx.sconfig.finite_places, profile):
             fin *= F(v.residue_norm()) ** (-m)
         for gamma in _reference_shifts(ctx, box, profile):
-            quick = norm_bound(ctx, arch, gamma, fin)
+            quick = exact_bound(ctx, arch, gamma, fin.numerator,
+                                fin.denominator)
             if best is None or quick < best:
                 best = quick
             if quick < t:
@@ -307,8 +306,8 @@ def test_congruent_point_solves_the_congruence(case):
                 [m + int_valuation(d0, v.p) * v.e if m > 0 else 0
                  for v, m in zip(places, profile)], over_order=True)
             got = _congruent_point(ctx, center, profile)
-            assert got == congruent_lattice_point(lattice, d0, modulus,
-                                                  center * d0)
+            assert got == CongruenceSystem(lattice, d0, modulus).solve(
+                center * d0)
             if got is None:
                 continue
             solved += 1

@@ -33,6 +33,20 @@ def test_no_cross_module_private_imports():
     assert found == []
 
 
+def test_covering_does_not_use_intervals():
+    # every bound of covering.py is exact_bound, on integers
+    path = PACKAGE / "covering.py"
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            names = [a.name for a in node.names]
+            names.append(getattr(node, "module", None) or "")
+            if any(n.split(".")[-1] == "intervals" for n in names):
+                found.append(f"covering.py:{node.lineno}")
+    assert found == []
+
+
 def test_no_assert_in_arithmetic_modules():
     # soundness checks must survive python -O
     modules = sorted(PACKAGE.glob("*.py"))
