@@ -50,6 +50,20 @@ def test_reduce_mod_idempotent_and_member(field_q, field_qi, s_q_23):
         assert r2 == rho and g2.is_zero()
 
 
+def test_fundamental_domain_membership(field_q, s_q_2):
+    Z = field_q.maximal_order()
+    assert _in_fundamental_domain(Z, s_q_2, field_q.from_rational(F(1, 5)))
+    assert not _in_fundamental_domain(Z, s_q_2, field_q.from_rational(F(1, 2)))
+    assert not _in_fundamental_domain(Z, s_q_2, field_q.from_rational(F(7, 5)))
+    # uniqueness: reduced representatives always pass, shifts never do
+    rng = random.Random(11)
+    for _ in range(30):
+        xi = field_q.from_rational(F(rng.randint(-50, 50), rng.randint(1, 40)))
+        rho, _ = reduce_mod(Z, s_q_2, xi)
+        assert _in_fundamental_domain(Z, s_q_2, rho)
+        assert not _in_fundamental_domain(Z, s_q_2, rho + field_q.one())
+
+
 def test_torsion_reps(field_q, field_qi, s_q_2, s_qi_inf):
     Z = field_q.maximal_order()
     reps = torsion_reps(Z, 2, s_q_2)
