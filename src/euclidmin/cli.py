@@ -432,6 +432,8 @@ def _claim_mismatch(cfg: RunConfig, saved: dict, evidence: dict):
             return f"verdict {verdict!r} carries evidence"
     elif command == "cover":
         t = str_to_rat(result.get("threshold"))
+        if type(result.get("covered")) is not bool:
+            return "covered must be a JSON boolean"
         if result.get("covered") is True and not (
                 kind == "covering" and str_to_rat(evidence["threshold"]) <= t
                 and type(result.get("boxes")) is int
@@ -461,6 +463,8 @@ def _claim_mismatch(cfg: RunConfig, saved: dict, evidence: dict):
             return "upper must be the certificate threshold"
         if result.get("exact") is not False:
             return "exact needs an isolation certificate; no report has one"
+    else:
+        return f"command {command!r} makes no evidence"
     if command in ("search", "M") and \
             type(result.get("witness_orbit_size")) is not int:
         # its value is checked where the witness's minimum is replayed

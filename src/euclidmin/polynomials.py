@@ -1,8 +1,8 @@
-"""Polynomial arithmetic over Q, F_p, and Z/p^k.
+"""Polynomial arithmetic over Q and F_p.
 
 Polynomials are coefficient lists in ascending order (index = exponent).
 Includes Sturm chains, resultants, irreducibility certification for degree
-at most 4, factorization mod p, and Hensel lifting of coprime factor blocks.
+at most 4, and factorization mod p.
 """
 
 from __future__ import annotations
@@ -251,9 +251,9 @@ def certify_irreducible(coeffs: list[int]) -> None:
     return
 
 
-# -- arithmetic mod p and mod p^k ---------------------------------------------
-# pmod, pmul and pdivmod take any modulus; pdivmod needs the divisor's leading
-# coefficient to be a unit, so modulo p^k its divisors are monic.
+# -- arithmetic mod p ---------------------------------------------------------
+# pmod, pmul and pdivmod work over F_p; pdivmod inverts the divisor's leading
+# coefficient mod p.
 
 def pmod(f, p):
     return trim([c % p for c in f])
@@ -397,94 +397,3 @@ def factor_mod_p(f, p) -> list[tuple[list[int], int]]:
     out = [(list(k), m) for k, m in factors.items()]
     out.sort(key=lambda t: (deg(t[0]), t[0]))
     return out
-
-
-# -- Hensel lifting -----------------------------------------------------------
-
-def _pair_hensel(f, g, h, s, t, p, k, target_k):
-    """Lift f = g h from mod p^k to mod p^target_k (quadratic steps).
-
-    s g + t h = 1 mod p^k is maintained alongside.
-    """
-    while k < target_k:
-        knext = min(2 * k, target_k)
-        qn = p**knext
-        e = pmod(poly_sub(f, poly_mul(g, h)), qn)
-        # g' = g + t e mod (qn, leading structure), via division trick
-        qpoly, rpoly = pdivmod(pmul(s, e, qn), h, qn)
-        gnew = pmod(poly_add(g, poly_add(pmul(t, e, qn),
-                                         pmul(qpoly, g, qn))), qn)
-        hnew = pmod(poly_add(h, rpoly), qn)
-        # refresh Bezout pair
-        b = pmod(poly_sub(poly_add(pmul(s, gnew, qn),
-                                   pmul(t, hnew, qn)), [1]), qn)
-        cpoly, dpoly = pdivmod(pmul(s, b, qn), hnew, qn)
-        snew = pmod(poly_sub(s, dpoly), qn)
-        tnew = pmod(poly_sub(poly_sub(t, pmul(t, b, qn)),
-                             pmul(cpoly, gnew, qn)), qn)
-        g, h, s, t, k = gnew, hnew, snew, tnew, knext
-    return g, h
-
-
-def _pxgcd(f, g, p):
-    """Extended gcd over F_p: returns (d, s, t) with s f + t g = d."""
-    r0, r1 = trim(pmod(f, p)), trim(pmod(g, p))
-    s0, s1 = [1], [0]
-    t0, t1 = [0], [1]
-    while r1 != [0]:
-        q, r = pdivmod(r0, r1, p)
-        r0, r1 = r1, r
-        s0, s1 = s1, trim([a % p for a in poly_sub(s0, pmul(q, s1, p))])
-        t0, t1 = t1, trim([a % p for a in poly_sub(t0, pmul(q, t1, p))])
-    inv = pow(r0[-1], -1, p)
-    return ([c * inv % p for c in r0], [c * inv % p for c in s0],
-            [c * inv % p for c in t0])
-
-
-def hensel_lift_blocks(f, blocks, p, target_k) -> list[list[int]]:
-    """Lift pairwise-coprime monic blocks with f = prod(blocks) mod p.
-
-    Returns monic lifts mod p^target_k whose product is f mod p^target_k;
-    lift i is congruent to blocks[i] mod p. Verified before returning.
-    """
-    m = p**target_k
-    f = pmod(f, m)
-    if len(blocks) == 1:
-        return [f]
-    mid = len(blocks) // 2
-    g = [1]
-    for b in blocks[:mid]:
-        g = pmul(g, b, p)
-    h = [1]
-    for b in blocks[mid:]:
-        h = pmul(h, b, p)
-    d, s, t = _pxgcd(g, h, p)
-    if d != [1]:
-        raise ValueError("blocks are not coprime mod p")
-    # normalize so deg s < deg h and deg t < deg g
-    _, s = pdivmod(s, h, p)
-    num = poly_sub([1], pmul(s, g, p))
-    t, rem = pdivmod(pmod(num, p), h, p)
-    if rem != [0]:
-        raise AssertionError("Bezout cofactor does not divide exactly")
-    g_lift, h_lift = _pair_hensel(f, g, h, s, t, p, 1, target_k)
-    prod = pmul(g_lift, h_lift, m)
-    if pmod(poly_sub(prod, f), m) != [0]:
-        raise AssertionError("hensel product mismatch")
-    return (hensel_lift_blocks(g_lift, blocks[:mid], p, target_k)
-            + hensel_lift_blocks(h_lift, blocks[mid:], p, target_k))
-
-
-def trace_mod_pk(h, g, p, k) -> int:
-    """Trace of multiplication by h(x) on Z[x]/(g, p^k), g monic."""
-    m = p**k
-    n = deg(g)
-    # companion action: basis x^0..x^(n-1); reduce h * x^j mod g
-    total = 0
-    hj = pdivmod(pmod(h, m), g, m)[1]
-    for j in range(n):
-        coeffs = hj + [0] * (n - len(hj))
-        total = (total + coeffs[j]) % m
-        if j < n - 1:
-            hj = pdivmod(trim([0] + hj), g, m)[1]
-    return total % m

@@ -18,7 +18,6 @@ from .fields import (FieldElement, FractionalIdeal, NumberField,
                      ideal_from_gens, ideal_norm, mat_inverse)
 from .hnf import echelon_mod_lattice, solve_echelon
 from .places import Place, SConfig, places_above, strip_s_part, valuation
-from .polynomials import hensel_lift_blocks, pmod, pmul, trace_mod_pk
 from .qmath import int_valuation
 
 
@@ -290,39 +289,32 @@ def orbit(a: FractionalIdeal, sconfig: SConfig, xi: FieldElement):
 # -- character layer ----------------------------------------------------------
 
 
-@lru_cache(maxsize=256)
-def _hensel_blocks(field: NumberField, p: int, k: int) -> dict:
-    """The p-adic factor blocks of the field polynomial mod p^k, one per
-    place above p, keyed by the place's gen_poly."""
-    places = places_above(field, p)
-    blocks = []
-    for w in places:
-        gp = pmod(list(w.gen_poly), p)
-        blk = [1]
-        for _ in range(w.e):
-            blk = pmul(blk, gp, p)
-        blocks.append(blk)
-    lifted = hensel_lift_blocks(list(field.coeffs), blocks, p, k)
-    return {w.gen_poly: lift for w, lift in zip(places, lifted)}
-
-
 def local_trace_polar(x: FieldElement, place: Place) -> Fraction:
-    """Polar part (in [0,1)) of the local trace of x at a finite place."""
-    if x.is_zero():
-        return Fraction(0)
-    pb = x.power_basis()
-    den = lcm(*[c.denominator for c in pb])
+    """Polar part (in [0,1)) of the local trace of x at a finite place.
+
+    Every place w above p has e_w <= n, so w(x) >= -N for N = n * v_p(den).
+    The CRT through the prime ideals gives y in P_w^N for each w other than
+    v with y - 1 in P_v^N; then x(y - 1) and xy are integral at v and at
+    each other w, so Tr_v(x) = Tr(xy) mod Z_p, and the polar part is that
+    of the rational Tr(xy) at p.
+    """
+    field = place.field
     p = place.p
-    a = int_valuation(den, p)
-    if a == 0:
+    depth = field.degree * int_valuation(x.den, p)
+    if depth == 0:
         return Fraction(0)
-    h = [int(c * den) for c in pb]
-    block = _hensel_blocks(place.field, p, a)[place.gen_poly]
-    t = trace_mod_pk(h, block, p, a)
-    pk = p**a
-    m_prime = den // pk  # invertible mod p^a
-    polar = (t * pow(m_prime, -1, pk)) % pk
-    return Fraction(polar, pk)
+    lattice = field.maximal_order()
+    for w in places_above(field, p):
+        if w != place:
+            lattice = lattice * w.ideal_power(depth)
+    y = CongruenceSystem(lattice, 1, place.ideal_power(depth)).solve(
+        field.one())
+    if y is None:
+        raise AssertionError("no local idempotent at this place")
+    t = (x * y).trace()
+    k = int_valuation(t.denominator, p)
+    pk = p**k
+    return Fraction(t.numerator * pow(t.denominator // pk, -1, pk) % pk, pk)
 
 
 def char_pair(alpha: FieldElement, xi: FieldElement, sconfig: SConfig) -> QmodZ:

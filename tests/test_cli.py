@@ -327,7 +327,10 @@ TAMPERS = (
     ("cover", "threshold", "1/100"),
     ("cover", "covered", False),
     ("cover", "boxes", 1),
+    ("cover", "covered", DROP),
+    ("cover", "covered", "true"),
     ("cover-witness", "covered", True),
+    ("cover-witness", "covered", DROP),
     ("cover-witness", "threshold", "21/100"),
     ("cover-witness", "witness_value", "1/6"),
     ("M", "lower", "1/7"),
@@ -430,6 +433,23 @@ def test_verify_cert_tamper_table(tmp_path, evidence_reports):
     stale = dict(report, effort=dict(report["effort"], covering_boxes=1))
     code, result = verify_detail(tmp_path, cfg_path, stale, restamp=False)
     assert code == 3 and "content_hash" in result["detail"]
+
+
+def test_verify_cert_rejects_evidence_of_another_command(tmp_path,
+                                                        evidence_reports):
+    # a covering pasted into a report of a command that makes no evidence
+    cfg_path, cover = evidence_reports["cover"]
+    out = tmp_path / "info.json"
+    assert main(["--config", cfg_path, "--command", "info",
+                 "--output", str(out)]) == 0
+    info = json.loads(out.read_text())
+    forged = dict(info, result=dict(info["result"], degree=7,
+                                    discriminant=12345),
+                  evidence=cover["evidence"])
+    for report in (forged, dict(forged, command="bogus")):
+        code, result = verify_detail(tmp_path, cfg_path, report)
+        assert code == 3 and result["replay"] == "fail", report["command"]
+        assert "makes no evidence" in result["detail"]
 
 
 def test_verify_cert_fails_on_malformed_evidence(tmp_path, evidence_reports):

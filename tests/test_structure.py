@@ -33,18 +33,27 @@ def test_no_cross_module_private_imports():
     assert found == []
 
 
-def test_covering_does_not_use_intervals():
-    # every bound of covering.py is exact_bound, on integers
-    path = PACKAGE / "covering.py"
+def _imports_of(path, module):
+    """Lines of path that import the package module, or names from it."""
     tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
     found = []
     for node in ast.walk(tree):
         if isinstance(node, (ast.Import, ast.ImportFrom)):
             names = [a.name for a in node.names]
             names.append(getattr(node, "module", None) or "")
-            if any(n.split(".")[-1] == "intervals" for n in names):
-                found.append(f"covering.py:{node.lineno}")
-    assert found == []
+            if any(n.split(".")[-1] == module for n in names):
+                found.append(f"{path.name}:{node.lineno}")
+    return found
+
+
+def test_covering_does_not_use_intervals():
+    # every bound of covering.py is exact_bound, on integers
+    assert _imports_of(PACKAGE / "covering.py", "intervals") == []
+
+
+def test_torus_does_not_use_polynomials():
+    # the characters take a place's local data from its prime ideal
+    assert _imports_of(PACKAGE / "torus.py", "polynomials") == []
 
 
 def test_no_assert_in_arithmetic_modules():

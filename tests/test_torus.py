@@ -2,9 +2,10 @@ import random
 from fractions import Fraction as F
 
 from euclidmin import (QmodZ, char_pair, ideal_from_gens, ideal_norm,
-                       inverse_different, make_sconfig, orbit, reduce_mod,
-                       s_trace_dual, torsion_reps, valuation)
-from euclidmin.torus import torus_context
+                       inverse_different, make_field, make_sconfig, orbit,
+                       places_above, reduce_mod, s_trace_dual, torsion_reps,
+                       valuation)
+from euclidmin.torus import local_trace_polar, torus_context
 
 
 def test_reduce_mod_examples(field_q, s_q_2):
@@ -138,6 +139,53 @@ def test_char_trivial_on_s_integers(field_q, s_q_2, field_qi):
         for _ in range(5):
             y = field_qi.element([rng.randint(-6, 6), rng.randint(-6, 6)])
             assert char_pair(field_qi.one(), y * scale, s5).is_zero()
+
+
+# x^3-x-1: 5 = P1 P2 (f = 1, 2), 23 = P1^2 P2, 59 splits; x^4+x^3+x^2+x+1:
+# 2 is inert, 5 totally ramified, 11 splits
+TRACE_FIELDS = (([-1, -1, 0, 1], (5, 23, 59)), ([1, 1, 1, 1, 1], (2, 5, 11)))
+
+
+def test_local_traces_sum_to_the_global_trace():
+    # for x with a p-power denominator, Tr(x) in Z[1/p] is the sum of the
+    # local traces at the places above p, so mod 1 it is their polar parts
+    rng = random.Random(14)
+    for poly, primes in TRACE_FIELDS:
+        field = make_field(poly)
+        for p in primes:
+            places = places_above(field, p)
+            for _ in range(40):
+                den = p**rng.randint(0, 3)
+                x = field.element([F(rng.randint(-40, 40), den)
+                                   for _ in range(field.degree)])
+                total = sum(local_trace_polar(x, v) for v in places)
+                assert QmodZ(total) == QmodZ(x.trace()), (poly, p, x)
+
+
+# (poly, split p, index of the place, a generator of its prime, a unit)
+SPLIT_PLACES = (([-1, -1, 0, 1], 59, 0, [-3, -1, -2], [0, 1, 0]),
+                ([1, 1, 1, 1, 1], 11, 0, [-3, -1, -2, -2], [1, 1, 0, 0]))
+
+
+def test_char_trivial_outside_one_split_place():
+    rng = random.Random(15)
+    for poly, p, i, gen, unit in SPLIT_PLACES:
+        field = make_field(poly)
+        n = field.degree
+        pi = field.element(gen)
+        s = make_sconfig(field, [p], unit_gens=[field.element(unit), pi],
+                         place_indices={p: [i]})
+        assert valuation(pi, s.finite_places[0]) == 1
+        for k in range(3):
+            scale = pi.inverse() ** k if k else field.one()
+            for _ in range(4):
+                y, alpha = (field.element([rng.randint(-6, 6)
+                                           for _ in range(n)])
+                            for _ in range(2))
+                assert char_pair(alpha, y * scale, s).is_zero(), (poly, k)
+        # 1/p has poles at the n - 1 places above p outside S
+        assert char_pair(field.one(), field.from_rational(F(1, p)), s) == \
+            QmodZ(F(n - 1, p))
 
 
 def test_char_biadditive(field_qi):
