@@ -14,6 +14,7 @@ import json
 import re
 import sys
 import time
+from decimal import Decimal
 from fractions import Fraction
 
 from .covering import CertEntry, CoverBox, CoveringCertificate, \
@@ -24,6 +25,7 @@ from .forms import form_from_ideal, m_form
 from .minima import (compute_M, covering_verify, decide_norm_euclidean,
                      m_exact, search_lower, witness_mismatch)
 from .places import make_sconfig, places_above, s_norm
+from .qmath import int_str
 from .torus import orbit, s_trace_dual, torus_context
 
 FORMAT_VERSION = 1
@@ -38,7 +40,7 @@ _CANONICAL_RAT = re.compile(r"-?[0-9]+/[0-9]+")    # what rat_to_str writes
 
 def rat_to_str(q) -> str:
     q = Fraction(q)
-    return f"{q.numerator}/{q.denominator}"
+    return f"{int_str(q.numerator)}/{int_str(q.denominator)}"
 
 
 def str_to_rat(s, path="") -> Fraction:
@@ -47,7 +49,10 @@ def str_to_rat(s, path="") -> Fraction:
             return Fraction(s)
         if isinstance(s, str):
             if _CANONICAL_RAT.fullmatch(s):     # without Fraction's grammar
-                return Fraction(*map(int, s.split("/")))
+                try:
+                    return Fraction(*map(int, s.split("/")))
+                except ValueError:      # past the int <-> str digit limit
+                    return Fraction(*[int(Decimal(c)) for c in s.split("/")])
             return Fraction(s)
     except (ValueError, ZeroDivisionError):
         pass
@@ -205,7 +210,7 @@ def parse_config(text: str) -> RunConfig:
     """Parse and validate a JSON configuration."""
     try:
         raw = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:   # also an int past the int <-> str limit
         raise ParseError(f"malformed JSON: {exc}")
     return RunConfig(raw)
 
@@ -485,7 +490,7 @@ def replay_report(cfg: RunConfig, path: str):
             saved = json.load(fh)
     except OSError as exc:
         raise IoError(str(exc))
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:   # also an int past the int <-> str limit
         raise ParseError(f"malformed report: {exc}")
     if not isinstance(saved, dict):
         return False, "report is not a JSON object"

@@ -26,7 +26,7 @@ from .enumerate import GRID_BITS, embedding_rows, grid_row
 from .errors import SearchExhausted
 from .fields import FieldElement
 from .places import valuation
-from .qmath import ceil_scaled, int_valuation
+from .qmath import ceil_scaled, int_valuation, rat_str
 from .torus import CongruenceSystem, TorusContext
 
 # width of the embedding enclosures behind every recorded bound
@@ -576,14 +576,16 @@ def verify_certificate(ctx: TorusContext, cert: CoveringCertificate,
         if any(c % zden for c in center):
             raise AssertionError("box center is not integral")
         if not e.bound < t:
-            raise AssertionError(f"bound {e.bound} not below threshold {t}")
+            raise AssertionError(f"bound {rat_str(e.bound)} not below "
+                                 f"threshold {rat_str(t)}")
         gamma = ctx.field.element(e.gamma_coords)
         if not gamma_in_s_ideal(ctx, gamma):
             raise AssertionError("shift is not in the S-ideal")
         replayed = box_bound(ctx, box, gamma)
         if replayed != e.bound:
             raise AssertionError(
-                f"bound replay mismatch: recorded {e.bound}, got {replayed}")
+                f"bound replay mismatch: recorded {rat_str(e.bound)}, "
+                f"got {rat_str(replayed)}")
         volumes[box.exponents] = volumes.get(box.exponents, 0) + vol
         boxes.append((lo, hi, center, box.exponents))
     # the boxes of one finite depth measure their volume sum / prod Np^k
@@ -591,7 +593,7 @@ def verify_certificate(ctx: TorusContext, cert: CoveringCertificate,
         places, exponents)])) for exponents, vol in volumes.items()])
     if total != xden ** n:
         raise AssertionError(
-            f"boxes measure {total / xden ** n}, expected exactly 1")
+            f"boxes measure {rat_str(total / xden ** n)}, expected exactly 1")
     _check_disjoint(ctx, boxes, zden)
 
 

@@ -6,8 +6,10 @@ endpoints can grow long. Code that needs bounded sizes rounds outward
 itself, outside this module: lattice enumeration and the covering's bound
 screen move their data to integers on one dyadic grid (enumerate.py,
 covering.py), and the log-rank check rounds magnitudes to 64-bit dyadics
-before taking logs (places._log_abs_interval, qmath.dyadic_outward). The
-covering's exact bounds follow Iv's semantics on integers (exact_bound).
+before taking logs (places._log_abs_interval, qmath.dyadic_outward). Two
+evaluators follow Iv's semantics on integers over a common denominator:
+the covering's exact bounds (covering.exact_bound) and the Horner
+evaluation of a polynomial over an Iv or CIv box (roots.eval_interval).
 """
 
 from __future__ import annotations

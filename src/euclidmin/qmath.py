@@ -1,4 +1,5 @@
-"""Exact rational helpers: certified square/nth roots, logs, primality.
+"""Exact rational helpers: certified square/nth roots, logs, primality, and
+decimal strings of rationals of any length.
 
 Every bound returned here is a plain Fraction and is rigorous (outward
 rounding only). Nothing in this module touches floating point.
@@ -6,8 +7,26 @@ rounding only). Nothing in this module touches floating point.
 
 from __future__ import annotations
 
+from decimal import Decimal
 from fractions import Fraction
 from math import isqrt
+
+
+def int_str(n: int) -> str:
+    """str(n), also past the interpreter's limit on int -> str conversion
+    (4,300 digits by default), which the bounds of degree-4 certificates
+    exceed: there Decimal, which knows no such limit, writes the digits."""
+    try:
+        return str(n)
+    except ValueError:
+        return str(Decimal(n))
+
+
+def rat_str(q) -> str:
+    """str(Fraction(q)) through int_str."""
+    q = Fraction(q)
+    num = int_str(q.numerator)
+    return num if q.denominator == 1 else f"{num}/{int_str(q.denominator)}"
 
 
 def sqrt_upper(x: Fraction, scale_bits: int = 64) -> Fraction:

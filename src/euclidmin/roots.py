@@ -4,12 +4,16 @@ Real roots are isolated exactly with Sturm chains and tightened by bisection
 plus interval Newton. Complex roots start from float Durand-Kerner seeds and
 are then certified with a rectangle Newton step: if N(X) lands strictly
 inside X the box holds exactly one root, and the intersection refines it.
-All certification arithmetic is exact rational.
+All certification arithmetic is exact rational. Every evaluation of a
+polynomial over a box, here and in fields.embed, goes through eval_interval,
+which runs Horner on integers over a common denominator and builds its
+Fractions only at the end.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm
 
 from .errors import PrecisionUnreachable
 from .intervals import CIv, Iv
@@ -17,12 +21,45 @@ from .polynomials import (deg, derivative, isolate_real_roots, poly_eval,
                           root_bound)
 
 
+def _over_lcm(qs) -> tuple[list[int], int]:
+    """Integer numerators of the rationals qs over their lcm, and the lcm."""
+    d = lcm(*[q.denominator for q in qs])
+    return [q.numerator * (d // q.denominator) for q in qs], d
+
+
 def eval_interval(coeffs, x):
-    """Horner evaluation; works for Iv and CIv alike."""
-    out = x - x  # zero of matching type
-    for c in reversed(coeffs):
-        out = out * x + c
-    return out
+    """Horner enclosure of the polynomial coeffs (ints or Fractions,
+    ascending) over an Iv or a CIv box.
+
+    The result is that of Horner in Iv/CIv arithmetic started from x - x
+    (not from 0), run on integers: the box's endpoints over their lcm d, the
+    coefficients over theirs, e, and after k steps every endpoint over
+    e * d^(k+1). An interval product is the min and max of four integer
+    products, a difference pairs each lower end with the other's upper end,
+    and one Fraction is built per endpoint at the end. An Iv is evaluated
+    as a CIv with imaginary part [0, 0], which stays 0 throughout.
+    """
+    cs, e = _over_lcm(coeffs)
+    real = isinstance(x, Iv)
+    re, im = (x, Iv(0)) if real else (x.re, x.im)
+    (ra, rb, ia, ib), d = _over_lcm((re.lo, re.hi, im.lo, im.hi))
+    rlo, rhi = (ra - rb) * e, (rb - ra) * e
+    ilo, ihi = (ia - ib) * e, (ib - ia) * e
+    scale = d
+    for c in reversed(cs):
+        # (out.re + i out.im)(x.re + i x.im) + c, one interval product each
+        rr = (rlo * ra, rlo * rb, rhi * ra, rhi * rb)
+        ii = (ilo * ia, ilo * ib, ihi * ia, ihi * ib)
+        ri = (rlo * ia, rlo * ib, rhi * ia, rhi * ib)
+        ir = (ilo * ra, ilo * rb, ihi * ra, ihi * rb)
+        scale *= d
+        c *= scale
+        rlo, rhi = min(rr) - max(ii) + c, max(rr) - min(ii) + c
+        ilo, ihi = min(ri) + min(ir), max(ri) + max(ir)
+    den = e * scale
+    out = Iv(Fraction(rlo, den), Fraction(rhi, den))
+    return out if real else CIv(out, Iv(Fraction(ilo, den),
+                                        Fraction(ihi, den)))
 
 
 def _durand_kerner(coeffs, iters=400):

@@ -1,4 +1,5 @@
 import json
+import sys
 from fractions import Fraction as F
 from unittest.mock import ANY
 
@@ -7,7 +8,7 @@ import pytest
 from euclidmin import ParseError, ValidationError
 from euclidmin.cli import (certificate_from_json, certificate_to_json,
                            content_hash, emit_report, main, parse_config,
-                           run_command, str_to_rat)
+                           rat_to_str, run_command, str_to_rat)
 
 
 def make_cfg(tmp_path, name, data):
@@ -34,6 +35,33 @@ def test_str_to_rat_is_fraction_of_the_string():
                 [1, 2], True, False):
         with pytest.raises(ValidationError):
             str_to_rat(bad)
+
+
+def test_rat_strings_beyond_the_int_str_limit():
+    # 5,000-digit parts exceed the interpreter's default int <-> str limit
+    q = F(-(10**5000 + 1), 3**10500)
+    s = rat_to_str(q)
+    assert str_to_rat(s) == q
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        assert s == f"{q.numerator}/{q.denominator}"
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
+def test_json_integers_past_the_int_str_limit(tmp_path):
+    # configs and reports with such integers are malformed, not a crash
+    with pytest.raises(ParseError):
+        parse_config('{"field": {"poly": [' + "1" * 5000 + ', 1]}}')
+    report = tmp_path / "report.json"
+    report.write_text('{"ideal_den": ' + "1" * 5000 + '}')
+    out = tmp_path / "verify.json"
+    code = main(["--config", make_cfg(tmp_path, "qi.json", QI),
+                 "--command", "verify-cert", "--cert", str(report),
+                 "--output", str(out)])
+    assert code == 1
+    assert json.loads(out.read_text())["error"]["type"] == "ParseError"
 
 
 def test_parse_config_examples():
@@ -152,6 +180,16 @@ def test_cli_end_to_end(tmp_path, capsys):
     code = main(["--config", cfg_path, "--command", "verify-cert",
                  "--cert", str(bad), "--output", str(vout)])
     assert code == 3
+    # a bound of 5,000 digits parses, and fails its replay
+    doc["evidence"]["entries"][0]["bound"] = rat_to_str(
+        F(10**5000, 10**5000 + 1))
+    doc["content_hash"] = content_hash(doc)
+    bad.write_text(json.dumps(doc))
+    code = main(["--config", cfg_path, "--command", "verify-cert",
+                 "--cert", str(bad), "--output", str(vout)])
+    assert code == 3
+    assert json.loads(vout.read_text())["result"]["detail"].startswith(
+        "covering replay failed: bound replay mismatch: recorded 1000")
 
 
 def test_cli_cover_undecided_exit(tmp_path):

@@ -27,6 +27,13 @@ QI_2 = {"field": {"poly": [1, 0, 1]}, "S": {"primes": [2]},
         "ideal": {"gens": [[1, 0]]}}
 QM3_3 = {"field": {"poly": [1, 1, 1]}, "S": {"primes": [3]},
          "ideal": {"gens": [[1, 0]]}}
+# degrees 3 and 4, whose root boxes carry denominators of hundreds of bits
+K3 = {"field": {"poly": [-1, -1, 0, 1]}, "S": {"primes": []},
+      "units": {"gens": [[0, 1, 0]]}}
+K3_XI = dict(K3, params={"xi": ["1/3", "1/2", "0"]})
+Z5_XI = {"field": {"poly": [1, 1, 1, 1, 1]}, "S": {"primes": []},
+         "units": {"gens": [[1, 1, 0, 0]]},
+         "params": {"xi": ["1/3", "1/2", "0", "0"]}}
 
 PINNED = [
     ("cover", Z16, {"t": F(21, 100)},
@@ -47,13 +54,20 @@ PINNED = [
      "3832eff5730a52ddd7f10125002d1ac02d365d71d0e4588222295a4379cc0b42"),
     ("M", QM3_3, {"gap": F(1, 10)},
      "238d9fdffe3e4c365e03580614c77ef45344e12a3eee6ad325adfc6e71daa833"),
+    ("m", K3_XI, {},
+     "d4aa6361bb84fef55dcd29f7f5967b1a1e07e15f8165e0dda9bdf7c9e2e6903e"),
+    ("m", Z5_XI, {},
+     "b7c241070439aedc94e2efccccd86a3318d5bd2c08a9998e76d342f95f7257c0"),
+    ("cover", K3, {"t": F(1)},
+     "dc3e8a5cf27c45c8db1d36d0b2911cba370dcb2f43e8b89f447267b182ec1c54"),
 ]
 
 
 @pytest.mark.parametrize("command,raw,overrides,digest", PINNED,
                          ids=["cover-z16", "M-z16", "decide-z16", "decide-qi",
                               "decide-m5", "decide-m5class", "decide-sqrt2",
-                              "cover-qi-s2", "M-sqrt-3-s3"])
+                              "cover-qi-s2", "M-sqrt-3-s3", "m-cubic",
+                              "m-zeta5", "cover-cubic"])
 def test_report_content_hash_pinned(command, raw, overrides, digest):
     cfg = RunConfig(json.loads(json.dumps(raw)))
     for key, value in overrides.items():

@@ -4,11 +4,16 @@ every answer byte for byte.
 
     python3 tools/roundhash.py SEED ROUND            # one `bounds` round
     python3 tools/roundhash.py SEED ROUND minima     # `minima` rounds 0..ROUND
+    python3 tools/roundhash.py fields                # every benchmark field
 
 For `bounds`, the digest covers every certificate, witness and effort of
 round ROUND, and the surviving boxes of every Unresolved covering, also
 those inside compute_M. For `minima`, it covers every m_exact value,
 attaining shift and search tag, and every m_form value of rounds 0..ROUND.
+For `fields`, it covers, for every field of the three benchmark panels, the
+root enclosures of refinement levels 0..70, the embeddings of every
+integral basis element at the covering's BOUND_WIDTH and at 2^-64, and
+basis_row_bounds(64).
 The first line counts what was hashed, the second is the SHA-256 digest.
 The workloads are those of perfbench/workloads.py, run on the euclidmin
 source of this checkout.
@@ -17,6 +22,7 @@ source of this checkout.
 import hashlib
 import json
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -26,7 +32,44 @@ import euclidmin as em  # noqa: E402
 from euclidmin import minima  # noqa: E402
 from euclidmin.cli import certificate_to_json as cert  # noqa: E402
 from euclidmin.cli import witness_to_json as wit  # noqa: E402
-from workloads import Bounds, Minima  # noqa: E402
+from euclidmin.covering import BOUND_WIDTH  # noqa: E402
+from euclidmin.intervals import Iv  # noqa: E402
+from workloads import DECIDE, Bounds, Minima  # noqa: E402
+
+LEVELS = 70
+
+
+def rat(q):
+    """A rational as hex numerator/denominator: no limit on its digits."""
+    return f"{q.numerator:x}/{q.denominator:x}"
+
+
+def box(b):
+    if isinstance(b, Iv):
+        return [rat(b.lo), rat(b.hi)]
+    return [box(b.re), box(b.im)]
+
+
+def fields():
+    polys = sorted({c.poly for c in Minima.cases + Bounds.cases} |
+                   {poly for _, poly, *_ in DECIDE}, key=lambda f: (len(f), f))
+    docs, boxes = [], 0
+    for poly in polys:
+        field = em.make_field(poly)
+        roots = field.roots()
+        roots.ensure_level(LEVELS)
+        levels = [[box(b) for b in real + cplx]
+                  for real, cplx in roots.levels[:LEVELS + 1]]
+        embeds = [[[box(b) for b in e.reals + e.complexes]
+                   for e in (em.embed(w, BOUND_WIDTH),
+                             em.embed(w, Fraction(1, 2**64)))]
+                  for w in field.integral_basis]
+        docs.append([list(poly), levels, embeds,
+                     [list(map(list, row))
+                      for row in field.basis_row_bounds(64)]])
+        boxes += sum(map(len, levels))
+    print(len(docs), "fields,", boxes, "level boxes")
+    return docs
 
 
 def minima_rounds(seed: int, last: int):
@@ -83,11 +126,14 @@ def bounds_round(seed: int, r: int):
 
 
 def main(argv) -> int:
-    if len(argv) not in (3, 4) or argv[3:] not in ([], ["minima"]):
+    if argv[1:] == ["fields"]:
+        docs = fields()
+    elif len(argv) in (3, 4) and argv[3:] in ([], ["minima"]):
+        seed, r = int(argv[1]), int(argv[2])
+        docs = minima_rounds(seed, r) if argv[3:] else bounds_round(seed, r)
+    else:
         print(__doc__.strip(), file=sys.stderr)
         return 2
-    seed, r = int(argv[1]), int(argv[2])
-    docs = minima_rounds(seed, r) if argv[3:] else bounds_round(seed, r)
     print(hashlib.sha256(json.dumps(docs, sort_keys=True).encode())
           .hexdigest())
     return 0
