@@ -37,7 +37,8 @@ from .covering import (CoverBox, CoveringCertificate, CoveringState,
 from .enumerate import elements_in_box, real_box_targets
 from .errors import UnverifiedUnits
 from .fields import FieldElement, FractionalIdeal, embed
-from .places import s_norm, valuation
+from .hnf import int_det
+from .places import s_norm, s_norm_from_norm, valuation
 from .qmath import nth_root_upper, sqrt_upper
 from .torus import (TorusContext, orbit_with_units, reduce_mod,
                     shift_into_depths, torsion_reps, torus_context)
@@ -168,16 +169,32 @@ def _s_norm_of_int(ctx: TorusContext, d: int) -> Fraction:
     return s_norm(ctx.field.from_rational(d), ctx.sconfig)
 
 
-def _corner_differences(ctx: TorusContext, rep: FieldElement):
-    """rep minus each of the 2^n corners of the basis cell, zero left out."""
-    for corner in itertools.product((0, -1), repeat=ctx.field.degree):
-        shift = ctx.field.zero()
-        for c, b in zip(corner, ctx.basis):
-            if c:
-                shift = shift + b * c
-        eta = rep + shift
-        if not eta.is_zero():
-            yield eta
+def _corner_scan(ctx: TorusContext, rep: FieldElement, best):
+    """(S-norm, rep + shift) over the corner shifts of ctx.corners, in
+    corner order, for each difference whose S-norm is below best (None for
+    no bound) and below every one yielded before; zero is left out.
+
+    For rep = nums / den, a shift s / D and their common denominator
+    L = lcm(den, D), the norm of the integral L * (rep + shift) is
+    det((L/den) M(nums) + (L/D) M(s)), M the integer multiplication
+    matrix, which is linear: each corner costs one integer determinant,
+    and an element is built only for a yielded difference.
+    """
+    field = ctx.field
+    common = lcm(rep.den, ctx.a_part.den)
+    kr, ks = common // rep.den, common // ctx.a_part.den
+    rep_nums = [kr * c for c in rep.nums]
+    rep_m = field.int_mult_matrix(rep_nums)
+    for shift, shift_m in ctx.corners:
+        nrm = abs(int_det([[x + ks * y for x, y in zip(row, srow)]
+                           for row, srow in zip(rep_m, shift_m)]))
+        if not nrm:
+            continue
+        nums = tuple([x + ks * y for x, y in zip(rep_nums, shift)])
+        val = s_norm_from_norm(field, nums, common, nrm, ctx.sconfig)
+        if best is None or val < best:
+            best = val
+            yield val, FieldElement(field, nums, common)
 
 
 def m_exact(a: FractionalIdeal, sconfig, xi: FieldElement) -> MinimumValue:
@@ -211,10 +228,8 @@ def m_exact_attained(a: FractionalIdeal, sconfig, xi: FieldElement):
     best_unit = None
     best_rep = None
     for rep, u in orbit_pairs:
-        for eta in _corner_differences(ctx, rep):
-            val = s_norm(eta, sconfig)
-            if best_raw is None or val < best_raw:
-                best_raw, best_eta, best_unit, best_rep = val, eta, u, rep
+        for val, eta in _corner_scan(ctx, rep, best_raw):
+            best_raw, best_eta, best_unit, best_rep = val, eta, u, rep
     if best_raw is None:
         raise AssertionError("no corner difference is nonzero")
     search_info = _CORNER_SCAN
@@ -404,11 +419,10 @@ def _probe_box(a: FractionalIdeal, ctx: TorusContext, box: CoverBox,
     sconfig = ctx.sconfig
     for x in _box_points(ctx, box):
         rho, _ = reduce_mod(a, sconfig, x)
-        if rho.is_zero() or rho.coords in tested:
+        if rho.is_zero() or rho in tested:
             continue
-        tested.add(rho.coords)
-        if any(s_norm(eta, sconfig) / ctx.s_norm_a < t
-               for eta in _corner_differences(ctx, rho)):
+        tested.add(rho)
+        if next(_corner_scan(ctx, rho, t * ctx.s_norm_a), None) is not None:
             continue
         if effort is not None:
             effort["m_exact_calls"] += 1
@@ -502,12 +516,12 @@ def search_lower(a: FractionalIdeal, sconfig, denom_bound: int,
     for m in range(1, denom_bound + 1):
         for rep in torsion_reps(a, m, sconfig, primitive=True):
             rho, _ = reduce_mod(a, sconfig, rep)
-            if rho.coords in seen:
+            if rho in seen:
                 continue
             if effort is not None:
                 effort["m_exact_calls"] = effort.get("m_exact_calls", 0) + 1
             mv, _, _, orb = m_exact_attained(a, sconfig, rho)
-            seen.update(o.coords for o in orb)
+            seen.update(orb)
             if best is None or mv.value > best[1].value:
                 best = (rho, mv, len(orb))
     if best is None:

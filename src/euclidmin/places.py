@@ -175,13 +175,19 @@ def valuation(x: FieldElement, place: Place,
         raise ZeroElement("valuation of zero")
     if not place.is_finite():
         raise ValueError("valuation needs a finite place")
+    return _valuation(x.field, x.nums, x.den, place, norm_exp)
+
+
+def _valuation(field: NumberField, nums, den: int, place: Place,
+               norm_exp: int | None) -> int:
+    """valuation of nums / den, nums integral, nonzero and not necessarily
+    prime to den: the count above is v(nums) and runs on integers."""
     p = place.p
-    v_den = place.e * int_valuation(x.den, p)
+    v_den = place.e * int_valuation(den, p)
     if norm_exp == 0:
         return -v_den
-    field = x.field
     beta = place.beta()
-    y = x.nums
+    y = nums
     k = 0
     while norm_exp is None or k < norm_exp // place.f:
         z = field.int_mul(y, beta)
@@ -200,15 +206,26 @@ def s_norm(x: FieldElement, sconfig: "SConfig") -> Fraction:
     """
     if x.is_zero():
         return Fraction(0)
-    nrm = abs(x.numerator_norm())
-    num, den = nrm, x.den**x.field.degree
+    return s_norm_from_norm(x.field, x.nums, x.den,
+                            abs(x.numerator_norm()), sconfig)
+
+
+def s_norm_from_norm(field: NumberField, nums, den: int, nrm: int,
+                     sconfig: "SConfig") -> Fraction:
+    """The S-norm of the nonzero x = nums / den from nrm = |N(nums)|.
+
+    nums are integers and need not be prime to den: |N(x)| = nrm / den^n,
+    and each finite place of S multiplies by (p^f)^(-v(x)), the valuation
+    counted on nums with v_p(nrm) as its norm bound.
+    """
+    num, d = nrm, den**field.degree
     for v in sconfig.finite_places:
-        w = valuation(x, v, int_valuation(nrm, v.p))
+        w = _valuation(field, nums, den, v, int_valuation(nrm, v.p))
         if w > 0:
-            den *= v.residue_norm()**w
+            d *= v.residue_norm()**w
         elif w < 0:
             num *= v.residue_norm()**-w
-    return Fraction(num, den)
+    return Fraction(num, d)
 
 
 def ideal_place_valuation(ideal: FractionalIdeal, place: Place) -> int:

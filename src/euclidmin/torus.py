@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import itertools
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from math import floor, gcd, lcm
 
 from .errors import SearchExhausted, UnverifiedUnits
@@ -90,6 +90,19 @@ class TorusContext:
                     out = out * v.ideal_power(k)
             self.lattices[key] = out
         return out
+
+    @cached_property
+    def corners(self) -> tuple:
+        """The 2^n corner shifts of the basis cell, minus the sum of each
+        subset of the basis, in itertools.product((0, -1), ...) order: each
+        as (integer numerators over a_part.den, multiplication matrix)."""
+        field = self.field
+        out = []
+        for corner in itertools.product((0, -1), repeat=field.degree):
+            nums = tuple([sum([c * h for c, h in zip(corner, row)])
+                          for row in self.a_part.hnf])
+            out.append((nums, field.int_mult_matrix(nums)))
+        return tuple(out)
 
 
 def torus_context(a: FractionalIdeal, sconfig: SConfig) -> TorusContext:
@@ -267,16 +280,17 @@ def orbit_with_units(a: FractionalIdeal, sconfig: SConfig, xi: FieldElement):
     gens = list(sconfig.unit_gens)
     if sconfig.torsion is not None:
         gens.append(sconfig.torsion[0])
-    seen = {rho0.coords: (rho0, sconfig.field.one())}
+    # elements are canonical and hash on (nums, den): one key per class
+    seen = {rho0: (rho0, sconfig.field.one())}
     frontier = [(rho0, sconfig.field.one())]
     while frontier:
         nxt = []
         for x, u in frontier:
             for g in gens:
                 y, _ = reduce_mod(a, sconfig, g * x)
-                if y.coords not in seen:
-                    seen[y.coords] = (y, g * u)
-                    nxt.append(seen[y.coords])
+                if y not in seen:
+                    seen[y] = pair = (y, g * u)
+                    nxt.append(pair)
         frontier = nxt
     return sorted(seen.values(), key=lambda pair: pair[0].coords)
 

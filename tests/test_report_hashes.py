@@ -31,9 +31,14 @@ QM3_3 = {"field": {"poly": [1, 1, 1]}, "S": {"primes": [3]},
 K3 = {"field": {"poly": [-1, -1, 0, 1]}, "S": {"primes": []},
       "units": {"gens": [[0, 1, 0]]}}
 K3_XI = dict(K3, params={"xi": ["1/3", "1/2", "0"]})
-Z5_XI = {"field": {"poly": [1, 1, 1, 1, 1]}, "S": {"primes": []},
-         "units": {"gens": [[1, 1, 0, 0]]},
-         "params": {"xi": ["1/3", "1/2", "0", "0"]}}
+Z5 = {"field": {"poly": [1, 1, 1, 1, 1]}, "S": {"primes": []},
+      "units": {"gens": [[1, 1, 0, 0]]}}
+Z5_XI = dict(Z5, params={"xi": ["1/3", "1/2", "0", "0"]})
+# one of the two places above 5, so the corner scan takes valuations at a
+# partial S
+QI_5 = {"field": {"poly": [1, 0, 1]},
+        "S": {"primes": [{"p": 5, "indices": [0]}]},
+        "ideal": {"gens": [[1, 0]]}, "params": {"xi": ["1/5", "2/5"]}}
 
 PINNED = [
     ("cover", Z16, {"t": F(21, 100)},
@@ -60,6 +65,11 @@ PINNED = [
      "b7c241070439aedc94e2efccccd86a3318d5bd2c08a9998e76d342f95f7257c0"),
     ("cover", K3, {"t": F(1)},
      "dc3e8a5cf27c45c8db1d36d0b2911cba370dcb2f43e8b89f447267b182ec1c54"),
+    # a witness orbit of 15 classes, 16 corner shifts per representative
+    ("search", Z5, {"denom_bound": 3},
+     "8b272aff76bda18dd5f7d4faa1e09471bff0210408d319713754e8891255d989"),
+    ("m", QI_5, {},
+     "fd306ef29daecbc876f7f531104ef306b0cd02bb53d6c59804c37e4d278e788b"),
 ]
 
 
@@ -67,7 +77,8 @@ PINNED = [
                          ids=["cover-z16", "M-z16", "decide-z16", "decide-qi",
                               "decide-m5", "decide-m5class", "decide-sqrt2",
                               "cover-qi-s2", "M-sqrt-3-s3", "m-cubic",
-                              "m-zeta5", "cover-cubic"])
+                              "m-zeta5", "cover-cubic", "search-zeta5",
+                              "m-qi-s5-partial"])
 def test_report_content_hash_pinned(command, raw, overrides, digest):
     cfg = RunConfig(json.loads(json.dumps(raw)))
     for key, value in overrides.items():
