@@ -22,8 +22,9 @@ from .covering import CertEntry, CoverBox, CoveringCertificate, \
 from .errors import EuclidMinError, IoError, ParseError, ValidationError
 from .fields import ideal_from_gens, ideal_norm, make_field
 from .forms import form_from_ideal, m_form
-from .minima import (compute_M, covering_verify, decide_norm_euclidean,
-                     m_exact, search_lower, witness_mismatch)
+from .minima import (BUDGET, compute_M, covering_verify,
+                     decide_norm_euclidean, m_exact, search_lower,
+                     witness_mismatch)
 from .places import make_sconfig, places_above, s_norm
 from .qmath import int_str
 from .torus import orbit, s_trace_dual, torus_context
@@ -154,7 +155,7 @@ class RunConfig:
         self.gap = _positive_rat(params.get("gap", "1/100"), "params.gap")
         self.denom_bound = _positive_int(params.get("denom_bound", 20),
                                         "params.denom_bound")
-        self.budget = _positive_int(params.get("budget", 20000), "params.budget")
+        self.budget = _positive_int(params.get("budget", BUDGET), "params.budget")
         self.xi = None
         if "xi" in params:
             self.xi = _element(self.field, params["xi"], "params.xi")
@@ -360,6 +361,8 @@ def run_command(cfg: RunConfig, command: str) -> dict:
         if rep.certificate is not None:
             evidence["certificate"] = certificate_to_json(rep.certificate)
         doc["evidence"] = evidence
+        if rep.upper is None or rep.upper - rep.lower > cfg.gap:
+            doc["exit_code"] = 2    # the budget ended before the gap closed
     elif command == "decide":
         verdict = decide_norm_euclidean(cfg.ideal, sconfig, budget=cfg.budget)
         result["verdict"] = verdict.verdict

@@ -491,13 +491,12 @@ class CoveringCertificate:
         return len(self.entries)
 
 
+@dataclass
 class CoveringState:
     """Resumable branch-and-bound state: certified entries, open boxes."""
-
-    def __init__(self, entries=(), boxes=None, processed=0):
-        self.entries = list(entries)
-        self.boxes = list(boxes) if boxes is not None else None
-        self.processed = processed
+    entries: list
+    boxes: list
+    processed: int
 
 
 class Unresolved:

@@ -406,13 +406,14 @@ def _box_points(ctx: TorusContext, box: CoverBox):
 
 
 def _probe_box(a: FractionalIdeal, ctx: TorusContext, box: CoverBox,
-               t: Fraction, tested: set, effort):
+               t: Fraction, tested: set, spent: dict, budget: int):
     """A class in a small surviving box with exact minimum >= t, or None.
 
     Returns (reduced representative, MinimumValue, orbit size). `tested`
     holds the classes already looked at in this covering. A corner shift
     whose norm ratio is below t bounds the minimum below t, so m_exact only
-    runs on points that pass that screen.
+    runs on points that pass that screen, each call charged to `spent`
+    while the budget lasts.
     """
     if box.volume_fraction(ctx) > PROBE_VOLUME:
         return None
@@ -424,15 +425,22 @@ def _probe_box(a: FractionalIdeal, ctx: TorusContext, box: CoverBox,
         tested.add(rho)
         if next(_corner_scan(ctx, rho, t * ctx.s_norm_a), None) is not None:
             continue
-        if effort is not None:
-            effort["m_exact_calls"] += 1
+        if sum(spent.values()) >= budget:
+            return None
+        spent["m_exact_calls"] += 1
         mv, _, _, orb = m_exact_attained(a, sconfig, rho)
         if mv.value >= t:
             return rho, mv, len(orb)
     return None
 
 
-def covering_verify(a: FractionalIdeal, sconfig, t, budget: int = 20000,
+# The default budget of covering_verify, compute_M and decide_norm_euclidean,
+# and of every command line run: one unit pays for one covering box or one
+# m_exact call.
+BUDGET = 20000
+
+
+def covering_verify(a: FractionalIdeal, sconfig, t, budget: int = BUDGET,
                     resume: CoveringState | None = None,
                     effort: dict | None = None):
     """Prove that every adele class admits a shift with norm ratio below t.
@@ -444,7 +452,8 @@ def covering_verify(a: FractionalIdeal, sconfig, t, budget: int = 20000,
     held a class with exact minimum >= t, which the Unresolved carries as a
     replayable witness that t is not above the supremum. Such a box can
     never be certified, so a covering that succeeds never stops early.
-    With `effort`, adds the boxes processed and the m_exact calls made.
+    The boxes processed and the probes' m_exact calls together spend at
+    most `budget`; with `effort`, adds both counts to it.
     """
     t = Fraction(t)
     if t <= 0:
@@ -453,28 +462,28 @@ def covering_verify(a: FractionalIdeal, sconfig, t, budget: int = 20000,
     entries = list(resume.entries) if resume else []
     heap = []
     counter = itertools.count()
-    seeds = (resume.boxes if resume and resume.boxes is not None
-             else [initial_box(ctx)])
-    for box in seeds:
+    for box in resume.boxes if resume else [initial_box(ctx)]:
         heapq.heappush(heap, (Fraction(0), next(counter), box))
-    processed = 0
+    spent = {"covering_boxes": 0, "m_exact_calls": 0}
     tested = set()
     found = None
-    while heap and processed < budget and found is None:
+    while heap and found is None and sum(spent.values()) < budget:
         box = heapq.heappop(heap)[2]
-        processed += 1
+        spent["covering_boxes"] += 1
         entry, bound = _certify_box(ctx, box, t)
         if entry is not None:
             entries.append(entry)
             continue
-        found = _probe_box(a, ctx, box, t, tested, effort)
+        found = _probe_box(a, ctx, box, t, tested, spent, budget)
         priority = -bound if bound is not None else Fraction(0)
         for child in _split_box(ctx, box):
             heapq.heappush(heap, (priority, next(counter), child))
     if effort is not None:
-        effort["covering_boxes"] += processed
+        for key, count in spent.items():
+            effort[key] += count
     if heap:
-        state = CoveringState(entries, [item[2] for item in heap], processed)
+        state = CoveringState(entries, [item[2] for item in heap],
+                              spent["covering_boxes"])
         return Unresolved(state, *(found or ()))
     entries.sort(key=lambda e: e.box.sort_key())
     return CoveringCertificate(threshold=t, entries=tuple(entries),
@@ -500,20 +509,23 @@ def box_contains_rational(ctx: TorusContext, box: CoverBox,
     return True
 
 
-# -- search and the two-sided report -------------------------------------------
+# -- search and the bracketing loop --------------------------------------------
 
 
-def search_lower(a: FractionalIdeal, sconfig, denom_bound: int,
-                 seen=None, effort=None):
+def search_lower(a: FractionalIdeal, sconfig, denom_bound: int, effort=None):
     """Best exact minimum over torsion classes with denominator <= bound.
 
     Prunes by unit orbit: every class is evaluated once per orbit. Returns
     (witness, MinimumValue, orbit_size_of_witness).
     """
-    ctx = torus_context(a, sconfig)
-    seen = seen if seen is not None else set()
+    return _search(a, sconfig, range(1, denom_bound + 1), set(), effort)
+
+
+def _search(a: FractionalIdeal, sconfig, denoms, seen: set, effort):
+    """search_lower over the denominators in denoms, skipping the classes in
+    seen; the class of 0 when every class is skipped."""
     best = None
-    for m in range(1, denom_bound + 1):
+    for m in denoms:
         for rep in torsion_reps(a, m, sconfig, primitive=True):
             rho, _ = reduce_mod(a, sconfig, rep)
             if rho in seen:
@@ -525,87 +537,115 @@ def search_lower(a: FractionalIdeal, sconfig, denom_bound: int,
             if best is None or mv.value > best[1].value:
                 best = (rho, mv, len(orb))
     if best is None:
-        zero = ctx.field.zero()
+        zero = a.field.zero()
         best = (zero, MinimumValue(Fraction(0), zero, _TRIVIAL), 1)
     return best
 
 
+SLICE = 400             # the budget of the first covering slice
+SEARCH_DENOM = 64       # the top of the search ladder
+
+
+def _bracket(a: FractionalIdeal, sconfig, budget: int, denom: int,
+             threshold, stop) -> MReport:
+    """Bracket the supremum of the exact minimum until stop(lower, closed)
+    holds or the budget cannot pay for another step; closed is upper - lower
+    when the last certificate was made.
+
+    A search, first and after each failed covering, adds the denominators
+    up to the next of denom, 2 denom, ..., SEARCH_DENOM, when what is left
+    pays for their m^n classes each. A covering at threshold(lower, closed)
+    gets SLICE boxes, twice as many after each failure but never more than
+    what is left, and resumes the failed one while the threshold stays. Its
+    witness replaces the search's only when strictly better, and skips the
+    search when it settles stop.
+    """
+    if not sconfig.verified:
+        raise UnverifiedUnits("bracketing needs a verified S-unit basis")
+    effort = {"covering_boxes": 0, "m_exact_calls": 0}
+    seen = set()
+    best = _search(a, sconfig, (), seen, effort)
+    certificate = closed = None
+    searched = 0                # the largest denominator searched
+    cover_slice = SLICE
+    failed = {}                 # threshold -> the last failed covering there
+
+    def left():
+        return budget - sum(effort.values())
+
+    def search(best):
+        nonlocal searched
+        top = min(max(2 * searched, denom), SEARCH_DENOM)
+        denoms = range(searched + 1, top + 1)
+        if not denoms or sum(m ** a.field.degree for m in denoms) > left():
+            return best
+        searched = top
+        found = _search(a, sconfig, denoms, seen, effort)
+        return found if found[1].value > best[1].value else best
+
+    best = search(best)
+    while not stop(best[1].value, closed) and left() > 0:
+        t = threshold(best[1].value, closed)
+        result = covering_verify(a, sconfig, t,
+                                 budget=min(cover_slice, left()),
+                                 resume=failed.get(t), effort=effort)
+        if isinstance(result, CoveringCertificate):
+            certificate, closed = result, t - best[1].value
+            continue
+        failed = {t: result.state}
+        cover_slice *= 2
+        found = None if result.witness is None else (
+            result.witness, result.witness_minimum, result.witness_orbit_size)
+        if found is None or not stop(found[1].value, closed):
+            best = search(best)
+        if found is not None and found[1].value > best[1].value:
+            best = found
+    witness, mv, orbit_size = best
+    upper = None if certificate is None else certificate.threshold
+    return MReport(lower=mv.value, witness=witness, witness_minimum=mv,
+                   upper=upper, certificate=certificate, exact=False,
+                   witness_orbit_size=orbit_size, effort=effort)
+
+
 def compute_M(a: FractionalIdeal, sconfig, gap,
-              budget: int = 40000) -> MReport:
+              budget: int = BUDGET) -> MReport:
     """Two-sided bounds on the supremum of the exact minimum over K.
 
-    Alternates wider witness searches with covering attempts at
-    lower + gap_k, shrinking gap_k geometrically down to the requested gap.
-    A covering below the supremum stops at its first witness, which raises
-    the lower bound when it beats the search.
+    Brackets from denominator 4, covering at lower + gap_k: gap_k is 1/2,
+    then a quarter of the bracket the last certificate closed, but at least
+    gap; stops once a certificate closes a bracket within gap. A covering
+    below the supremum stops at its first witness, which raises the lower
+    bound when it beats the search.
     exact is False: proving that lower is the supremum needs an isolation
     certificate for the witness orbit, which is not built yet.
     """
     gap = Fraction(gap)
     if gap <= 0:
         raise ValueError("gap must be positive")
-    effort = {"covering_boxes": 0, "m_exact_calls": 0}
-    seen = set()
-    denom = 4
-    witness, best_mv, orbit_size = search_lower(a, sconfig, denom, seen, effort)
-    upper = None
-    certificate = None
-    gap_k = Fraction(1, 2)
-    while effort["covering_boxes"] < budget:
-        t = best_mv.value + gap_k
-        slice_budget = min(max(400, budget // 8),
-                           budget - effort["covering_boxes"])
-        result = covering_verify(a, sconfig, t, budget=slice_budget,
-                                 effort=effort)
-        if isinstance(result, CoveringCertificate):
-            upper = t
-            certificate = result
-            if gap_k <= gap:
-                break
-            gap_k = max(gap_k / 4, gap)
-        else:
-            denom = min(denom * 2, 64)
-            w2, mv2, orb2 = search_lower(a, sconfig, denom, seen, effort)
-            if mv2.value > best_mv.value:
-                witness, best_mv, orbit_size = w2, mv2, orb2
-            # after the search, so that on a tie the search's pick stands
-            if result.witness is not None and \
-                    result.witness_minimum.value > best_mv.value:
-                witness, best_mv = result.witness, result.witness_minimum
-                orbit_size = result.witness_orbit_size
-    return MReport(lower=best_mv.value, witness=witness,
-                   witness_minimum=best_mv, upper=upper,
-                   certificate=certificate, exact=False,
-                   witness_orbit_size=orbit_size, effort=effort)
+
+    def threshold(lower, closed):
+        return lower + (Fraction(1, 2) if closed is None
+                        else max(closed / 4, gap))
+
+    return _bracket(a, sconfig, budget, 4, threshold,
+                    lambda lower, closed: closed is not None and closed <= gap)
 
 
 def decide_norm_euclidean(a: FractionalIdeal, sconfig,
-                          budget: int = 60000) -> EuclideanVerdict:
-    """Interleaved decision: certified covering at threshold 1 against a
-    witness search for a class with exact minimum at least 1.
+                          budget: int = BUDGET) -> EuclideanVerdict:
+    """Whether the supremum is below 1: brackets from denominator 2 with
+    coverings at threshold 1, until one certifies or a class, from the
+    search or a covering, has exact minimum at least 1.
 
     Sound for any S; termination is guaranteed when #S >= 3 or whenever the
     supremum differs from 1, otherwise the budget may run out (undecided).
     """
-    if not sconfig.verified:
-        raise UnverifiedUnits("decision requires a verified S-unit basis")
-    effort = {"covering_boxes": 0, "m_exact_calls": 0}
-    seen = set()
-    denom = 2
-    cover_state = None
-    cover_slice = 400
-    while effort["covering_boxes"] + effort["m_exact_calls"] < budget:
-        witness, mv, orb = search_lower(a, sconfig, denom, seen, effort)
-        if mv.value >= 1:
-            return EuclideanVerdict("not_euclidean", None, witness, mv, effort)
-        result = covering_verify(a, sconfig, Fraction(1), budget=cover_slice,
-                                 resume=cover_state, effort=effort)
-        if isinstance(result, CoveringCertificate):
-            return EuclideanVerdict("euclidean", result, None, None, effort)
-        if result.witness is not None:
-            return EuclideanVerdict("not_euclidean", None, result.witness,
-                                    result.witness_minimum, effort)
-        cover_state = result.state
-        denom = min(denom * 2, 64)
-        cover_slice = min(cover_slice * 2, budget)
-    return EuclideanVerdict("undecided", None, None, None, effort)
+    rep = _bracket(a, sconfig, budget, 2, lambda lower, closed: Fraction(1),
+                   lambda lower, closed: lower >= 1 or closed is not None)
+    if rep.certificate is not None:
+        return EuclideanVerdict("euclidean", rep.certificate, None, None,
+                                rep.effort)
+    if rep.lower >= 1:
+        return EuclideanVerdict("not_euclidean", None, rep.witness,
+                                rep.witness_minimum, rep.effort)
+    return EuclideanVerdict("undecided", None, None, None, rep.effort)

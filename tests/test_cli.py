@@ -444,6 +444,9 @@ def verify_detail(tmp_path, cfg_path, report, restamp=True):
 def test_verify_cert_tamper_table(tmp_path, evidence_reports):
     assert evidence_reports["cover-witness"][1]["result"]["covered"] is False
     assert evidence_reports["M-uncertified"][1]["result"]["upper"] is None
+    # M exits 2 when the budget ends before the bracket meets the gap
+    assert evidence_reports["M-uncertified"][1]["exit_code"] == 2
+    assert evidence_reports["M"][1]["exit_code"] == 0
     for name, (cfg_path, report) in evidence_reports.items():
         assert verify_detail(tmp_path, cfg_path, report, restamp=False) == \
             (0, {"replay": "pass", "detail": ANY}), name

@@ -281,7 +281,42 @@ def test_decide_undecided_on_tiny_budget(field_sqrt2, s_sqrt2_inf):
     # must surface undecided rather than a wrong verdict
     verdict = decide_norm_euclidean(field_sqrt2.maximal_order(), s_sqrt2_inf,
                                     budget=3)
-    assert verdict.verdict in ("euclidean", "undecided")
+    assert verdict.verdict == "undecided"
+    assert sum(verdict.effort.values()) <= 3
+
+
+def test_search_ladder_reduces_each_class_once(field_q, s_q_23,
+                                              monkeypatch):
+    import euclidmin.minima as minima
+
+    enumerated, reduced = [], []
+    reps_of, reduce, covering = (minima.torsion_reps, minima.reduce_mod,
+                                 minima.covering_verify)
+
+    def listing_reps(a, m, sconfig, primitive=False):
+        reps = reps_of(a, m, sconfig, primitive)
+        enumerated.append((m, reps))
+        return reps
+
+    def counting_reduce(a, sconfig, xi):
+        reduced.append(xi)
+        return reduce(a, sconfig, xi)
+
+    def failing_covering(a, sconfig, t, budget, resume, effort):
+        # one box from the start: every covering fails, so the ladder climbs
+        return covering(a, sconfig, t, budget=1, effort=effort)
+
+    monkeypatch.setattr(minima, "torsion_reps", listing_reps)
+    monkeypatch.setattr(minima, "reduce_mod", counting_reduce)
+    monkeypatch.setattr(minima, "covering_verify", failing_covering)
+    verdict = decide_norm_euclidean(field_q.maximal_order(), s_q_23,
+                                    budget=3000)
+    assert verdict.verdict == "undecided"
+    # every rung from 2 to 64 ran, each over the denominators it added
+    assert [m for m, _ in enumerated] == list(range(1, 65))
+    reps = {id(rep) for _, group in enumerated for rep in group}
+    searched = [id(xi) for xi in reduced if id(xi) in reps]
+    assert len(searched) == len(set(searched)) == len(reps)
 
 
 def test_compute_m_effort_counts_every_box(field_q, s_q_23, monkeypatch):
@@ -312,7 +347,7 @@ def test_decide_verdict_from_covering_witness(field_sqrtm5, s_sqrtm5_inf,
 
     zero = field_sqrtm5.zero()
     blind = (zero, minima.MinimumValue(F(0), zero, {"trivial": True}), 1)
-    monkeypatch.setattr(minima, "search_lower", lambda *args: blind)
+    monkeypatch.setattr(minima, "_search", lambda *args: blind)
     O = field_sqrtm5.maximal_order()
     verdict = decide_norm_euclidean(O, s_sqrtm5_inf, budget=3000)
     assert verdict.verdict == "not_euclidean"

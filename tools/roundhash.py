@@ -5,6 +5,7 @@ every answer byte for byte.
     python3 tools/roundhash.py SEED ROUND            # one `bounds` round
     python3 tools/roundhash.py SEED ROUND minima     # `minima` rounds 0..ROUND
     python3 tools/roundhash.py fields                # every benchmark field
+    python3 tools/roundhash.py cli                   # `cli-reports` decide, M
 
 For `bounds`, the digest covers every certificate, witness and effort of
 round ROUND, and the surviving boxes of every Unresolved covering, also
@@ -14,6 +15,10 @@ For `fields`, it covers, for every field of the three benchmark panels, the
 root enclosures of refinement levels 0..70, the embeddings of every
 integral basis element at the covering's BOUND_WIDTH and at 2^-64, and
 basis_row_bounds(64).
+For `cli`, it covers the canonical payload (the report without its timing,
+as `run_command` makes it at the default budget) of every `decide` and `M`
+command of `cli-reports` round 0: the 18 decide fixtures and the two M
+reports.
 The first line counts what was hashed, the second is the SHA-256 digest.
 The workloads are those of perfbench/workloads.py, run on the euclidmin
 source of this checkout.
@@ -22,6 +27,7 @@ source of this checkout.
 import hashlib
 import json
 import sys
+import tempfile
 from fractions import Fraction
 from pathlib import Path
 
@@ -30,11 +36,13 @@ sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
 
 import euclidmin as em  # noqa: E402
 from euclidmin import minima  # noqa: E402
+from euclidmin.cli import canonical_payload_bytes  # noqa: E402
 from euclidmin.cli import certificate_to_json as cert  # noqa: E402
+from euclidmin.cli import parse_config, run_command  # noqa: E402
 from euclidmin.cli import witness_to_json as wit  # noqa: E402
 from euclidmin.covering import BOUND_WIDTH  # noqa: E402
 from euclidmin.intervals import Iv  # noqa: E402
-from workloads import DECIDE, Bounds, Minima  # noqa: E402
+from workloads import DECIDE, Bounds, CliReports, Minima  # noqa: E402
 
 LEVELS = 70
 
@@ -125,9 +133,29 @@ def bounds_round(seed: int, r: int):
     return docs
 
 
+def cli_reports():
+    wl = CliReports()
+    wl.setup(em, 0)
+    docs = []
+    with tempfile.TemporaryDirectory() as workdir:
+        for op in wl.round_ops(0, Path(workdir)):
+            if op.command not in ("decide", "M"):
+                continue
+            cfg = parse_config(Path(op.cfg).read_text())
+            if "--gap" in op.args:
+                cfg.gap = Fraction(op.args[op.args.index("--gap") + 1])
+            doc = run_command(cfg, op.command)
+            docs.append([op.command, op.case.name,
+                         canonical_payload_bytes(doc).decode()])
+    print(len(docs), "reports")
+    return docs
+
+
 def main(argv) -> int:
     if argv[1:] == ["fields"]:
         docs = fields()
+    elif argv[1:] == ["cli"]:
+        docs = cli_reports()
     elif len(argv) in (3, 4) and argv[3:] in ([], ["minima"]):
         seed, r = int(argv[1]), int(argv[2])
         docs = minima_rounds(seed, r) if argv[3:] else bounds_round(seed, r)
