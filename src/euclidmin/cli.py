@@ -14,7 +14,6 @@ import json
 import re
 import sys
 import time
-from decimal import Decimal
 from fractions import Fraction
 
 from .covering import CertEntry, CoverBox, CoveringCertificate, \
@@ -53,11 +52,23 @@ def str_to_rat(s, path="") -> Fraction:
                 try:
                     return Fraction(*map(int, s.split("/")))
                 except ValueError:      # past the int <-> str digit limit
-                    return Fraction(*[int(Decimal(c)) for c in s.split("/")])
+                    return Fraction(*map(_long_int, s.split("/")))
             return Fraction(s)
     except (ValueError, ZeroDivisionError):
         pass
     raise ValidationError(f"not a rational: {s!r}", path)
+
+
+def _long_int(s: str) -> int:
+    """int(s) for s matching -?[0-9]+ past the int <-> str digit limit,
+    read in chunks of digits below it."""
+    digits = s.lstrip("-")
+    width = sys.get_int_max_str_digits() or len(digits)
+    out = 0
+    for i in range(0, len(digits), width):
+        part = digits[i:i + width]
+        out = out * 10 ** len(part) + int(part)
+    return -out if s[0] == "-" else out
 
 
 def _positive_rat(s, path) -> Fraction:
@@ -249,18 +260,28 @@ def _evidence_int(value) -> int:
 
 
 def certificate_from_json(data: dict) -> CoveringCertificate:
+    rats = {}   # each distinct rational string of this certificate, read once
+
+    def rat(s):
+        if type(s) is not str:
+            return str_to_rat(s)
+        q = rats.get(s)
+        if q is None:
+            q = rats[s] = str_to_rat(s)
+        return q
+
     entries = []
     for e in data["entries"]:
         box = CoverBox(
-            lo=tuple(str_to_rat(c) for c in e["box"]["lo"]),
-            hi=tuple(str_to_rat(c) for c in e["box"]["hi"]),
-            center=tuple(str_to_rat(c) for c in e["box"]["center"]),
+            lo=tuple([rat(c) for c in e["box"]["lo"]]),
+            hi=tuple([rat(c) for c in e["box"]["hi"]]),
+            center=tuple([rat(c) for c in e["box"]["center"]]),
             exponents=tuple(map(_evidence_int, e["box"]["exponents"])),
         )
-        entries.append(CertEntry(box, tuple(str_to_rat(c) for c in e["gamma"]),
-                                 str_to_rat(e["bound"])))
+        entries.append(CertEntry(box, tuple([rat(c) for c in e["gamma"]]),
+                                 rat(e["bound"])))
     return CoveringCertificate(
-        threshold=str_to_rat(data["threshold"]),
+        threshold=rat(data["threshold"]),
         entries=tuple(entries),
         ideal_hnf=tuple(tuple(map(_evidence_int, row))
                         for row in data["ideal_hnf"]),

@@ -4,10 +4,12 @@ A box is an axis-aligned half-open cell in the coordinates of the ideal
 basis (the archimedean block) times one residue class per finite place of S
 (a center known modulo P_v^{k_v}). Bounds over a box are computed by exact
 interval evaluation at the archimedean places and ultrametric estimates at
-the finite ones, all on integers over common denominators, with one Fraction
-per bound (exact_bound); a recorded (box, shift, bound) triple can be
-re-derived by anyone from the box data alone, which is what makes
-certificates replayable.
+the finite ones, all on integers over common denominators. bound_pair, the
+one evaluator of recorded bounds, returns each as an integer pair: the
+covering records it as a Fraction (box_bound), and verify_certificate
+re-derives every entry's bound with it, so a recorded (box, shift, bound)
+triple can be re-derived by anyone from the box data alone, which is what
+makes certificates replayable.
 
 A covering only needs to know on which side of its threshold a screening
 bound lies, so it first encloses the bound between two integers on the
@@ -164,20 +166,27 @@ def _basis_rows(ctx: TorusContext):
 
 
 def box_arch(ctx: TorusContext, box: CoverBox) -> list:
-    """(lo, hi, den) per real coordinate: the exact interval sum over j of
-    [lo_j, hi_j] times basis row j, which encloses the box's image."""
-    rows = _basis_rows(ctx)
+    """arch_image of the box, its coordinates over their least common
+    denominator."""
     d = lcm(*[x.denominator for x in box.lo + box.hi])
-    xs = [(_scaled(lo, d), _scaled(hi, d)) for lo, hi in zip(box.lo, box.hi)]
+    return arch_image(ctx, [_scaled(x, d) for x in box.lo],
+                      [_scaled(x, d) for x in box.hi], d)
+
+
+def arch_image(ctx: TorusContext, lo, hi, d: int) -> list:
+    """(lo, hi, den) per real coordinate: the exact interval sum over j of
+    [lo_j, hi_j] / d times basis row j, which encloses the image of the box
+    with integer coordinates lo_j, hi_j over d."""
+    rows = _basis_rows(ctx)
     out = []
-    for c in range(len(xs)):
-        lo = hi = 0
-        for (x1, x2), row in zip(xs, rows):
+    for c in range(len(lo)):
+        lo_c = hi_c = 0
+        for x1, x2, row in zip(lo, hi, rows):
             b1, b2, dc = row[c]
             ps = (x1 * b1, x1 * b2, x2 * b1, x2 * b2)
-            lo += min(ps)
-            hi += max(ps)
-        out.append((lo, hi, d * dc))
+            lo_c += min(ps)
+            hi_c += max(ps)
+        out.append((lo_c, hi_c, d * dc))
     return out
 
 
@@ -192,9 +201,10 @@ def _shift_rows(ctx: TorusContext, gamma: FieldElement):
     return rows
 
 
-def exact_bound(ctx: TorusContext, arch, gamma: FieldElement,
-                num: int, den: int) -> Fraction:
-    """Certified upper bound of N_S(x - gamma)/N_S(a) over a region.
+def exact_pair(ctx: TorusContext, arch, gamma: FieldElement,
+               num: int, den: int) -> tuple[int, int]:
+    """Certified upper bound of N_S(x - gamma)/N_S(a) over a region, as
+    integers (num, den) with den > 0.
 
     arch, (lo, hi, den) per real coordinate (the real places, then re and
     im per complex place), encloses the archimedean image of x; num / den
@@ -217,7 +227,13 @@ def exact_bound(ctx: TorusContext, arch, gamma: FieldElement,
             # a complex place: the sum of the squares of its coordinates,
             # which share their denominator
             num *= re * re + term * term
-    return Fraction(num, den)
+    return num, den
+
+
+def exact_bound(ctx: TorusContext, arch, gamma: FieldElement,
+                num: int, den: int) -> Fraction:
+    """exact_pair as a Fraction."""
+    return Fraction(*exact_pair(ctx, arch, gamma, num, den))
 
 
 def _norm_factor(pairs) -> tuple[int, int]:
@@ -239,16 +255,29 @@ def _finite_factor(terms) -> tuple[int, int]:
         for v, diff, k in terms)
 
 
+def bound_pair(ctx: TorusContext, arch, center: FieldElement, exponents,
+               gamma: FieldElement) -> tuple[int, int]:
+    """The bound of box_bound as integers (num, den), den > 0, for a box
+    whose archimedean image is arch (an arch_image), whose class center is
+    center and whose finite depths are exponents.
+
+    The one evaluator of recorded bounds: box_bound, and with it every
+    certificate entry, and verify_certificate's replay both call it.
+    """
+    diff = center - gamma
+    num, den = _finite_factor((v, diff, k) for v, k in
+                              zip(ctx.sconfig.finite_places, exponents))
+    return exact_pair(ctx, arch, gamma, num, den)
+
+
 def box_bound(ctx: TorusContext, box: CoverBox,
               gamma: FieldElement) -> Fraction:
     """Certified upper bound on sup over the box of N_S(x - gamma) / N_S(a).
 
     Deterministic in (box, gamma), which is what certificate replay relies on.
     """
-    diff = box.center_element(ctx) - gamma
-    num, den = _finite_factor((v, diff, k) for v, k in
-                              zip(ctx.sconfig.finite_places, box.exponents))
-    return exact_bound(ctx, box_arch(ctx, box), gamma, num, den)
+    return Fraction(*bound_pair(ctx, box_arch(ctx, box),
+                                box.center_element(ctx), box.exponents, gamma))
 
 
 def box_entry(ctx: TorusContext, box: CoverBox,
@@ -540,23 +569,30 @@ def verify_certificate(ctx: TorusContext, cert: CoveringCertificate,
 
     Checks: bounds below the threshold, bit-exact bound re-derivation from
     (box, gamma), shifts inside the S-ideal, boxes inside the fundamental
-    domain, pairwise disjointness, and total measure exactly 1, the last two
-    on box coordinates and centers read once as integers over one
-    denominator each.
+    domain, pairwise disjointness, and total measure exactly 1. Box
+    coordinates, centers and shifts are read once as integers over one
+    denominator each. Every bound is re-derived by bound_pair and compared
+    with the recorded one on integers. The archimedean image of each
+    distinct box and the S-ideal membership of each distinct shift are
+    computed once per call; nothing is kept from one call to the next.
     """
     t = Fraction(threshold) if threshold is not None else cert.threshold
     if cert.threshold > t:
         raise AssertionError("certificate threshold exceeds requested one")
     if (cert.ideal_hnf, cert.ideal_den) != (ctx.a_part.hnf, ctx.a_part.den):
         raise AssertionError("certificate is for a different ideal")
-    n = ctx.field.degree
+    field = ctx.field
+    n = field.degree
     places = ctx.sconfig.finite_places
     nfin = len(places)
     entries = cert.entries
     xden = lcm(*[x.denominator for e in entries for x in e.box.lo + e.box.hi])
     zden = lcm(*[x.denominator for e in entries for x in e.box.center])
+    gden = lcm(*[x.denominator for e in entries for x in e.gamma_coords])
     boxes = []      # (lo, hi, center, exponents) per entry, on integers
     volumes = {}    # exponents -> sum of prod (hi - lo) over xden^n
+    archs = {}      # (lo, hi) -> the arch_image of the box
+    shifts = {}     # numerators over gden -> (shift, in the S-ideal)
     for e in entries:
         box = e.box
         if (len(box.lo) != n or len(box.hi) != n or len(box.center) != n
@@ -574,17 +610,27 @@ def verify_certificate(ctx: TorusContext, cert: CoveringCertificate,
         center = tuple([_scaled(x, zden) for x in box.center])
         if any(c % zden for c in center):
             raise AssertionError("box center is not integral")
-        if not e.bound < t:
-            raise AssertionError(f"bound {rat_str(e.bound)} not below "
+        bound = e.bound
+        if not bound < t:
+            raise AssertionError(f"bound {rat_str(bound)} not below "
                                  f"threshold {rat_str(t)}")
-        gamma = ctx.field.element(e.gamma_coords)
-        if not gamma_in_s_ideal(ctx, gamma):
+        g = tuple([_scaled(x, gden) for x in e.gamma_coords])
+        shift = shifts.get(g)
+        if shift is None:
+            gamma = FieldElement(field, g, gden)
+            shift = shifts[g] = (gamma, gamma_in_s_ideal(ctx, gamma))
+        gamma, member = shift
+        if not member:
             raise AssertionError("shift is not in the S-ideal")
-        replayed = box_bound(ctx, box, gamma)
-        if replayed != e.bound:
+        arch = archs.get((lo, hi))
+        if arch is None:
+            arch = archs[lo, hi] = arch_image(ctx, lo, hi, xden)
+        z = FieldElement(field, tuple([c // zden for c in center]), 1)
+        num, den = bound_pair(ctx, arch, z, box.exponents, gamma)
+        if num * bound.denominator != den * bound.numerator:
             raise AssertionError(
-                f"bound replay mismatch: recorded {rat_str(e.bound)}, "
-                f"got {rat_str(replayed)}")
+                f"bound replay mismatch: recorded {rat_str(bound)}, "
+                f"got {rat_str(Fraction(num, den))}")
         volumes[box.exponents] = volumes.get(box.exponents, 0) + vol
         boxes.append((lo, hi, center, box.exponents))
     # the boxes of one finite depth measure their volume sum / prod Np^k
@@ -598,25 +644,53 @@ def verify_certificate(ctx: TorusContext, cert: CoveringCertificate,
 
 def _check_disjoint(ctx, boxes, den):
     """Pairwise disjointness via a sweep on the first coordinate, over the
-    (lo, hi, center, exponents) integer boxes, centers over den."""
+    (lo, hi, center, exponents) integer boxes, centers over den.
+
+    A box meets every box still active in the sweep on the first
+    coordinate, so only the others are compared. The classes of two
+    integral centers meet exactly when the centers differ by an element of
+    prod P_v^{min k_v}, that is when their residues modulo it are equal;
+    each box's residue at each such depth is computed once.
+    """
     idx = sorted(range(len(boxes)), key=lambda i: boxes[i][0][0])
-    compat_cache = {}
+    residues = [{} for _ in boxes]      # per box: depths -> its residue
+
+    def residue(i, depths):
+        out = residues[i][depths] = _residue(
+            ctx.s_lattice(depths, over_order=True),
+            [c // den for c in boxes[i][2]])
+        return out
+
     active = []
     for i in idx:
-        lo, hi, center, exponents = boxes[i]
+        lo, hi, _, exponents = boxes[i]
+        rest = tuple(zip(lo[1:], hi[1:]))
+        mine = residues[i]
         active = [j for j in active if boxes[j][1][0] > lo[0]]
         for j in active:
-            lo2, hi2, center2, exponents2 = boxes[j]
-            if all(a < d and c < b for a, b, c, d in zip(lo, hi, lo2, hi2)):
-                key = (center, exponents, center2, exponents2)
-                if key not in compat_cache:
-                    # the classes of two integral centers meet exactly when
-                    # the centers differ by an element of prod P_v^{min k_v}
-                    depths = tuple(map(min, exponents, exponents2))
-                    modulus = ctx.s_lattice(depths, over_order=True)
-                    diff = tuple([a - b for a, b in zip(center, center2)])
-                    compat_cache[key] = modulus.contains(
-                        FieldElement(ctx.field, diff, den))
-                if compat_cache[key]:
-                    raise AssertionError("overlapping boxes in certificate")
+            lo2, hi2, _, exponents2 = boxes[j]
+            if rest and not all(a < d and c < b for (a, b), c, d in zip(
+                    rest, lo2[1:], hi2[1:])):
+                continue
+            depths = exponents if exponents == exponents2 else \
+                tuple(map(min, exponents, exponents2))
+            theirs = residues[j]
+            if (mine.get(depths) or residue(i, depths)) == \
+                    (theirs.get(depths) or residue(j, depths)):
+                raise AssertionError("overlapping boxes in certificate")
         active.append(i)
+
+
+def _residue(ideal, nums) -> tuple:
+    """The residue of the integral element with coordinates nums modulo an
+    ideal: den * nums reduced by the HNF columns, from the last one up,
+    into 0 <= x_i < h_ii. Two elements are congruent exactly when their
+    residues are equal."""
+    h = ideal.hnf
+    x = [c * ideal.den for c in nums]
+    for i in range(len(h) - 1, -1, -1):
+        q = x[i] // h[i][i]
+        if q:
+            for k in range(i + 1):
+                x[k] -= q * h[k][i]
+    return tuple(x)

@@ -50,6 +50,17 @@ def test_rat_strings_beyond_the_int_str_limit():
         sys.set_int_max_str_digits(limit)
 
 
+def test_rat_strings_past_a_lowered_int_str_limit():
+    # the digits past the limit are read in chunks below whatever it is
+    q = F(-(7**2400 + 5), 10**1999 + 3)
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(640)
+    try:
+        assert str_to_rat(rat_to_str(q)) == q
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
 def test_json_integers_past_the_int_str_limit(tmp_path):
     # configs and reports with such integers are malformed, not a crash
     with pytest.raises(ParseError):

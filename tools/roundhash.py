@@ -3,14 +3,23 @@
 every answer byte for byte.
 
     python3 tools/roundhash.py SEED ROUND            # one `bounds` round
+    python3 tools/roundhash.py replay SEED ROUND     # its certificates' replay
     python3 tools/roundhash.py SEED ROUND minima     # `minima` rounds 0..ROUND
     python3 tools/roundhash.py fields                # every benchmark field
     python3 tools/roundhash.py cli                   # `cli-reports` decide, M
 
 For `bounds`, the digest covers every certificate, witness and effort of
 round ROUND, and the surviving boxes of every Unresolved covering, also
-those inside compute_M. For `minima`, it covers every m_exact value,
-attaining shift and search tag, and every m_form value of rounds 0..ROUND.
+those inside compute_M. For `replay`, it covers the outcome of
+verify_certificate, "pass" or the exact message, on every certificate of
+`bounds` round ROUND as read back from its JSON, and on fixed tampers of
+each: a bound moved by 1/den either way, a shift moved out of the S-ideal,
+a box moved by its width, an entry dropped, an entry duplicated, an entry
+copied over another of the same volume and depths, a center moved, the
+recorded threshold set to the largest bound, a lower requested threshold,
+and a string that does not parse (its outcome is the parse error).
+For `minima`, it covers every m_exact value, attaining shift and search
+tag, and every m_form value of rounds 0..ROUND.
 For `fields`, it covers, for every field of the three benchmark panels, the
 root enclosures of refinement levels 0..70, the embeddings of every
 integral basis element at the covering's BOUND_WIDTH and at 2^-64, and
@@ -29,6 +38,7 @@ import json
 import sys
 import tempfile
 from fractions import Fraction
+from math import prod
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -37,8 +47,9 @@ sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
 import euclidmin as em  # noqa: E402
 from euclidmin import minima  # noqa: E402
 from euclidmin.cli import canonical_payload_bytes  # noqa: E402
+from euclidmin.cli import certificate_from_json  # noqa: E402
 from euclidmin.cli import certificate_to_json as cert  # noqa: E402
-from euclidmin.cli import parse_config, run_command  # noqa: E402
+from euclidmin.cli import parse_config, rat_to_str, run_command  # noqa: E402
 from euclidmin.cli import witness_to_json as wit  # noqa: E402
 from euclidmin.covering import BOUND_WIDTH  # noqa: E402
 from euclidmin.intervals import Iv  # noqa: E402
@@ -133,6 +144,90 @@ def bounds_round(seed: int, r: int):
     return docs
 
 
+def tampers(ev):
+    """(name, evidence, requested threshold) for a certificate's JSON and
+    for each fixed tamper of it."""
+    entries = ev["entries"]
+    k = len(entries) // 2
+
+    def edit(change, threshold=None):
+        doc = json.loads(json.dumps(ev))
+        change(doc, doc["entries"][k])
+        return doc, threshold
+
+    def add(node, key, q):
+        node[key] = rat_to_str(Fraction(node[key]) + q)
+
+    def moved(doc, e):
+        lo, hi = Fraction(e["box"]["lo"][0]), Fraction(e["box"]["hi"][0])
+        step = hi - lo if 2 * hi - lo <= 1 else lo - hi
+        add(e["box"]["lo"], 0, step)
+        add(e["box"]["hi"], 0, step)
+
+    def volume(e):
+        return e["box"]["exponents"], prod(
+            Fraction(b) - Fraction(a)
+            for a, b in zip(e["box"]["lo"], e["box"]["hi"]))
+
+    def centered(doc, e):
+        deep = [f for f in doc["entries"] if any(f["box"]["exponents"])]
+        add((deep or [e])[0]["box"]["center"], 0,
+            Fraction(1) if deep else Fraction(1, 2))
+
+    den = Fraction(entries[k]["bound"]).denominator
+    bounds = [Fraction(e["bound"]) for e in entries]
+    yield "none", ev, None
+    yield "bound-up", *edit(lambda d, e: add(e, "bound", Fraction(1, den)))
+    yield "bound-down", *edit(
+        lambda d, e: add(e, "bound", Fraction(-1, den)))
+    yield "shift", *edit(lambda d, e: add(e["gamma"], 0, Fraction(1, 7)))
+    yield "box", *edit(moved)
+    yield "drop", *edit(lambda d, e: d["entries"].pop(k))
+    yield "duplicate", *edit(lambda d, e: d["entries"].append(e))
+    # in place of another entry of the same volume and depths: only
+    # disjointness can fail
+    same = [j for j, f in enumerate(entries)
+            if j != k and volume(f) == volume(entries[k])]
+    if same:
+        def copied(doc, e):
+            doc["entries"][same[0]] = e
+        yield "copy", *edit(copied)
+    yield "center", *edit(centered)
+    yield "threshold", *edit(
+        lambda d, e: d.update(threshold=rat_to_str(max(bounds))))
+    yield "requested", ev, Fraction(ev["threshold"]) - Fraction(1, 100)
+    yield "parse", *edit(
+        lambda d, e: e["box"].update(lo=["x"] + e["box"]["lo"][1:]))
+
+
+def replay_round(seed: int, r: int):
+    wl = Bounds()
+    wl.setup(em, seed)
+    docs = []
+    for op in wl.round_ops(r, Path(".")):
+        ctx = wl._built(op.case).ctx
+        for item in wl.evidence(op, wl.run_op(op, None)):
+            if item["evidence"]["kind"] != "covering":
+                continue
+            outcomes = []
+            for name, ev, threshold in tampers(item["evidence"]):
+                try:
+                    c = certificate_from_json(json.loads(json.dumps(ev)))
+                except em.ValidationError as exc:
+                    outcomes.append([name, f"parse: {exc!r}"])
+                    continue
+                try:
+                    em.verify_certificate(ctx, c, threshold)
+                    outcomes.append([name, "pass"])
+                except AssertionError as exc:
+                    outcomes.append([name, str(exc)])
+            docs.append([op.kind, op.case.name, str(op.args), outcomes])
+    print(len(docs), "certificates,",
+          sum(o[1] == "pass" for d in docs for o in d[3]), "passes of",
+          sum(len(d[3]) for d in docs), "replays")
+    return docs
+
+
 def cli_reports():
     wl = CliReports()
     wl.setup(em, 0)
@@ -156,6 +251,8 @@ def main(argv) -> int:
         docs = fields()
     elif argv[1:] == ["cli"]:
         docs = cli_reports()
+    elif len(argv) == 4 and argv[1] == "replay":
+        docs = replay_round(int(argv[2]), int(argv[3]))
     elif len(argv) in (3, 4) and argv[3:] in ([], ["minima"]):
         seed, r = int(argv[1]), int(argv[2])
         docs = minima_rounds(seed, r) if argv[3:] else bounds_round(seed, r)
