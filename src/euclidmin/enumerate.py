@@ -5,26 +5,27 @@ bounds, produce a finite integer-coordinate superset of every lattice point
 whose embeddings fall inside the box. Callers filter candidates exactly, so
 interval slack here costs time but never correctness.
 
-The solve works on bounded-size data: every row entry is an integer
-interval on the grid 2^-bits. The rows of an element (grid_row) are exact
+The solve works on integers: every row entry is an integer interval
+(lo, hi) on the grid 2^-bits. The rows of an element (grid_row) are exact
 combinations of the field's integral-basis rows (basis_row_bounds),
 rounded outward to that grid, as are the targets; this is the only
 rounding here, and the covering's bound screen takes its shift rows from
-grid_row at GRID_BITS as well. Cramer's rule runs exactly on Iv with
-integer endpoints, whose sizes the grid bounds; a determinant enclosure
-holding 0 retries on a finer grid. Iv stays exact, and so does
-embedding_rows, behind every recorded covering bound.
+grid_row at GRID_BITS as well. Cramer's rule runs on these pairs
+(hnf.int_interval_det); each range spans the four endpoint quotients, by
+floor division, and a determinant enclosure holding 0 retries on a finer
+grid. Points are built as integer combinations over one denominator.
 """
 
 from __future__ import annotations
 
 import itertools
 from fractions import Fraction
-from math import ceil, floor
+from math import lcm
 
 from .errors import SearchExhausted
 from .fields import FieldElement, embed
-from .intervals import Iv, interval_det
+from .hnf import int_interval_det
+from .intervals import Iv
 from .qmath import ceil_scaled, floor_scaled, sqrt_upper
 
 # binary digits of the first grid, and how many more each retry takes
@@ -58,15 +59,20 @@ def _grid_target(t: Iv, bits: int) -> Iv:
 
 
 def _interval_solve(a, b):
-    """Enclosures of the solution of A x = b by Cramer's rule."""
+    """Integer ranges (lo, hi) of the solution of A x = b by Cramer's rule,
+    for integer interval entries (lo, hi): each range runs from the ceiling
+    of the least to the floor of the greatest of the four endpoint
+    quotients of det(A_j) / det(A)."""
     n = len(a)
-    det = interval_det(a)
-    if det.contains(0):
+    d_lo, d_hi = int_interval_det(a)
+    if d_lo <= 0 <= d_hi:
         raise ZeroDivisionError("interval determinant contains zero")
     out = []
     for j in range(n):
         col = [[a[i][k] if k != j else b[i] for k in range(n)] for i in range(n)]
-        out.append(interval_det(col) / det)
+        c_lo, c_hi = int_interval_det(col)
+        out.append((-max(-c_lo // d_lo, -c_lo // d_hi, -c_hi // d_lo, -c_hi // d_hi),
+                    max(c_lo // d_lo, c_lo // d_hi, c_hi // d_lo, c_hi // d_hi)))
     return out
 
 
@@ -106,38 +112,40 @@ def lattice_points_in_box(basis: list[FieldElement], offset: FieldElement,
     for _ in range(GRID_TRIES):
         try:
             omega = field.basis_row_bounds(bits)
-            a_rows = [[Iv(lo, hi) for lo, hi in grid_row(b, omega)]
-                      for b in basis]
+            a_rows = [grid_row(b, omega) for b in basis]
             # columns of A are basis embedding vectors: A z = target - offset
             a = [[a_rows[j][i] for j in range(n)] for i in range(n)]
             o = grid_row(offset, omega)
-            rhs = [_grid_target(targets[i], bits) - Iv(*o[i])
-                   for i in range(n)]
+            rhs = []
+            for t, (o_lo, o_hi) in zip(targets, o):
+                g = _grid_target(t, bits)
+                rhs.append((int(g.lo) - o_hi, int(g.hi) - o_lo))
             ranges = _interval_solve(a, rhs)
             break
         except ZeroDivisionError:
             bits += GRID_STEP
     else:
         raise SearchExhausted("embedding matrix never became regular")
-    bounds = []
     total = 1
-    for r in ranges:
-        lo = ceil(r.lo)
-        hi = floor(r.hi)
+    for lo, hi in ranges:
         if lo > hi:
             return
-        bounds.append((lo, hi))
         total *= hi - lo + 1
         if total > POINT_CAP:
             raise SearchExhausted(f"enumeration box too large ({total} points)")
-    yield from itertools.product(*[range(lo, hi + 1) for lo, hi in bounds])
+    yield from itertools.product(*[range(lo, hi + 1) for lo, hi in ranges])
 
 
 def elements_in_box(basis, offset, targets):
-    """Same as lattice_points_in_box but yields exact field elements."""
+    """Same as lattice_points_in_box but yields exact field elements, each
+    offset + sum z_j basis_j on integers over one common denominator."""
+    field = offset.field
+    den = lcm(offset.den, *[b.den for b in basis])
+    start = [x * (den // offset.den) for x in offset.nums]
+    rows = [[x * (den // b.den) for x in b.nums] for b in basis]
     for z in lattice_points_in_box(basis, offset, targets):
-        elem = offset
-        for zj, bj in zip(z, basis):
+        nums = start
+        for zj, row in zip(z, rows):
             if zj:
-                elem = elem + bj * zj
-        yield elem
+                nums = [x + zj * y for x, y in zip(nums, row)]
+        yield FieldElement(field, tuple(nums), den)

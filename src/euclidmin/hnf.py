@@ -1,4 +1,5 @@
-"""Integer and rational matrix utilities: column HNF, kernels, solving.
+"""Integer and rational matrix utilities: column HNF, kernels, determinants
+(also of integer interval matrices), solving.
 
 Matrices are lists of rows. The Hermite normal form used throughout is the
 upper-triangular column form: the lattice is spanned by the columns, the
@@ -122,28 +123,6 @@ def mat_vec(m, v):
     return [sum(mi[j] * v[j] for j in range(len(v))) for mi in m]
 
 
-def mat_det(m) -> Fraction:
-    """Determinant by fraction-based Gaussian elimination."""
-    n = len(m)
-    a = [[Fraction(x) for x in row] for row in m]
-    det = Fraction(1)
-    for i in range(n):
-        p = next((r for r in range(i, n) if a[r][i] != 0), None)
-        if p is None:
-            return Fraction(0)
-        if p != i:
-            a[i], a[p] = a[p], a[i]
-            det = -det
-        det *= a[i][i]
-        inv = 1 / a[i][i]
-        for r in range(i + 1, n):
-            if a[r][i]:
-                f = a[r][i] * inv
-                for c in range(i, n):
-                    a[r][c] -= f * a[i][c]
-    return det
-
-
 def int_det(m) -> int:
     """Determinant of an integer matrix by Bareiss fraction-free elimination.
 
@@ -170,6 +149,25 @@ def int_det(m) -> int:
                 row_i[j] = (piv * row_i[j] - f * row_k[j]) // prev
         prev = piv
     return sign * a[n - 1][n - 1]
+
+
+def int_interval_det(m) -> tuple[int, int]:
+    """Enclosure (lo, hi) of the determinant of a square matrix of integer
+    intervals (lo, hi), by first-row cofactor expansion with interval rules;
+    on integers nothing rounds, so it equals the rational enclosure."""
+    if len(m) == 1:
+        return m[0][0]
+    lo = hi = 0
+    for j, (a_lo, a_hi) in enumerate(m[0]):
+        d_lo, d_hi = int_interval_det([row[:j] + row[j + 1:] for row in m[1:]])
+        c = (a_lo * d_lo, a_lo * d_hi, a_hi * d_lo, a_hi * d_hi)
+        if j % 2:
+            lo -= max(c)
+            hi -= min(c)
+        else:
+            lo += min(c)
+            hi += max(c)
+    return lo, hi
 
 
 def int_solve(m, b) -> tuple[list[int], int]:

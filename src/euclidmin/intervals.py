@@ -6,10 +6,13 @@ endpoints can grow long. Code that needs bounded sizes rounds outward
 itself, outside this module: lattice enumeration and the covering's bound
 screen move their data to integers on one dyadic grid (enumerate.py,
 covering.py), and the log-rank check rounds magnitudes to 64-bit dyadics
-before taking logs (places._log_abs_interval, qmath.dyadic_outward). Two
-evaluators follow Iv's semantics on integers over a common denominator:
-the covering's exact bounds (covering.exact_bound) and the Horner
-evaluation of a polynomial over an Iv or CIv box (roots.eval_interval).
+before taking logs (places._log_abs_interval, qmath.dyadic_outward).
+Three evaluators follow Iv's semantics on integers over a common
+denominator: the covering's exact bounds (covering.exact_bound), the
+Horner evaluation of a polynomial over an Iv or CIv box
+(roots.eval_interval), and the interval determinant of lattice
+enumeration's Cramer solve and of the log-rank check
+(hnf.int_interval_det).
 """
 
 from __future__ import annotations
@@ -178,20 +181,3 @@ class CIv:
 
     def intersect(self, other: "CIv") -> "CIv":
         return CIv(self.re.intersect(other.re), self.im.intersect(other.im))
-
-
-def interval_det(m):
-    """Enclosure of the determinant of a square matrix of intervals."""
-    n = len(m)
-    if n == 0:
-        return Iv.point(1)
-    if n == 1:
-        return m[0][0]
-    out = None
-    for j in range(n):
-        minor = [row[:j] + row[j + 1:] for row in m[1:]]
-        term = m[0][j] * interval_det(minor)
-        if j % 2:
-            term = -term
-        out = term if out is None else out + term
-    return out

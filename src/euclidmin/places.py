@@ -11,13 +11,14 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field as datafield
 from fractions import Fraction
+from math import lcm
 
 from .errors import (IndexDivisor, NotAnSUnit, NotPrime, RankDeficient,
                      RankUndetermined, SearchExhausted, ZeroElement)
 from .fields import (FieldElement, FractionalIdeal, NumberField, embed,
                      ideal_from_gens, ideal_norm)
-from .hnf import fp_kernel
-from .intervals import Iv, interval_det
+from .hnf import fp_kernel, int_interval_det
+from .intervals import Iv
 from .polynomials import deg, factor_mod_p
 from .qmath import dyadic_outward, int_valuation, is_prime, ln_enclosure
 
@@ -382,15 +383,18 @@ def verify_s_unit_basis(sconfig: SConfig, gens) -> SConfig:
 
 
 def _certify_log_rank(sconfig: SConfig, gens):
-    """Interval determinant of the log matrix with one place column dropped."""
+    """Interval determinant of the log matrix with one place column dropped,
+    on integers: the entries over one common denominator D, which scales
+    the enclosure by D^n and so keeps whether it holds 0."""
     err = Fraction(1, 2**16)
     for _ in range(8):
-        rows = []
-        for u in gens:
-            rows.append([_log_abs_interval(sconfig, u, v, err)
-                         for v in sconfig.places[:-1]])
-        det = interval_det(rows)
-        if not det.contains(0):
+        rows = [[_log_abs_interval(sconfig, u, v, err)
+                 for v in sconfig.places[:-1]] for u in gens]
+        den = lcm(*[x.denominator for row in rows for iv in row
+                    for x in (iv.lo, iv.hi)])
+        lo, hi = int_interval_det([[(int(iv.lo * den), int(iv.hi * den))
+                                    for iv in row] for row in rows])
+        if not lo <= 0 <= hi:
             return
         err /= 256
     raise RankUndetermined("log-rank certification ran out of precision")

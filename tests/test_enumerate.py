@@ -3,6 +3,8 @@
 Soundness: outward rounding encloses what it rounds, and
 `lattice_points_in_box` returns every point that an exact-rational Cramer
 solve at width 2^-24 (the reference below) finds possibly inside the box.
+The integer Cramer solve gives exactly the ranges of the same solve on
+rational intervals.
 """
 
 import itertools
@@ -16,10 +18,23 @@ import euclidmin.enumerate as enum
 from euclidmin import SearchExhausted, make_field
 from euclidmin.enumerate import (GRID_BITS, embedding_rows,
                                  lattice_points_in_box)
-from euclidmin.intervals import Iv, interval_det
+from euclidmin.intervals import Iv
 from euclidmin.qmath import ceil_scaled, dyadic_outward, floor_scaled
 
 FIELDS = ([-1, 1], [1, 0, 1], [-2, 0, 1], [-1, -1, 0, 1], [1, 1, 1, 1, 1])
+
+
+def interval_det(m):
+    """The exact-rational reference: first-row cofactor expansion on Iv."""
+    n = len(m)
+    if n == 1:
+        return m[0][0]
+    out = Iv(0)
+    for j in range(n):
+        minor = [row[:j] + row[j + 1:] for row in m[1:]]
+        term = m[0][j] * interval_det(minor)
+        out = out - term if j % 2 else out + term
+    return out
 
 
 def _random_rational(rng, num=40, den=9):
@@ -171,6 +186,69 @@ def test_enumeration_holds_reference_points(coeffs):
         assert len(got) <= len(ref)
         found += len(inside)
     assert found > 0
+
+
+def _rational_cramer(a, b):
+    """Integer ranges of Cramer's rule on the same data as rational Iv."""
+    n = len(a)
+    iv = [[Iv(*e) for e in row] for row in a]
+    det = interval_det(iv)
+    out = []
+    for j in range(n):
+        m = [[iv[i][k] if k != j else Iv(*b[i]) for k in range(n)]
+             for i in range(n)]
+        r = interval_det(m) / det
+        out.append((ceil(r.lo), floor(r.hi)))
+    return out
+
+
+def _pair(rng, mag):
+    x = rng.randint(-mag, mag)
+    return x, x + rng.choice((0, 0, 1, rng.randint(0, mag)))
+
+
+def test_integer_solve_matches_rational_cramer():
+    rng = random.Random(20)
+    signs = set()
+    divisible = 0
+    for trial in range(1200):
+        n = 1 + trial % 4
+        mag = rng.choice((3, 40, 2**20))
+        a = [[_pair(rng, mag) for _ in range(n)] for _ in range(n)]
+        b = [_pair(rng, mag * n) for _ in range(n)]
+        det = interval_det([[Iv(*e) for e in row] for row in a])
+        if det.contains(0):
+            with pytest.raises(ZeroDivisionError):
+                enum._interval_solve(a, b)
+            signs.add(0)
+            continue
+        signs.add(1 if det.lo > 0 else -1)
+        got = enum._interval_solve(a, b)
+        assert got == _rational_cramer(a, b)
+        for j in range(n):
+            m = [[a[i][k] if k != j else b[i] for k in range(n)]
+                 for i in range(n)]
+            num = interval_det([[Iv(*e) for e in row] for row in m])
+            divisible += any(x % d == 0 for x in (num.lo, num.hi)
+                             for d in (det.lo, det.hi))
+    assert signs == {-1, 0, 1}
+    assert divisible > 50
+
+
+def test_integer_solve_exact_quotients():
+    # det(A) = [2, 3]: both endpoints of each numerator divisible by an
+    # endpoint of the determinant, on either sign of A
+    for s in (1, -1):
+        a = [[(2, 3) if s > 0 else (-3, -2)]]
+        for b, want in (((6, 6), (2, 3)), ((-6, 6), (-3, 3)),
+                        ((4, 9), (2, 4)), ((-9, -4), (-4, -2))):
+            got = enum._interval_solve(a, [b])
+            if s < 0:
+                want = (-want[1], -want[0])
+            assert got == [want] == _rational_cramer(a, [b])
+    with pytest.raises(ZeroDivisionError):
+        enum._interval_solve([[(0, 1), (0, 0)], [(0, 0), (1, 1)]],
+                             [(1, 1), (1, 1)])
 
 
 def test_singular_grid_is_retried(monkeypatch):

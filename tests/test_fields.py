@@ -8,7 +8,26 @@ from euclidmin import (NonMonic, ReduciblePolynomial, SConfig,
                        UnsupportedDegree, ZeroIdeal, elem_norm_trace, embed,
                        ideal_from_gens, ideal_invert, ideal_norm, make_field,
                        places_above, s_norm, valuation)
-from euclidmin.hnf import mat_det
+
+
+def mat_det(m) -> F:
+    """The exact-rational reference: Gaussian elimination on Fractions."""
+    n = len(m)
+    a = [[F(x) for x in row] for row in m]
+    det = F(1)
+    for i in range(n):
+        p = next((r for r in range(i, n) if a[r][i] != 0), None)
+        if p is None:
+            return F(0)
+        if p != i:
+            a[i], a[p] = a[p], a[i]
+            det = -det
+        det *= a[i][i]
+        for r in range(i + 1, n):
+            f = a[r][i] / a[i][i]
+            for c in range(i, n):
+                a[r][c] -= f * a[i][c]
+    return det
 
 
 def test_make_field_basic(field_qi, field_q):

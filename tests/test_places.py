@@ -4,9 +4,10 @@ from fractions import Fraction as F
 import pytest
 
 from euclidmin import (IndexDivisor, NotAnSUnit, NotPrime, RankDeficient,
-                       ZeroElement, ideal_from_gens, make_field, make_sconfig,
-                       places_above, s_norm, shrinking_unit, strip_s_part,
-                       valuation, verify_s_unit_basis)
+                       RankUndetermined, ZeroElement, ideal_from_gens,
+                       make_field, make_sconfig, places_above, s_norm,
+                       shrinking_unit, strip_s_part, valuation,
+                       verify_s_unit_basis)
 from euclidmin.places import SConfig, ideal_place_valuation
 from euclidmin.qmath import factorize, prime_to_s_part
 
@@ -136,6 +137,19 @@ def test_verify_s_unit_basis(field_q, field_sqrt2):
                             [field_sqrt2.from_rational(2)])
     with pytest.raises(RankDeficient):
         verify_s_unit_basis(SConfig(field_q, places_above(field_q, 2)), [])
+
+
+def test_dependent_s_units_are_refused(field_q, field_qi):
+    # the right number of S-units whose log vectors are dependent: the
+    # log-rank determinant is 0, so no precision certifies it
+    s23 = SConfig(field_q, places_above(field_q, 2) + places_above(field_q, 3))
+    for gens in ((2, 4), (6, 36)):
+        with pytest.raises(RankUndetermined):
+            verify_s_unit_basis(s23, [field_q.from_rational(g) for g in gens])
+    # i is torsion: its log vector is 0
+    with pytest.raises(RankUndetermined):
+        verify_s_unit_basis(SConfig(field_qi, places_above(field_qi, 2)),
+                            [field_qi.gen()])
 
 
 def test_verified_units_have_unit_s_norm(field_sqrt2, s_sqrt2_inf, s_q_23):

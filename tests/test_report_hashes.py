@@ -39,6 +39,11 @@ Z5_XI = dict(Z5, params={"xi": ["1/3", "1/2", "0", "0"]})
 QI_5 = {"field": {"poly": [1, 0, 1]},
         "S": {"primes": [{"p": 5, "indices": [0]}]},
         "ideal": {"gens": [[1, 0]]}, "params": {"xi": ["1/5", "2/5"]}}
+# Q(zeta7)+ with units theta and theta - 1: both reports below take the
+# box-enumeration branch of m_exact
+Z7 = {"field": {"poly": [1, -2, -1, 1]}, "S": {"primes": []},
+      "units": {"gens": [[0, 1, 0], [-1, 1, 0]]}}
+Z7_XI = dict(Z7, params={"xi": ["1/7", "1/7", "2/7"]})
 
 PINNED = [
     ("cover", Z16, {"t": F(21, 100)},
@@ -70,6 +75,11 @@ PINNED = [
      "8b272aff76bda18dd5f7d4faa1e09471bff0210408d319713754e8891255d989"),
     ("m", QI_5, {},
      "fd306ef29daecbc876f7f531104ef306b0cd02bb53d6c59804c37e4d278e788b"),
+    # witness (1/7, 1/7, 2/7), value 1/7, orbit 6
+    ("search", Z7, {"denom_bound": 8},
+     "6d83585cf24e8bb3844a509535cfe67fa80bc47d7a2454dcb9f877b131e6b10f"),
+    ("m", Z7_XI, {},
+     "d7162bf06e6a2a61ac674a85da02c1845ab8700e8a1153da69013441e60ac49a"),
 ]
 
 
@@ -78,7 +88,8 @@ PINNED = [
                               "decide-m5", "decide-m5class", "decide-sqrt2",
                               "cover-qi-s2", "M-sqrt-3-s3", "m-cubic",
                               "m-zeta5", "cover-cubic", "search-zeta5",
-                              "m-qi-s5-partial"])
+                              "m-qi-s5-partial", "search-zeta7plus",
+                              "m-zeta7plus"])
 def test_report_content_hash_pinned(command, raw, overrides, digest):
     cfg = RunConfig(json.loads(json.dumps(raw)))
     for key, value in overrides.items():
