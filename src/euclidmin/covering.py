@@ -22,7 +22,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from math import floor, lcm, prod
+from math import lcm, prod
 
 from .enumerate import GRID_BITS, embedding_rows, grid_row
 from .errors import SearchExhausted
@@ -67,19 +67,6 @@ def initial_box(ctx: TorusContext) -> CoverBox:
                     hi=tuple(Fraction(1) for _ in range(n)),
                     center=tuple(Fraction(0) for _ in range(n)),
                     exponents=tuple(0 for _ in ctx.sconfig.finite_places))
-
-
-def normalize_center(ctx: TorusContext, center: FieldElement,
-                     exponents) -> tuple:
-    """Canonical representative of the center modulo prod P_v^{k_v}."""
-    modulus = ctx.s_lattice(exponents, over_order=True)
-    coords = modulus.coords_in_basis(center)
-    shift = ctx.field.zero()
-    for c, b in zip(coords, modulus.basis_elements()):
-        f = floor(c)
-        if f:
-            shift = shift + b * f
-    return tuple((center - shift).coords)
 
 
 def split_arch(box: CoverBox, axis: int) -> list[CoverBox]:
@@ -131,10 +118,10 @@ def split_finite(ctx: TorusContext, box: CoverBox, place_idx: int) -> list[Cover
     out = []
     new_exp = list(box.exponents)
     new_exp[place_idx] += 1
+    modulus = ctx.s_lattice(new_exp, over_order=True)
     for rep in _residue_reps(ctx, v):
-        child_center = center + rep * t
-        out.append(CoverBox(box.lo, box.hi,
-                            normalize_center(ctx, child_center, new_exp),
+        child_center = modulus.reduce(center + rep * t)
+        out.append(CoverBox(box.lo, box.hi, child_center.coords,
                             tuple(new_exp)))
     return out
 
@@ -409,10 +396,7 @@ def shift_targets(ctx: TorusContext, box: CoverBox):
     mid_den = lcm(*[x.denominator for x in box.lo + box.hi])
     mids = [_scaled(lo, mid_den) + _scaled(hi, mid_den)
             for lo, hi in zip(box.lo, box.hi)]
-    midpoint = FieldElement(ctx.field, tuple([
-        sum([m * h for m, h in zip(mids, row)]) for row in ctx.a_part.hnf]),
-        2 * mid_den * ctx.a_part.den)
-    return box.center_element(ctx), midpoint
+    return box.center_element(ctx), ctx.a_part.point(mids, 2 * mid_den)
 
 
 def candidate_shifts(ctx: TorusContext, box: CoverBox, profile,
@@ -589,7 +573,7 @@ def verify_certificate(ctx: TorusContext, cert: CoveringCertificate,
     xden = lcm(*[x.denominator for e in entries for x in e.box.lo + e.box.hi])
     zden = lcm(*[x.denominator for e in entries for x in e.box.center])
     gden = lcm(*[x.denominator for e in entries for x in e.gamma_coords])
-    boxes = []      # (lo, hi, center, exponents) per entry, on integers
+    boxes = []      # (lo, hi over xden, center, exponents) per entry
     volumes = {}    # exponents -> sum of prod (hi - lo) over xden^n
     archs = {}      # (lo, hi) -> the arch_image of the box
     shifts = {}     # numerators over gden -> (shift, in the S-ideal)
@@ -632,40 +616,40 @@ def verify_certificate(ctx: TorusContext, cert: CoveringCertificate,
                 f"bound replay mismatch: recorded {rat_str(bound)}, "
                 f"got {rat_str(Fraction(num, den))}")
         volumes[box.exponents] = volumes.get(box.exponents, 0) + vol
-        boxes.append((lo, hi, center, box.exponents))
+        boxes.append((lo, hi, z, box.exponents))
     # the boxes of one finite depth measure their volume sum / prod Np^k
     total = sum([Fraction(vol, prod([v.residue_norm() ** k for v, k in zip(
         places, exponents)])) for exponents, vol in volumes.items()])
     if total != xden ** n:
         raise AssertionError(
             f"boxes measure {rat_str(total / xden ** n)}, expected exactly 1")
-    _check_disjoint(ctx, boxes, zden)
+    _check_disjoint(ctx, boxes)
 
 
-def _check_disjoint(ctx, boxes, den):
+def _check_disjoint(ctx, boxes):
     """Pairwise disjointness via a sweep on the first coordinate, over the
-    (lo, hi, center, exponents) integer boxes, centers over den.
+    (lo, hi, center, exponents) boxes, lo and hi integers and the center an
+    integral element.
 
     A box meets every box still active in the sweep on the first
     coordinate, so only the others are compared. The classes of two
     integral centers meet exactly when the centers differ by an element of
-    prod P_v^{min k_v}, that is when their residues modulo it are equal;
-    each box's residue at each such depth is computed once.
+    prod P_v^{min k_v}, that is when their coordinates over its HNF basis
+    agree modulo 1; each box's key at each such depth is computed once.
     """
     idx = sorted(range(len(boxes)), key=lambda i: boxes[i][0][0])
-    residues = [{} for _ in boxes]      # per box: depths -> its residue
+    keys = [{} for _ in boxes]      # per box: depths -> its class key
 
-    def residue(i, depths):
-        out = residues[i][depths] = _residue(
-            ctx.s_lattice(depths, over_order=True),
-            [c // den for c in boxes[i][2]])
+    def key(i, depths):
+        w, d = ctx.s_lattice(depths, over_order=True).int_coords(boxes[i][2])
+        out = keys[i][depths] = tuple([c % d for c in w])
         return out
 
     active = []
     for i in idx:
         lo, hi, _, exponents = boxes[i]
         rest = tuple(zip(lo[1:], hi[1:]))
-        mine = residues[i]
+        mine = keys[i]
         active = [j for j in active if boxes[j][1][0] > lo[0]]
         for j in active:
             lo2, hi2, _, exponents2 = boxes[j]
@@ -674,23 +658,8 @@ def _check_disjoint(ctx, boxes, den):
                 continue
             depths = exponents if exponents == exponents2 else \
                 tuple(map(min, exponents, exponents2))
-            theirs = residues[j]
-            if (mine.get(depths) or residue(i, depths)) == \
-                    (theirs.get(depths) or residue(j, depths)):
+            theirs = keys[j]
+            if (mine.get(depths) or key(i, depths)) == \
+                    (theirs.get(depths) or key(j, depths)):
                 raise AssertionError("overlapping boxes in certificate")
         active.append(i)
-
-
-def _residue(ideal, nums) -> tuple:
-    """The residue of the integral element with coordinates nums modulo an
-    ideal: den * nums reduced by the HNF columns, from the last one up,
-    into 0 <= x_i < h_ii. Two elements are congruent exactly when their
-    residues are equal."""
-    h = ideal.hnf
-    x = [c * ideal.den for c in nums]
-    for i in range(len(h) - 1, -1, -1):
-        q = x[i] // h[i][i]
-        if q:
-            for k in range(i + 1):
-                x[k] -= q * h[k][i]
-    return tuple(x)

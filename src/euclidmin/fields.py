@@ -559,6 +559,18 @@ class FractionalIdeal:
                 [h[i][j] * w[j] for j in range(i + 1, n)])) // h[i][i]
         return w, scale * x.den
 
+    def point(self, z, m: int = 1) -> FieldElement:
+        """The element with coordinates z / m over this ideal's HNF basis."""
+        return FieldElement(self.field, tuple([
+            sum([c * h for c, h in zip(z, row)]) for row in self.hnf]),
+            self.den * m)
+
+    def reduce(self, x: FieldElement) -> FieldElement:
+        """The representative of x modulo this lattice whose coordinates
+        over the HNF basis lie in [0, 1)."""
+        w, d = self.int_coords(x)
+        return self.point([c % d for c in w], d)
+
     def coords_in_basis(self, x: FieldElement) -> list[Fraction]:
         """Exact coordinates of x over this ideal's HNF basis."""
         w, d = self.int_coords(x)

@@ -220,7 +220,8 @@ def m_exact_attained(a: FractionalIdeal, sconfig, xi: FieldElement):
         return MinimumValue(Fraction(0), gamma0, _TRIVIAL), None, None, [rho0]
     orbit_pairs = orbit_with_units(a, sconfig, xi)
     # discreteness floor: d * rho0 lands in the a-part lattice
-    d = lcm(*[c.denominator for c in ctx.a_part.coords_in_basis(rho0)])
+    w, dd = ctx.a_part.int_coords(rho0)
+    d = dd // gcd(dd, *w)
     floor_raw = ctx.s_norm_a / _s_norm_of_int(ctx, d)
     # initial best: corner shifts of every orbit representative
     best_raw = None
@@ -397,10 +398,7 @@ def _box_points(ctx: TorusContext, box: CoverBox):
             if tried == PROBE_POINTS:
                 return
             tried += 1
-            x = ctx.field.zero()
-            for k, b in zip(ks, ctx.basis):
-                if k:
-                    x = x + b * Fraction(k, m)
+            x = ctx.a_part.point(ks, m)
             if box_contains_rational(ctx, box, x):
                 yield x
 
@@ -500,11 +498,9 @@ def box_contains_rational(ctx: TorusContext, box: CoverBox,
             return False
     diff = x - box.center_element(ctx)
     for v, k in zip(ctx.sconfig.finite_places, box.exponents):
-        if k == 0:
-            continue
-        if not diff.is_zero() and valuation(diff, v) < k:
-            return False
         if not x.is_zero() and valuation(x, v) < 0:
+            return False
+        if k and not diff.is_zero() and valuation(diff, v) < k:
             return False
     return True
 

@@ -252,19 +252,3 @@ def is_fundamental_discriminant(d: int) -> bool:
         return m == squarefree_part(m) and m % 4 in (2, 3)
     return False
 
-
-def prime_to_s_part(r: Fraction, primes) -> Fraction:
-    """Magnitude of r with all powers of the given primes removed.
-
-    Independent oracle for the rational S-norm: N_S over Q of a nonzero
-    rational equals its prime-to-S part.
-    """
-    if r == 0:
-        return Fraction(0)
-    num, den = abs(r.numerator), r.denominator
-    for p in primes:
-        while num % p == 0:
-            num //= p
-        while den % p == 0:
-            den //= p
-    return Fraction(num, den)

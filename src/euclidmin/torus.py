@@ -145,12 +145,7 @@ class CongruenceSystem:
         if any(x % target.den for x in rhs):
             return None
         u = solve_echelon(self.echelon, [x // target.den for x in rhs])
-        if u is None:
-            return None
-        lattice = self.lattice
-        return FieldElement(lattice.field, tuple([
-            sum([z * h for z, h in zip(u, row)]) for row in lattice.hnf]),
-            lattice.den)
+        return None if u is None else self.lattice.point(u)
 
 
 def reduce_mod(a: FractionalIdeal, sconfig: SConfig, xi: FieldElement):
@@ -251,18 +246,10 @@ def torsion_reps(a: FractionalIdeal, m: int, sconfig: SConfig,
     """
     if m < 1:
         raise ValueError("m must be >= 1")
-    basis = torus_context(a, sconfig).basis
-    field = a.field
-    out = []
-    for coords in itertools.product(range(m), repeat=field.degree):
-        if primitive and gcd(m, *coords) != 1:
-            continue
-        elem = field.zero()
-        for c, b in zip(coords, basis):
-            if c:
-                elem = elem + b * Fraction(c, m)
-        out.append(elem)
-    return out
+    lattice = torus_context(a, sconfig).a_part
+    return [lattice.point(coords, m)
+            for coords in itertools.product(range(m), repeat=a.field.degree)
+            if not primitive or gcd(m, *coords) == 1]
 
 
 def orbit_with_units(a: FractionalIdeal, sconfig: SConfig, xi: FieldElement):

@@ -5,8 +5,8 @@ from fractions import Fraction as F
 import pytest
 
 from euclidmin import (CoveringCertificate, Unresolved, covering_verify,
-                       m_exact, s_norm, verify_certificate)
-from euclidmin.covering import CoverBox, box_bound
+                       m_exact, make_sconfig, s_norm, verify_certificate)
+from euclidmin.covering import CoverBox, box_bound, initial_box, split_finite
 from euclidmin.minima import box_contains_rational
 from euclidmin.torus import torus_context
 
@@ -59,6 +59,30 @@ def test_covering_sampling_soundness(field_q, s_q_23):
         gamma = field_q.element(hits[0].gamma_coords)
         val = s_norm(x - gamma, s_q_23) / ctx.s_norm_a
         assert val < F(21, 100) and val <= hits[0].bound
+
+
+def test_box_contains_rational_needs_integrality_at_s(field_q, s_q_23,
+                                                     field_qi):
+    """A box holds only points integral at every finite place of S, also
+    at depth 0, where it holds every class of the local integers."""
+    ctx = torus_context(field_q.maximal_order(), s_q_23)
+    box = initial_box(ctx)
+    for q, inside in ((F(1, 2), False), (F(1, 3), False), (F(5, 6), False),
+                      (F(1, 5), True)):
+        assert box_contains_rational(ctx, box, field_q.from_rational(q)) \
+            is inside
+    # the children of a split at 2 keep depth 0 at 3: 1/3 lies in none of
+    # them, 1/5 in exactly one
+    children = split_finite(ctx, box, 0)
+    for q, hits in ((F(1, 3), 0), (F(1, 5), 1)):
+        x = field_q.from_rational(q)
+        assert sum(box_contains_rational(ctx, c, x) for c in children) == hits
+    ctx = torus_context(field_qi.maximal_order(), make_sconfig(field_qi, [2]))
+    box = initial_box(ctx)
+    assert not box_contains_rational(ctx, box,
+                                     field_qi.element([F(1, 2), F(1, 2)]))
+    assert box_contains_rational(ctx, box,
+                                 field_qi.element([F(1, 5), F(2, 5)]))
 
 
 def test_tampered_certificates_rejected(field_q, s_q_23):

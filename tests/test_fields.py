@@ -1,6 +1,6 @@
 import random
 from fractions import Fraction as F
-from math import gcd
+from math import floor, gcd
 
 import pytest
 
@@ -8,6 +8,8 @@ from euclidmin import (NonMonic, ReduciblePolynomial, SConfig,
                        UnsupportedDegree, ZeroIdeal, elem_norm_trace, embed,
                        ideal_from_gens, ideal_invert, ideal_norm, make_field,
                        places_above, s_norm, valuation)
+from euclidmin.covering import _check_disjoint
+from euclidmin.torus import torus_context
 
 
 def mat_det(m) -> F:
@@ -333,3 +335,86 @@ def test_element_kernel_against_references(poly):
         assert (x - y).coords == tuple(a - b for a, b in zip(x.coords, y.coords))
         q = F(rng.randint(-50, 50), rng.randint(1, 50))
         assert (x * q).coords == tuple(a * q for a in x.coords)
+
+
+# -- lattice coordinates: point, reduce and the disjointness key --------------
+
+
+def _ref_reduce(lattice, x):
+    """x less the floor of each coordinate times its HNF basis element, one
+    element at a time over Fractions: the reference for reduce."""
+    shift = x.field.zero()
+    for c, b in zip(lattice.coords_in_basis(x), lattice.basis_elements()):
+        shift = shift + b * floor(c)
+    return x - shift
+
+
+def _random_element(rng, field, dens):
+    return field.element([F(rng.randint(-10**4, 10**4), rng.choice(dens))
+                          for _ in range(field.degree)])
+
+
+@pytest.mark.parametrize("poly", KERNEL_FIELDS)
+def test_point_and_reduce_against_floor_loop(poly):
+    rng = random.Random(4401 + len(poly))
+    k = make_field(poly)
+    n = k.degree
+    places = [v for p in KERNEL_PRIMES[n][:2] if k.index % p
+              for v in places_above(k, p)]
+    sconfig = SConfig(k, places)
+    gens = [_random_element(rng, k, [1]) for _ in range(2)]
+    ideals = [k.maximal_order(),
+              ideal_from_gens([gens[0], k.from_rational(rng.randint(2, 30))]),
+              ideal_from_gens([gens[1] * F(1, 6), k.from_rational(F(5, 3))])]
+    lattices = []
+    for ideal in ideals:
+        ctx = torus_context(ideal, sconfig)
+        lattices += [ideal, ctx.a_part]
+        for _ in range(2):
+            exps = [rng.randint(-1, 2) for _ in places]
+            lattices.append(ctx.s_lattice(exps, over_order=True))
+    dens = [1, 2, 3, 6, 35, 2**9 * 3**4, 10**6 + 3]
+    for lattice in lattices:
+        for _ in range(12):
+            x = _random_element(rng, k, dens)
+            r = lattice.reduce(x)
+            assert r == _ref_reduce(lattice, x)
+            assert lattice.contains(x - r)
+            assert all(0 <= c < 1 for c in lattice.coords_in_basis(r))
+            assert lattice.reduce(r) == r
+            assert lattice.point(*lattice.int_coords(x)) == x
+            z = [rng.randint(-50, 50) for _ in range(n)]
+            m = rng.randint(1, 12)
+            assert lattice.coords_in_basis(lattice.point(z, m)) == \
+                [F(c, m) for c in z]
+
+
+@pytest.mark.parametrize("poly", KERNEL_FIELDS)
+def test_disjointness_key_is_the_class_modulo(poly):
+    """Two overlapping boxes of equal depths are refused exactly when their
+    integral centers differ by an element of the depths' modulus."""
+    rng = random.Random(4501 + len(poly))
+    k = make_field(poly)
+    n = k.degree
+    places = [v for p in KERNEL_PRIMES[n][:2] if k.index % p
+              for v in places_above(k, p)]
+    ctx = torus_context(k.maximal_order(), SConfig(k, places))
+    lo, hi = (0,) * n, (1,) * n
+    seen = set()
+    for _ in range(6):
+        exps = tuple([rng.randint(0, 2) for _ in places])
+        modulus = ctx.s_lattice(exps, over_order=True)
+        for _ in range(8):
+            z1 = _random_element(rng, k, [1])
+            z2 = _random_element(rng, k, [1])
+            if rng.random() < 0.5:
+                z2 = z1 + modulus.point([rng.randint(-9, 9) for _ in range(n)])
+            congruent = modulus.contains(z1 - z2)
+            seen.add(congruent)
+            boxes = [(lo, hi, z1, exps), (lo, hi, z2, exps)]
+            if congruent:
+                with pytest.raises(AssertionError, match="overlapping"):
+                    _check_disjoint(ctx, boxes)
+            else:
+                _check_disjoint(ctx, boxes)
+    assert seen == {True, False}

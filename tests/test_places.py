@@ -9,7 +9,7 @@ from euclidmin import (IndexDivisor, NotAnSUnit, NotPrime, RankDeficient,
                        shrinking_unit, strip_s_part, valuation,
                        verify_s_unit_basis)
 from euclidmin.places import SConfig, ideal_place_valuation
-from euclidmin.qmath import factorize, prime_to_s_part
+from euclidmin.qmath import factorize
 
 
 def test_places_above_examples(field_qi, field_q):
@@ -77,6 +77,23 @@ def test_s_norm_matches_field_norm_at_s_inf(field_qi, s_qi_inf):
         if x.is_zero():
             continue
         assert s_norm(x, s_qi_inf) == abs(x.norm())
+
+
+def prime_to_s_part(r: F, primes) -> F:
+    """Magnitude of r with all powers of the given primes removed.
+
+    Independent oracle for the rational S-norm: N_S over Q of a nonzero
+    rational equals its prime-to-S part.
+    """
+    if r == 0:
+        return F(0)
+    num, den = abs(r.numerator), r.denominator
+    for p in primes:
+        while num % p == 0:
+            num //= p
+        while den % p == 0:
+            den //= p
+    return F(num, den)
 
 
 def test_s_norm_rational_oracle(field_q, s_q_23, s_q_2):

@@ -5,11 +5,13 @@ no other euclidmin module may import it, or read it as an attribute.
 """
 
 import ast
+import importlib
 from pathlib import Path
 
 import euclidmin
 
 PACKAGE = Path(euclidmin.__file__).parent
+TRACING = Path(__file__).resolve().parent.parent / "perfbench" / "tracing.py"
 
 
 def _private_imports(path):
@@ -142,3 +144,31 @@ def test_floats_only_propose_candidates():
     found = [hit for path in modules if path.name not in FLOAT_MODULES
              for hit in _float_uses(path)]
     assert found == []
+
+
+def _trace_targets():
+    """The TARGETS tuple of the benchmark's tracer, read from its source."""
+    tree = ast.parse(TRACING.read_text(encoding="utf-8"), filename=str(TRACING))
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(
+                isinstance(t, ast.Name) and t.id == "TARGETS"
+                for t in node.targets):
+            return ast.literal_eval(node.value)
+    raise AssertionError("no TARGETS in the tracer")
+
+
+def test_trace_targets_resolve():
+    """Every layer span of `perfbench/run.py --trace 1` names a function the
+    package still defines, where Tracer.install looks it up: a module
+    attribute, or an entry of a class's own namespace."""
+    targets = _trace_targets()
+    assert targets
+    missing = []
+    for module_name, path, _ in targets:
+        module = importlib.import_module(f"euclidmin.{module_name}")
+        owner_name, _, attr = path.rpartition(".")
+        owner = vars(getattr(module, owner_name)) if owner_name \
+            else vars(module)
+        if not callable(owner.get(attr)):
+            missing.append(f"{module_name}.{path}")
+    assert missing == []
