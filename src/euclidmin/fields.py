@@ -1,10 +1,16 @@
 """Number fields of degree <= 4 with exact element and ideal arithmetic.
 
-A field is built from a monic irreducible integer polynomial. The maximal
-order is computed by radical saturation at every prime whose square divides
-the polynomial discriminant, and its correctness is certified afterwards:
-the multiplication table over the integral basis must be integral and the
-trace-pairing Gram determinant must equal the field discriminant.
+A field is built from a monic irreducible integer polynomial. An order is
+held as the upper-triangular column HNF of its basis over one denominator
+on the power basis, and its multiplication table is computed on integers:
+products of the numerators reduced modulo the polynomial, then integer
+back-substitution on the HNF. The maximal order is found by radical
+saturation at every prime whose square divides the polynomial
+discriminant, on integer coordinates through that table, and its
+correctness is certified afterwards: the table over the integral basis
+must be integral and the trace-pairing Gram determinant must equal the
+field discriminant. The polynomial discriminant is the Gram determinant of
+the trace form of Z[theta], from the same table.
 
 An element is a tuple of integer numerators over one positive denominator
 (its coordinates over the integral basis, in lowest terms), so all
@@ -21,24 +27,81 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import gcd, lcm
+from math import gcd, lcm, prod
 
 from .errors import PrecisionUnreachable, UnsupportedDegree, ZeroIdeal
 from .hnf import (fp_kernel, hnf_columns, int_det, int_solve, kernel_int,
-                  mat_inverse, mat_vec)
+                  mat_vec)
 from .intervals import Iv
 from .polynomials import (certify_irreducible, count_real_roots, deg,
-                          poly_discriminant, poly_divmod, poly_mul, root_bound)
-from .qmath import ceil_scaled, floor_scaled
+                          poly_mul, root_bound)
+from .qmath import ceil_scaled, factorize, floor_scaled
 from .roots import RootEnclosures, eval_interval
 
 
-def _pb_mul(f_coeffs, a, b):
-    """Multiply two power-basis coordinate vectors modulo the field polynomial."""
-    prod = poly_mul(list(a), list(b))
-    _, r = poly_divmod(prod, f_coeffs)
-    r = list(r) + [Fraction(0)] * (deg(f_coeffs) - len(r))
-    return [Fraction(c) for c in r[:deg(f_coeffs)]]
+def int_mul(table, a, b) -> tuple:
+    """Coordinates of the product of two integral elements, given by integer
+    coordinates over a basis with multiplication table `table`."""
+    out = [0] * len(table)
+    for x, row in zip(a, table):
+        if x:
+            for y, entry in zip(b, row):
+                if y:
+                    xy = x * y
+                    for k, t in enumerate(entry):
+                        out[k] += xy * t
+    return tuple(out)
+
+
+def _back_solve(h, v, d) -> list[int]:
+    """The integer c with h c = v / d, for an upper-triangular integer h;
+    raises when c is not integral."""
+    n = len(h)
+    c = [0] * n
+    for i in range(n - 1, -1, -1):
+        q, rem = divmod(v[i] - d * sum([h[i][j] * c[j]
+                                        for j in range(i + 1, n)]),
+                        d * h[i][i])
+        if rem:
+            raise AssertionError("coordinates are not integral")
+        c[i] = q
+    return c
+
+
+def _order_table(f, h, den) -> tuple:
+    """Integer multiplication table of the order whose basis is the columns
+    of h over den on the power basis of the monic f: entry [i][j] holds the
+    coordinates of omega_i * omega_j over that basis.
+
+    The numerators multiply on integers and reduce modulo f, which is
+    monic, so (h_i * h_j mod f) / den^2 is the product in the power basis;
+    back-substitution on h raises when the lattice is not a ring.
+    """
+    n = len(h)
+    cols = [[h[i][j] for i in range(n)] for j in range(n)]
+    table = []
+    for a in cols:
+        row = []
+        for b in cols:
+            pb = poly_mul(a, b)
+            for k in range(len(pb) - 1, n - 1, -1):
+                c = pb[k]
+                for i in range(n):
+                    pb[k - n + i] -= c * f[i]
+            row.append(tuple(_back_solve(h, pb[:n] + [0] * (n - len(pb)),
+                                         den)))
+        table.append(tuple(row))
+    return tuple(table)
+
+
+def _trace_form(table) -> tuple:
+    """Traces of the basis elements and the Gram matrix of the trace form,
+    both from the integer multiplication table."""
+    n = len(table)
+    traces = tuple(sum(table[i][k][k] for k in range(n)) for i in range(n))
+    gram = tuple(tuple(sum([x * t for x, t in zip(table[i][j], traces)])
+                       for j in range(n)) for i in range(n))
+    return traces, gram
 
 
 class NumberField:
@@ -47,49 +110,34 @@ class NumberField:
     def __init__(self, coeffs: list[int]):
         certify_irreducible(list(coeffs))
         self.coeffs = tuple(int(c) for c in coeffs)
-        self.degree = deg(coeffs)
-        n = self.degree
-        bound = root_bound(list(coeffs))
-        r1 = (1 if n == 1 else
-              count_real_roots(list(coeffs), -bound, bound))
+        self.degree = n = deg(coeffs)
+        f = list(self.coeffs)
+        bound = root_bound(f)
+        r1 = (1 if n == 1 else count_real_roots(f, -bound, bound))
         self.signature = (r1, (n - r1) // 2)
-        pd = poly_discriminant(list(coeffs))
-        if pd.denominator != 1 or pd == 0:
-            raise AssertionError("poly discriminant is not a nonzero integer")
-        self.poly_disc = int(pd)
-        basis_pb = _maximal_order(list(self.coeffs), self.poly_disc)
-        self.basis_pb = tuple(tuple(row) for row in basis_pb)
+        # disc(f) is the Gram determinant of the trace form of Z[theta]
+        power = [[int(i == j) for j in range(n)] for i in range(n)]
+        self.poly_disc = int_det(_trace_form(_order_table(f, power, 1))[1])
+        if self.poly_disc == 0:
+            raise AssertionError("polynomial discriminant is zero")
+        h, den = _maximal_order(f, self.poly_disc)
         # basis rows over the power basis, as integers over one denominator
-        den = lcm(*[c.denominator for row in basis_pb for c in row])
         self._pb_den = den
-        self._pb_num = [[int(c * den) for c in row] for row in basis_pb]
-        self.index = den**n // abs(int_det(self._pb_num))  # [O : Z[theta]]
+        self._pb_num = [[h[i][j] for i in range(n)] for j in range(n)]
+        self.basis_pb = tuple(tuple(Fraction(x, den) for x in row)
+                              for row in self._pb_num)
+        # [O : Z[theta]]
+        self.index = den**n // prod(h[i][i] for i in range(n))
         self.discriminant = self.poly_disc // (self.index**2)
-        # power-basis to integral-basis coordinates: integral, as Z[theta] <= O
-        bt_inv = mat_inverse([[basis_pb[i][j] for i in range(n)]
-                              for j in range(n)])
-        if any(x.denominator != 1 for row in bt_inv for x in row):
-            raise AssertionError("Z[theta] is not inside the computed order")
-        self._ib_of_pb = [[int(x) for x in row] for row in bt_inv]
+        # power-basis to integral-basis coordinates: column k holds theta^k,
+        # integral as Z[theta] <= O
+        cols = [_back_solve(h, [den * x for x in row], 1) for row in power]
+        self._ib_of_pb = [[c[i] for c in cols] for i in range(n)]
         # integer multiplication table over the integral basis
-        table = []
-        for i in range(n):
-            row = []
-            for j in range(n):
-                prod_pb = _pb_mul(list(self.coeffs), basis_pb[i], basis_pb[j])
-                c = mat_vec(bt_inv, prod_pb)
-                if any(x.denominator != 1 for x in c):
-                    raise AssertionError("basis not a ring")
-                row.append(tuple(int(x) for x in c))
-            table.append(tuple(row))
-        self.mult_table = tuple(table)
-        self._traces = tuple(sum(table[i][k][k] for k in range(n))
-                             for i in range(n))
+        self.mult_table = _order_table(f, h, den)
         # trace of omega_i * omega_j certifies the discriminant
-        gram = [[self._int_trace(table[i][j]) for j in range(n)]
-                for i in range(n)]
-        self.trace_gram = tuple(tuple(row) for row in gram)
-        if int_det(gram) != self.discriminant:
+        self._traces, self.trace_gram = _trace_form(self.mult_table)
+        if int_det(self.trace_gram) != self.discriminant:
             raise AssertionError(
                 "trace Gram determinant does not certify the discriminant")
         self.integral_basis = tuple(
@@ -100,19 +148,8 @@ class NumberField:
         self.places: dict = {}        # p -> its places, see places_above
 
     # -- the integer kernel ----------------------------------------------------
-    # Integral elements given by integer coordinates over the integral basis.
-
-    def int_mul(self, a, b) -> tuple:
-        """Coordinates of the product of two integral elements."""
-        out = [0] * self.degree
-        for x, row in zip(a, self.mult_table):
-            if x:
-                for y, prod in zip(b, row):
-                    if y:
-                        xy = x * y
-                        for k, t in enumerate(prod):
-                            out[k] += xy * t
-        return tuple(out)
+    # Integral elements given by integer coordinates over the integral basis;
+    # their product is int_mul(field.mult_table, a, b).
 
     def int_mult_matrix(self, a) -> list[list[int]]:
         """Matrix of multiplication by an integral element (column j is the
@@ -216,109 +253,65 @@ def make_field(coeffs) -> NumberField:
     return _make_field_cached(tuple(int(c) for c in coeffs))
 
 
-def _maximal_order(f_coeffs, disc_poly) -> list[list[Fraction]]:
-    """Basis of the maximal order over the power basis (rows; HNF canonical).
+def _maximal_order(f, poly_disc) -> tuple[list[list[int]], int]:
+    """The maximal order as (h, den): its basis is the columns of the
+    upper-triangular HNF h over den on the power basis, den least.
 
-    Radical saturation: at each p with p^2 | disc(f), repeatedly replace the
-    order O by the multiplier ring of its p-radical until the index at p is
-    stable. Primes whose square does not divide disc(f) are already maximal.
+    Radical saturation (Cohen, GTM 138, sec. 6.1): at each p with
+    p^2 | disc(f), repeatedly replace the order O by the multiplier ring of
+    its p-radical until the index at p is stable. Primes whose square does
+    not divide disc(f) are already maximal.
     """
-    from .qmath import factorize
-
-    n = deg(f_coeffs)
-    basis = [[Fraction(1 if i == j else 0) for j in range(n)] for i in range(n)]
-    if n == 1:
-        return basis
-    for p, e in sorted(factorize(disc_poly).items()):
+    n = deg(f)
+    order = [[int(i == j) for j in range(n)] for i in range(n)], 1
+    for p, e in sorted(factorize(poly_disc).items()):
         if e < 2:
             continue
-        while True:
-            enlarged = _enlarge_at_p(f_coeffs, basis, p)
-            if enlarged is None:
-                break
-            basis = enlarged
-    return _hnf_basis(basis)
+        while (enlarged := _enlarge_at_p(f, *order, p)) is not None:
+            order = enlarged
+    return order
 
 
-def _enlarge_at_p(f_coeffs, basis, p):
-    """One multiplier-ring step at p; None when the order is p-maximal."""
-    n = deg(f_coeffs)
-    bt = [[basis[i][j] for i in range(n)] for j in range(n)]
-    bt_inv = mat_inverse(bt)
-
-    def to_order_coords(pb):
-        return mat_vec(bt_inv, pb)
-
-    def order_mul(ci, cj):
-        pb_i = [sum(Fraction(ci[i]) * basis[i][j] for i in range(n)) for j in range(n)]
-        pb_j = [sum(Fraction(cj[i]) * basis[i][j] for i in range(n)) for j in range(n)]
-        return to_order_coords(_pb_mul(f_coeffs, pb_i, pb_j))
-
+def _enlarge_at_p(f, h, den, p):
+    """One multiplier-ring step at p on the order (h, den), on integer
+    coordinates over its basis; None when the order is p-maximal."""
+    n = len(h)
+    table = _order_table(f, h, den)
+    unit = [[int(i == j) for j in range(n)] for i in range(n)]
     pm = 1
     while pm < n:
         pm *= p
-    # Frobenius-power matrix on O/pO
+    # Frobenius-power matrix on O/pO; 1 is the first basis element
     frob_cols = []
     for i in range(n):
-        acc = [Fraction(1 if k == 0 else 0) for k in range(n)]  # 1 in O-coords
-        base = [Fraction(1 if k == i else 0) for k in range(n)]
-        e = pm
+        acc, base, e = unit[0], unit[i], pm
         while e:
             if e & 1:
-                acc = order_mul(acc, base)
-            base = order_mul(base, base)
+                acc = [x % p for x in int_mul(table, acc, base)]
+            base = [x % p for x in int_mul(table, base, base)]
             e >>= 1
-        if any(x.denominator != 1 for x in acc):
-            raise AssertionError("Frobenius power left the order")
-        frob_cols.append([int(x) % p for x in acc])
+        frob_cols.append(acc)
     frob_rows = [[frob_cols[j][i] for j in range(n)] for i in range(n)]
-    rad_kernel = fp_kernel(frob_rows, p)
     # radical lattice in O-coords: kernel lifts plus p*O
-    rad_cols = [list(v) for v in rad_kernel]
-    rad_cols += [[p if i == j else 0 for i in range(n)] for j in range(n)]
-    rad = hnf_columns(rad_cols)
-    rad_cols = [[rad[i][j] for i in range(n)] for j in range(n)]
-    rad_inv = mat_inverse(rad)
-
+    rad = hnf_columns(fp_kernel(frob_rows, p) + [[p * x for x in row]
+                                                 for row in unit])
     # y in O with y * rad <= p * rad, as a kernel over F_p
     rows = []
-    for rj in rad_cols:
-        images = []
-        for i in range(n):
-            ei = [Fraction(1 if k == i else 0) for k in range(n)]
-            prod = order_mul(ei, [Fraction(c) for c in rj])
-            rc = mat_vec(rad_inv, prod)
-            if any(x.denominator != 1 for x in rc):
-                raise AssertionError("radical is not an ideal")
-            images.append([int(x) for x in rc])
+    for j in range(n):
+        rj = [rad[i][j] for i in range(n)]
+        images = [_back_solve(rad, int_mul(table, ei, rj), 1) for ei in unit]
         for k in range(n):
             rows.append([images[i][k] % p for i in range(n)])
-    mult_kernel = fp_kernel(rows, p)
-    new_cols = [list(v) for v in mult_kernel]
-    new_cols += [[p if i == j else 0 for i in range(n)] for j in range(n)]
-    m_lattice = hnf_columns(new_cols)
-    det_m = 1
-    for i in range(n):
-        det_m *= m_lattice[i][i]
-    if det_m == p**n:  # M = pO, no growth
+    m = hnf_columns(fp_kernel(rows, p) + [[p * x for x in row]
+                                          for row in unit])
+    if prod(m[i][i] for i in range(n)) == p**n:  # M = pO, no growth
         return None
-    # O' = (1/p) M, expressed back in power-basis rows
-    new_rows = []
-    for j in range(n):
-        coords = [Fraction(m_lattice[i][j], p) for i in range(n)]
-        pb = [sum(coords[i] * basis[i][k] for i in range(n)) for k in range(n)]
-        new_rows.append(pb)
-    return _hnf_basis(new_rows)
-
-
-def _hnf_basis(rows) -> list[list[Fraction]]:
-    """Canonical HNF form of an order basis given by power-basis rows."""
-    n = len(rows)
-    den = lcm(*[c.denominator for row in rows for c in row])
-    cols = [[int(rows[j][i] * den) for i in range(n)] for j in range(n)]
-    h = hnf_columns(cols)
-    return [[Fraction(h[i][j], den) for i in range(n)] for j in range(n)]
-    # note: column j of h becomes basis row j
+    # O' = (1/p) M: its power-basis numerators are h M over p * den
+    hm = [[sum([h[i][k] * m[k][j] for k in range(n)]) for i in range(n)]
+          for j in range(n)]
+    h = hnf_columns(hm)
+    g = gcd(p * den, *[x for row in h for x in row])
+    return [[x // g for x in row] for row in h], p * den // g
 
 
 class FieldElement:
@@ -376,7 +369,8 @@ class FieldElement:
     def __mul__(self, other):
         if isinstance(other, FieldElement):
             return FieldElement(self.field,
-                                self.field.int_mul(self.nums, other.nums),
+                                int_mul(self.field.mult_table, self.nums,
+                                        other.nums),
                                 self.den * other.den)
         q = Fraction(other)
         num = q.numerator
@@ -494,7 +488,7 @@ class FractionalIdeal:
 
     __slots__ = ("field", "hnf", "den")
 
-    def __init__(self, field: NumberField, hnf_matrix, den: int, _checked=False):
+    def __init__(self, field: NumberField, hnf_matrix, den: int):
         self.field = field
         g = den
         for row in hnf_matrix:
@@ -502,8 +496,7 @@ class FractionalIdeal:
                 g = gcd(g, c)
         self.hnf = tuple(tuple(int(c // g) for c in row) for row in hnf_matrix)
         self.den = den // g
-        if not _checked:
-            self._verify()
+        self._verify()
 
     def _verify(self):
         n = self.field.degree

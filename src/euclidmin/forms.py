@@ -9,6 +9,7 @@ independent cross-check of the dictionary route.
 
 from __future__ import annotations
 
+import random
 from dataclasses import dataclass
 from fractions import Fraction
 from math import ceil, floor, gcd, lcm
@@ -17,10 +18,12 @@ from .errors import (DegenerateForm, NonFundamental, NonFundamentalIndefinite,
                      NotABasis, NotQuadratic, SearchExhausted)
 from .fields import (FieldElement, FractionalIdeal, NumberField,
                      ideal_from_gens, ideal_norm, make_field)
-from .hnf import hnf_columns
+from .hnf import hnf_columns, int_solve, xgcd
 from .minima import m_exact_attained
 from .places import make_sconfig
 from .qmath import is_fundamental_discriminant, sqrt_upper
+
+WINDOW_MARGIN = 8   # integer steps the direct window reaches past its pairs
 
 
 @dataclass(frozen=True)
@@ -137,8 +140,6 @@ def _transport_to_positive(f: BinaryQuadraticForm, p):
     if f.c > 0:
         g = BinaryQuadraticForm(f.c, f.b, f.a)
         return g, (p[1], p[0]), ((0, 1), (1, 0))
-    from .hnf import xgcd
-
     for radius in range(1, 64):
         for u in range(-radius, radius + 1):
             for v in range(-radius, radius + 1):
@@ -220,8 +221,7 @@ def m_form(f: BinaryQuadraticForm, p) -> Fraction:
     return m_form_reduced(f, p)[0]
 
 
-def _direct_window_min(f: BinaryQuadraticForm, p, shift_xy,
-                       margin: int = 8) -> Fraction:
+def _direct_window_min(f: BinaryQuadraticForm, p, shift_xy) -> Fraction:
     """Direct minimum of |f(P - Q)| over an integer window.
 
     The window is grown to contain the attaining pair reported by the
@@ -232,8 +232,8 @@ def _direct_window_min(f: BinaryQuadraticForm, p, shift_xy,
     xs = [floor(px), ceil(px), floor(shift_xy[0]), ceil(shift_xy[0])]
     ys = [floor(py), ceil(py), floor(shift_xy[1]), ceil(shift_xy[1])]
     best = None
-    for qx in range(min(xs) - margin, max(xs) + margin + 1):
-        for qy in range(min(ys) - margin, max(ys) + margin + 1):
+    for qx in range(min(xs) - WINDOW_MARGIN, max(xs) + WINDOW_MARGIN + 1):
+        for qy in range(min(ys) - WINDOW_MARGIN, max(ys) + WINDOW_MARGIN + 1):
             v = abs(f(px - qx, py - qy))
             if best is None or v < best:
                 best = v
@@ -244,8 +244,6 @@ def bsd_check(f: BinaryQuadraticForm, denom_bound: int, sample_count: int,
               rng=None):
     """Best rational lower bound for the form supremum plus a consistency
     table comparing the dictionary route with direct enumeration."""
-    import random
-
     if f.disc <= 0:
         raise DegenerateForm("indefinite form required")
     if not is_fundamental_discriminant(f.disc):
@@ -299,12 +297,17 @@ def m_form_reduced(f: BinaryQuadraticForm, p):
     field, ideal, alpha1, alpha2 = standard_module(g)
     xi = alpha1 * q[0] + alpha2 * q[1]
     mv, rep, rep_shift, _ = m_exact_attained(ideal, _sconfig_for(field), xi)
-    from .hnf import mat_inverse, mat_vec
+    # coordinates over (alpha1, alpha2), on the integer matrix
+    # d1 d2 [alpha1 | alpha2]
+    mat = [[alpha1.nums[i] * alpha2.den, alpha2.nums[i] * alpha1.den]
+           for i in range(2)]
 
-    mat = [[alpha1.coords[i], alpha2.coords[i]] for i in range(2)]
-    mat_inv = mat_inverse(mat)
-    q_red = mat_vec(mat_inv, list(rep.coords))
-    q_shift = mat_vec(mat_inv, list(rep_shift.coords))
+    def over_alphas(x):
+        y, d = int_solve(mat, [c * alpha1.den * alpha2.den for c in x.nums])
+        return [Fraction(c, d * x.den) for c in y]
+
+    q_red = over_alphas(rep)
+    q_shift = over_alphas(rep_shift)
     if any(v.denominator != 1 for v in q_shift):
         raise AssertionError("shift is not a Z-pair")
     # transport the reduced data back through U so it lives in f's variables

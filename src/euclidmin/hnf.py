@@ -1,5 +1,5 @@
-"""Integer and rational matrix utilities: column HNF, kernels, determinants
-(also of integer interval matrices), solving.
+"""Integer matrix utilities: column HNF, kernels (also over F_p),
+determinants (also of integer interval matrices), solving.
 
 Matrices are lists of rows. The Hermite normal form used throughout is the
 upper-triangular column form: the lattice is spanned by the columns, the
@@ -8,8 +8,6 @@ reduced modulo the diagonal entry of its row.
 """
 
 from __future__ import annotations
-
-from fractions import Fraction
 
 
 def xgcd(a: int, b: int) -> tuple[int, int, int]:
@@ -193,24 +191,6 @@ def int_solve(m, b) -> tuple[list[int], int]:
                 a[i] = [(piv * x - f * y) // prev for x, y in zip(a[i], row_k)]
         prev = piv
     return [a[i][n] for i in range(n)], prev
-
-
-def mat_inverse(m) -> list[list[Fraction]]:
-    n = len(m)
-    a = [[Fraction(x) for x in row] + [Fraction(1 if i == j else 0) for j in range(n)]
-         for i, row in enumerate(m)]
-    for i in range(n):
-        p = next((r for r in range(i, n) if a[r][i] != 0), None)
-        if p is None:
-            raise ValueError("singular matrix")
-        a[i], a[p] = a[p], a[i]
-        inv = 1 / a[i][i]
-        a[i] = [x * inv for x in a[i]]
-        for r in range(n):
-            if r != i and a[r][i]:
-                f = a[r][i]
-                a[r] = [x - f * y for x, y in zip(a[r], a[i])]
-    return [row[n:] for row in a]
 
 
 def echelon_mod_lattice(a_cols, w_cols):

@@ -16,11 +16,12 @@ from math import lcm
 from .errors import (IndexDivisor, NotAnSUnit, NotPrime, RankDeficient,
                      RankUndetermined, SearchExhausted, ZeroElement)
 from .fields import (FieldElement, FractionalIdeal, NumberField, embed,
-                     ideal_from_gens, ideal_norm)
+                     ideal_from_gens, ideal_norm, int_mul)
 from .hnf import fp_kernel, int_interval_det
 from .intervals import Iv
 from .polynomials import deg, factor_mod_p
 from .qmath import dyadic_outward, int_valuation, is_prime, ln_enclosure
+from .units import fundamental_unit, principal_power_generator, torsion_generator
 
 
 @dataclass(frozen=True)
@@ -161,28 +162,29 @@ def places_above(field: NumberField, p: int) -> list[Place]:
     return out
 
 
-def valuation(x: FieldElement, place: Place,
-              norm_exp: int | None = None) -> int:
+def valuation(x: FieldElement, place: Place) -> int:
     """Exact valuation of x at a finite place.
 
     x = y / den with y integral, and v(x) = v(y) - e * v_p(den), where v(y)
     counts how often y <- y * beta / p stays integral (Place.beta): each
-    step lowers v(y) by one and no other valuation above p. norm_exp, when
-    the caller knows it, is v_p(N(y)); since it is the sum over the places
-    w above p of f_w * w(y), it bounds v(y) by norm_exp // f, and 0 ends
-    the count before it starts.
+    step lowers v(y) by one and no other valuation above p.
     """
     if x.is_zero():
         raise ZeroElement("valuation of zero")
     if not place.is_finite():
         raise ValueError("valuation needs a finite place")
-    return _valuation(x.field, x.nums, x.den, place, norm_exp)
+    return _valuation(x.field, x.nums, x.den, place, None)
 
 
 def _valuation(field: NumberField, nums, den: int, place: Place,
                norm_exp: int | None) -> int:
     """valuation of nums / den, nums integral, nonzero and not necessarily
-    prime to den: the count above is v(nums) and runs on integers."""
+    prime to den: the count above is v(nums) and runs on integers.
+
+    norm_exp, when the caller knows it, is v_p(N(nums)); since it is the
+    sum over the places w above p of f_w * w(nums), it bounds v(nums) by
+    norm_exp // f, and 0 ends the count before it starts.
+    """
     p = place.p
     v_den = place.e * int_valuation(den, p)
     if norm_exp == 0:
@@ -191,7 +193,7 @@ def _valuation(field: NumberField, nums, den: int, place: Place,
     y = nums
     k = 0
     while norm_exp is None or k < norm_exp // place.f:
-        z = field.int_mul(y, beta)
+        z = int_mul(field.mult_table, y, beta)
         if any([c % p for c in z]):
             break
         y = tuple([c // p for c in z])
@@ -284,8 +286,6 @@ def default_unit_gens(field: NumberField, finite_places) -> list[FieldElement]:
     fundamental unit (real case) plus a generator of the least principal
     power of each finite prime.
     """
-    from .units import fundamental_unit, principal_power_generator
-
     gens = []
     if field.degree == 1:
         return [field.from_rational(v.p) for v in finite_places]
@@ -353,8 +353,6 @@ def verify_s_unit_basis(sconfig: SConfig, gens) -> SConfig:
     finite places of S, and the log-embedding matrix (one column per place)
     must have certified rank #S - 1.
     """
-    from .units import torsion_generator
-
     field = sconfig.field
     gens = list(gens)
     need = sconfig.rank()

@@ -1,14 +1,15 @@
 """Polynomial arithmetic over Q and F_p.
 
 Polynomials are coefficient lists in ascending order (index = exponent).
-Includes Sturm chains, resultants, irreducibility certification for degree
-at most 4, and factorization mod p.
+Includes Sturm chains, irreducibility certification for degree at most 4,
+and factorization mod p.
 """
 
 from __future__ import annotations
 
 import random
 from fractions import Fraction
+from math import isqrt
 
 from .errors import NonMonic, ReduciblePolynomial, UnsupportedDegree
 
@@ -82,31 +83,6 @@ def derivative(f):
     if len(f) == 1:
         return [0 * f[0]]
     return [i * f[i] for i in range(1, len(f))]
-
-
-def resultant(f, g) -> Fraction:
-    """Resultant via the Euclidean remainder sequence."""
-    f = trim([Fraction(c) for c in f])
-    g = trim([Fraction(c) for c in g])
-    res = Fraction(1)
-    while True:
-        if deg(g) == 0:
-            if g == [Fraction(0)]:
-                return Fraction(0) if deg(f) > 0 else res
-            return res * g[0] ** deg(f)
-        _, r = poly_divmod(f, g)
-        r = trim(r)
-        if r == [Fraction(0)]:
-            return Fraction(0)
-        res *= g[-1] ** (deg(f) - deg(r)) * Fraction(-1) ** (deg(f) * deg(g))
-        f, g = g, r
-
-
-def poly_discriminant(f) -> Fraction:
-    """Discriminant of a monic polynomial."""
-    n = deg(f)
-    sign = -1 if (n * (n - 1) // 2) % 2 else 1
-    return sign * resultant(f, derivative(f))
 
 
 # -- Sturm chains -------------------------------------------------------------
@@ -199,7 +175,6 @@ def integer_roots(f) -> list[int]:
 def _is_square(n: int) -> bool:
     if n < 0:
         return False
-    from math import isqrt
     r = isqrt(n)
     return r * r == n
 
@@ -238,7 +213,6 @@ def certify_irreducible(coeffs: list[int]) -> None:
             disc = a * a - 4 * (b - q_signed - s)
             if not _is_square(disc):
                 continue
-            from math import isqrt
             rt = isqrt(disc)
             for p2 in (a + rt, a - rt):
                 if p2 % 2 != 0:

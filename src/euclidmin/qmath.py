@@ -11,6 +11,8 @@ from decimal import Decimal
 from fractions import Fraction
 from math import isqrt
 
+ROOT_BITS = 64   # the root bounds below round up on the grid 2^-ROOT_BITS
+
 
 def int_str(n: int) -> str:
     """str(n), also past the interpreter's limit on int -> str conversion
@@ -29,21 +31,21 @@ def rat_str(q) -> str:
     return num if q.denominator == 1 else f"{num}/{int_str(q.denominator)}"
 
 
-def sqrt_upper(x: Fraction, scale_bits: int = 64) -> Fraction:
+def sqrt_upper(x: Fraction) -> Fraction:
     """Rational upper bound on sqrt(x)."""
     if x < 0:
         raise ValueError("sqrt of negative rational")
     if x == 0:
         return Fraction(0)
-    s = 1 << (2 * scale_bits)
+    s = 1 << (2 * ROOT_BITS)
     n = -((-x.numerator * s) // x.denominator)  # ceil
     r = isqrt(n)
     if r * r < n:
         r += 1
-    return Fraction(r, 1 << scale_bits)
+    return Fraction(r, 1 << ROOT_BITS)
 
 
-def nth_root_upper(x: Fraction, n: int, scale_bits: int = 64) -> Fraction:
+def nth_root_upper(x: Fraction, n: int) -> Fraction:
     """Rational upper bound on x^(1/n) for x >= 0, n >= 1."""
     if x < 0:
         raise ValueError("root of negative rational")
@@ -51,13 +53,13 @@ def nth_root_upper(x: Fraction, n: int, scale_bits: int = 64) -> Fraction:
         return Fraction(0)
     if n == 1:
         return x
-    s = 1 << (n * scale_bits)
+    s = 1 << (n * ROOT_BITS)
     m = -((-x.numerator * s) // x.denominator)  # ceil(x * 2^(n*b))
     # integer n-th root of m, rounded up
     r = _int_nth_root(m, n)
     if r**n < m:
         r += 1
-    return Fraction(r, 1 << scale_bits)
+    return Fraction(r, 1 << ROOT_BITS)
 
 
 def _int_nth_root(m: int, n: int) -> int:

@@ -20,6 +20,11 @@ from .intervals import CIv, Iv
 from .polynomials import (deg, derivative, isolate_real_roots, poly_eval,
                           root_bound)
 
+DK_ITERS = 400          # Durand-Kerner sweeps for the complex seeds
+ISOLATION_WIDTH = Fraction(1, 2**20)    # real boxes after isolation
+NEWTON_TRIES = 60       # interval Newton steps to certify a complex box
+REFINE_STEPS = 200      # steps of one refinement to a width
+
 
 def _over_lcm(qs) -> tuple[list[int], int]:
     """Integer numerators of the rationals qs over their lcm, and the lcm."""
@@ -62,7 +67,7 @@ def eval_interval(coeffs, x):
                                         Fraction(ihi, den)))
 
 
-def _durand_kerner(coeffs, iters=400):
+def _durand_kerner(coeffs):
     n = deg(coeffs)
     fc = [complex(c) for c in coeffs]
 
@@ -74,7 +79,7 @@ def _durand_kerner(coeffs, iters=400):
 
     radius = float(root_bound(coeffs))
     zs = [(0.4 + 0.9j) ** (k + 1) * radius for k in range(n)]
-    for _ in range(iters):
+    for _ in range(DK_ITERS):
         moved = 0.0
         for k in range(n):
             d = 1.0 + 0j
@@ -122,7 +127,7 @@ class RootEnclosures:
                 return
         raise PrecisionUnreachable("could not certify complex root boxes")
 
-    def _tighten_real(self, box: Iv, target=Fraction(1, 2**20)) -> Iv:
+    def _tighten_real(self, box: Iv) -> Iv:
         # isolate_real_roots returns (a, b]; bisect on sign changes
         f = self.coeffs
         lo, hi = box.lo, box.hi
@@ -131,7 +136,7 @@ class RootEnclosures:
         if flo == 0 or fhi == 0:
             # rational endpoint root is impossible for irreducible deg >= 2
             raise PrecisionUnreachable("rational root hit in isolation")
-        while hi - lo > target:
+        while hi - lo > ISOLATION_WIDTH:
             mid = (lo + hi) / 2
             fm = poly_eval(f, mid)
             if fm == 0:
@@ -169,9 +174,9 @@ class RootEnclosures:
         self.cplx = boxes
         return True
 
-    def _newton_certify(self, box: CIv, tries: int = 60):
+    def _newton_certify(self, box: CIv):
         """Certify one simple root in box via N(box) strictly inside box."""
-        for _ in range(tries):
+        for _ in range(NEWTON_TRIES):
             mid = CIv.point(box.re.mid, box.im.mid)
             fprime = eval_interval(self.dcoeffs, box)
             try:
@@ -189,7 +194,7 @@ class RootEnclosures:
 
     # -- refinement -------------------------------------------------------------
 
-    def ensure_level(self, k: int, max_iter: int = 200):
+    def ensure_level(self, k: int):
         """The canonical level-k enclosures (every width <= 2^-k), as a
         (real, cplx) pair of tuples.
 
@@ -200,20 +205,20 @@ class RootEnclosures:
         Replayable bounds depend on this.
         """
         while len(self.levels) <= k:
-            self.refine(Fraction(1, 2**len(self.levels)), max_iter)
+            self.refine(Fraction(1, 2**len(self.levels)))
             self.levels.append((tuple(self.real), tuple(self.cplx)))
         return self.levels[k]
 
-    def refine(self, width: Fraction, max_iter: int = 200):
+    def refine(self, width: Fraction):
         """Shrink every box to the requested width; boxes only ever nest."""
         for idx, box in enumerate(self.real):
-            self.real[idx] = self._refine_real(box, width, max_iter)
+            self.real[idx] = self._refine_real(box, width)
         for idx, box in enumerate(self.cplx):
-            self.cplx[idx] = self._refine_cplx(box, width, max_iter)
+            self.cplx[idx] = self._refine_cplx(box, width)
 
-    def _refine_real(self, box: Iv, width: Fraction, max_iter: int) -> Iv:
+    def _refine_real(self, box: Iv, width: Fraction) -> Iv:
         f, df = self.coeffs, self.dcoeffs
-        for _ in range(max_iter):
+        for _ in range(REFINE_STEPS):
             if box.width <= width:
                 return box
             mid = box.mid
@@ -241,8 +246,8 @@ class RootEnclosures:
             return box
         raise PrecisionUnreachable(f"real box stuck at width {box.width}")
 
-    def _refine_cplx(self, box: CIv, width: Fraction, max_iter: int) -> CIv:
-        for _ in range(max_iter):
+    def _refine_cplx(self, box: CIv, width: Fraction) -> CIv:
+        for _ in range(REFINE_STEPS):
             if box.width <= width:
                 return box
             mid = CIv.point(box.re.mid, box.im.mid)

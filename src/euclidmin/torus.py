@@ -15,8 +15,8 @@ from math import floor, gcd, lcm
 
 from .errors import SearchExhausted, UnverifiedUnits
 from .fields import (FieldElement, FractionalIdeal, NumberField,
-                     ideal_from_gens, ideal_norm, mat_inverse)
-from .hnf import echelon_mod_lattice, solve_echelon
+                     ideal_from_gens, ideal_invert, ideal_norm)
+from .hnf import echelon_mod_lattice, int_solve, solve_echelon
 from .places import Place, SConfig, places_above, strip_s_part, valuation
 from .qmath import int_valuation
 
@@ -335,17 +335,18 @@ def char_pair(alpha: FieldElement, xi: FieldElement, sconfig: SConfig) -> QmodZ:
 
 @lru_cache(maxsize=64)
 def inverse_different(field: NumberField) -> FractionalIdeal:
-    """Trace dual of the maximal order."""
+    """Trace dual of the maximal order: spanned by the columns of the
+    inverse trace Gram matrix, column j solving G y = d e_j."""
     n = field.degree
-    ginv = mat_inverse([list(r) for r in field.trace_gram])
-    gens = [field.element([ginv[i][j] for i in range(n)]) for j in range(n)]
+    gens = []
+    for j in range(n):
+        y, d = int_solve(field.trace_gram, [int(i == j) for i in range(n)])
+        gens.append(field.element([Fraction(c, d) for c in y]))
     return ideal_from_gens(gens)
 
 
 def s_trace_dual(a: FractionalIdeal, sconfig: SConfig) -> FractionalIdeal:
     """The dual ideal a^perp = a^{-1} * D^{-1}, prime-to-S convention."""
-    from .fields import ideal_invert
-
     ctx = torus_context(a, sconfig)
     dual = ideal_invert(ctx.a_part) * inverse_different(a.field)
     return strip_s_part(dual, sconfig)

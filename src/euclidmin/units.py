@@ -10,12 +10,16 @@ is verified exactly; floats only propose candidates.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import isqrt
+from math import isqrt, sqrt
 
 from .enumerate import elements_in_box, real_box_targets
 from .errors import SearchExhausted, UnsupportedDegree
-from .fields import FieldElement, FractionalIdeal, NumberField, embed, ideal_norm
+from .fields import (FieldElement, FractionalIdeal, NumberField, embed,
+                     ideal_from_gens, ideal_norm)
 from .qmath import squarefree_part, sqrt_upper
+
+PELL_STEPS = 200000   # continued-fraction steps the Pell search may take
+POWER_MAX = 12        # largest ideal power principal_power_generator tries
 
 
 def sqrt_m_element(field: NumberField, m: int) -> FieldElement:
@@ -32,7 +36,7 @@ def sqrt_m_element(field: NumberField, m: int) -> FieldElement:
     return delta / t
 
 
-def pell_fundamental(m: int, cap: int = 200000) -> tuple[int, int]:
+def pell_fundamental(m: int) -> tuple[int, int]:
     """Fundamental (x, y) with x^2 - m y^2 = +-1, x, y > 0, via sqrt(m) CF."""
     a0 = isqrt(m)
     if a0 * a0 == m:
@@ -41,7 +45,7 @@ def pell_fundamental(m: int, cap: int = 200000) -> tuple[int, int]:
     a = a0
     p_prev, p = 1, a0
     q_prev, q = 0, 1
-    for _ in range(cap):
+    for _ in range(PELL_STEPS):
         if p * p - m * q * q in (1, -1):
             return p, q
         P = a * Q - P
@@ -49,7 +53,7 @@ def pell_fundamental(m: int, cap: int = 200000) -> tuple[int, int]:
         a = (P + a0) // Q
         p_prev, p = p, a * p + p_prev
         q_prev, q = q, a * q + q_prev
-    raise SearchExhausted(f"Pell equation for m={m} not solved in {cap} steps")
+    raise SearchExhausted(f"Pell equation for m={m} not solved in {PELL_STEPS} steps")
 
 
 def _last_real_embedding(x: FieldElement, prec: Fraction):
@@ -101,14 +105,13 @@ def fundamental_unit(field: NumberField) -> FieldElement:
 
 def _exact_unit_cube_root(field, u1, sm, m):
     """Exact epsilon with epsilon^3 = +-u1, half-integer coordinates, or None."""
-    import math
     prec = Fraction(1, 2**30)
     box = embed(u1, prec)
     val = float(box.reals[0].mid)
     if val < 0:
         val = -val
     c = val ** (1.0 / 3.0)
-    smf = math.sqrt(m)
+    smf = sqrt(m)
     for sign_norm in (1, -1):
         # sigma1 = c, sigma2 = sign_norm / c (norm of the cube root candidate)
         s1 = c
@@ -164,7 +167,7 @@ def torsion_generator(field: NumberField) -> tuple[FieldElement, int]:
     return field.element(gens[0]), best_order
 
 
-def principal_power_generator(ideal: FractionalIdeal, hmax: int = 12):
+def principal_power_generator(ideal: FractionalIdeal):
     """Least h >= 1 with ideal^h principal, and a generator; exact search.
 
     Supports degree 1 and 2 fields. For real quadratic fields the search box
@@ -180,7 +183,7 @@ def principal_power_generator(ideal: FractionalIdeal, hmax: int = 12):
     r1, _ = field.signature
     unit = fundamental_unit(field) if r1 == 2 else None
     power = field.maximal_order()
-    for h in range(1, hmax + 1):
+    for h in range(1, POWER_MAX + 1):
         power = power * ideal
         nrm = ideal_norm(power)
         if nrm.denominator != 1:
@@ -200,7 +203,6 @@ def principal_power_generator(ideal: FractionalIdeal, hmax: int = 12):
             if cand.is_zero():
                 continue
             if abs(cand.norm()) == target_norm and power.contains(cand):
-                from .fields import ideal_from_gens
                 if ideal_from_gens([cand]) == power:
                     return h, cand
-    raise SearchExhausted(f"no principal power up to exponent {hmax}")
+    raise SearchExhausted(f"no principal power up to exponent {POWER_MAX}")

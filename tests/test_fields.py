@@ -1,3 +1,5 @@
+import hashlib
+import itertools
 import random
 from fractions import Fraction as F
 from math import floor, gcd
@@ -9,7 +11,8 @@ from euclidmin import (NonMonic, ReduciblePolynomial, SConfig,
                        ideal_from_gens, ideal_invert, ideal_norm, make_field,
                        places_above, s_norm, valuation)
 from euclidmin.covering import _check_disjoint
-from euclidmin.torus import torus_context
+from euclidmin.fields import NumberField
+from euclidmin.torus import inverse_different, torus_context
 
 
 def mat_det(m) -> F:
@@ -71,6 +74,61 @@ def test_maximal_order_saturation():
     # cubic x^3 - x - 1
     k3b = make_field([-1, -1, 0, 1])
     assert k3b.discriminant == -23 and k3b.signature == (1, 1)
+    # high index: Dedekind's cubic (2 is a common index divisor) and pure
+    # cubics and quartics, each saturated over several steps
+    for coeffs, index, disc, basis in HIGH_INDEX:
+        k = make_field(coeffs)
+        assert (k.index, k.discriminant) == (index, disc)
+        assert k.poly_disc == disc * index**2
+        assert [[str(c) for c in row] for row in k.basis_pb] == basis
+
+
+# (polynomial, index, discriminant, integral basis over the power basis)
+HIGH_INDEX = (
+    ([-8, -2, -1, 1], 2, -503,
+     [["1", "0", "0"], ["0", "1", "0"], ["0", "1/2", "1/2"]]),
+    ([16, 0, 0, 0, 1], 64, 256,
+     [["1", "0", "0", "0"], ["0", "1/2", "0", "0"], ["0", "0", "1/4", "0"],
+      ["0", "0", "0", "1/8"]]),
+    ([-108, 0, 0, 1], 54, -108,
+     [["1", "0", "0"], ["0", "1/3", "0"], ["0", "0", "1/18"]]),
+    ([81, 0, 0, 0, 1], 729, 256,
+     [["1", "0", "0", "0"], ["0", "1/3", "0", "0"], ["0", "0", "1/9", "0"],
+      ["0", "0", "0", "1/27"]]),
+    ([-1000, 0, 0, 0, 1], 1000, -256000,
+     [["1", "0", "0", "0"], ["0", "1", "0", "0"], ["0", "0", "1/10", "0"],
+      ["0", "0", "0", "1/100"]]),
+)
+
+
+def test_field_construction_digest():
+    # Every field of a fixed corpus (the irreducible monic polynomials with
+    # coefficients in [-3, 3] of degree 2, [-2, 2] of degree 3 and
+    # {-1, 0, 2} of degree 4, and the high-index ones above) hashes its
+    # maximal order data, table, trace form and inverse different; the
+    # digest was recorded with the Fraction implementation of saturation
+    # and of the discriminant (a resultant), which this one replaces.
+    polys = [list(c) + [1] for c in itertools.product(range(-3, 4), repeat=2)]
+    polys += [list(c) + [1] for c in itertools.product(range(-2, 3), repeat=3)]
+    polys += [list(c) + [1] for c in itertools.product((-1, 0, 2), repeat=4)]
+    polys += [list(coeffs) for coeffs, *_ in HIGH_INDEX]
+    digest = hashlib.sha256()
+    count = 0
+    for f in polys:
+        try:
+            k = NumberField(f)
+        except ReduciblePolynomial:
+            continue
+        count += 1
+        inv = inverse_different(k)
+        digest.update(repr([
+            list(k.coeffs), k.poly_disc,
+            [[str(c) for c in r] for r in k.basis_pb], k.mult_table,
+            [list(r) for r in k._ib_of_pb], k.index, k.discriminant,
+            k.trace_gram, inv.hnf, inv.den]).encode())
+    assert count == 148
+    assert digest.hexdigest() == (
+        "e3db1ecee7ad929a061b30faf9d4ec00331151613ff6244de33bae38eafd67a4")
 
 
 def test_trace_gram_certifies_disc():

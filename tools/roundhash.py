@@ -22,8 +22,10 @@ For `minima`, it covers every m_exact value, attaining shift and search
 tag, and every m_form value of rounds 0..ROUND.
 For `fields`, it covers, for every field of the three benchmark panels, the
 root enclosures of refinement levels 0..70, the embeddings of every
-integral basis element at the covering's BOUND_WIDTH and at 2^-64, and
-basis_row_bounds(64).
+integral basis element at the covering's BOUND_WIDTH and at 2^-64,
+basis_row_bounds(64), the integral basis over the power basis, the
+multiplication table, the index, the discriminant, the trace Gram matrix
+and the HNF of the inverse different.
 For `cli`, it covers the canonical payload (the report without its timing,
 as `run_command` makes it at the default budget) of every `decide` and `M`
 command of `cli-reports` round 0: the 18 decide fixtures and the two M
@@ -53,6 +55,7 @@ from euclidmin.cli import parse_config, rat_to_str, run_command  # noqa: E402
 from euclidmin.cli import witness_to_json as wit  # noqa: E402
 from euclidmin.covering import BOUND_WIDTH  # noqa: E402
 from euclidmin.intervals import Iv  # noqa: E402
+from euclidmin.torus import inverse_different  # noqa: E402
 from workloads import DECIDE, Bounds, CliReports, Minima  # noqa: E402
 
 LEVELS = 70
@@ -83,9 +86,13 @@ def fields():
                    for e in (em.embed(w, BOUND_WIDTH),
                              em.embed(w, Fraction(1, 2**64)))]
                   for w in field.integral_basis]
+        inv = inverse_different(field)
         docs.append([list(poly), levels, embeds,
                      [list(map(list, row))
-                      for row in field.basis_row_bounds(64)]])
+                      for row in field.basis_row_bounds(64)],
+                     [[rat(c) for c in row] for row in field.basis_pb],
+                     field.mult_table, field.index, field.discriminant,
+                     field.trace_gram, [inv.hnf, inv.den]])
         boxes += sum(map(len, levels))
     print(len(docs), "fields,", boxes, "level boxes")
     return docs
