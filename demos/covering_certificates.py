@@ -3,7 +3,6 @@
 Run:  python demos/covering_certificates.py
 """
 
-import dataclasses
 import random
 from fractions import Fraction as F
 
@@ -46,10 +45,9 @@ for _ in range(500):
 print("500 random adele points all beat the threshold; worst value:", worst)
 
 print("\n== tampering is always caught ==")
-bad = dataclasses.replace(
-    cert, entries=tuple([dataclasses.replace(cert.entries[0],
-                                             bound=cert.entries[0].bound / 2)]
-                        + list(cert.entries[1:])))
+bad = cert._replace(entries=tuple(
+    [cert.entries[0]._replace(bound=cert.entries[0].bound / 2)]
+    + list(cert.entries[1:])))
 try:
     verify_certificate(ctx, bad)
     print("!!! tampered certificate accepted")

@@ -16,17 +16,16 @@ import sys
 import time
 from fractions import Fraction
 
-from .covering import CertEntry, CoverBox, CoveringCertificate, \
+from .covering import BUDGET, CertEntry, CoverBox, CoveringCertificate, \
     verify_certificate
 from .errors import EuclidMinError, IoError, ParseError, ValidationError
 from .fields import ideal_from_gens, ideal_norm, make_field
-from .forms import form_from_ideal, m_form
-from .minima import (BUDGET, compute_M, covering_verify,
-                     decide_norm_euclidean, m_exact, search_lower,
-                     witness_mismatch)
 from .places import make_sconfig, places_above, s_norm
 from .qmath import int_str
 from .torus import orbit, s_trace_dual, torus_context
+
+# minima (search, covering loop, witness replay) and forms are imported only
+# by the commands that use them
 
 FORMAT_VERSION = 1
 
@@ -343,17 +342,20 @@ def run_command(cfg: RunConfig, command: str) -> dict:
     elif command == "m":
         if cfg.xi is None:
             raise ValidationError("m needs params.xi")
+        from .minima import m_exact
         mv = m_exact(cfg.ideal, sconfig, cfg.xi)
         result["value"] = rat_to_str(mv.value)
         result["attaining_shift"] = coords_to_json(mv.attaining_shift.coords)
         doc["evidence"] = witness_to_json(cfg.xi, mv)
     elif command == "search":
+        from .minima import search_lower
         xi, mv, orb = search_lower(cfg.ideal, sconfig, cfg.denom_bound)
         result["witness"] = coords_to_json(xi.coords)
         result["value"] = rat_to_str(mv.value)
         result["witness_orbit_size"] = orb
         doc["evidence"] = witness_to_json(xi, mv)
     elif command == "cover":
+        from .minima import covering_verify
         res = covering_verify(cfg.ideal, sconfig, cfg.t, budget=cfg.budget)
         result["threshold"] = rat_to_str(cfg.t)
         if isinstance(res, CoveringCertificate):
@@ -371,6 +373,7 @@ def run_command(cfg: RunConfig, command: str) -> dict:
                 doc["evidence"] = witness_to_json(res.witness,
                                                   res.witness_minimum)
     elif command == "M":
+        from .minima import compute_M
         rep = compute_M(cfg.ideal, sconfig, cfg.gap, budget=cfg.budget)
         result["lower"] = rat_to_str(rep.lower)
         result["upper"] = rat_to_str(rep.upper) if rep.upper is not None else None
@@ -385,6 +388,7 @@ def run_command(cfg: RunConfig, command: str) -> dict:
         if rep.upper is None or rep.upper - rep.lower > cfg.gap:
             doc["exit_code"] = 2    # the budget ended before the gap closed
     elif command == "decide":
+        from .minima import decide_norm_euclidean
         verdict = decide_norm_euclidean(cfg.ideal, sconfig, budget=cfg.budget)
         result["verdict"] = verdict.verdict
         doc["effort"].update(verdict.effort)
@@ -396,6 +400,7 @@ def run_command(cfg: RunConfig, command: str) -> dict:
         else:
             doc["exit_code"] = 2
     elif command == "form":
+        from .forms import form_from_ideal, m_form
         ctx = torus_context(cfg.ideal, sconfig)
         basis = ctx.a_part.basis_elements()
         form = form_from_ideal(ctx.a_part, (basis[0], basis[1]))
@@ -555,6 +560,7 @@ def replay_report(cfg: RunConfig, path: str):
                 return False, f"covering replay failed: {exc}"
             return True, f"covering certificate with {len(cert.entries)} boxes"
         if kind == "witness":
+            from .minima import witness_mismatch
             mismatch = witness_mismatch(cfg.ideal, sconfig, xi, value, shift,
                                         orbit_size)
             if mismatch:

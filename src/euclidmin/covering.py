@@ -20,9 +20,9 @@ comparisons only and never reaches a recorded bound.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm, prod
+from typing import NamedTuple
 
 from .enumerate import GRID_BITS, embedding_rows, grid_row
 from .errors import SearchExhausted
@@ -36,10 +36,13 @@ BOUND_WIDTH = Fraction(1, 2**24)
 CORNER_RADIUS = 1       # lattice steps around the box midpoint per coordinate
 PROFILE_NEG_DEPTH = 2   # the deepest denominator level of a profile
 PROFILE_CAP = 48        # profiles tried per box
+# The default budget of covering_verify, compute_M and decide_norm_euclidean,
+# and of every command line run: one unit pays for one covering box or one
+# m_exact call.
+BUDGET = 20000
 
 
-@dataclass(frozen=True, slots=True)
-class CoverBox:
+class CoverBox(NamedTuple):
     """Half-open coordinate cell times finite residue classes."""
     lo: tuple        # Fractions, coordinates over the ideal basis
     hi: tuple
@@ -486,26 +489,20 @@ def profiles_for_box(ctx: TorusContext, box: CoverBox):
 # -- certificates ---------------------------------------------------------------
 
 
-@dataclass(frozen=True, slots=True)
-class CertEntry:
+class CertEntry(NamedTuple):
     box: CoverBox
     gamma_coords: tuple     # integral-basis coordinates of the shift
     bound: Fraction         # certified bound on sup N_S(x-gamma)/N_S(a)
 
 
-@dataclass(frozen=True)
-class CoveringCertificate:
+class CoveringCertificate(NamedTuple):
     threshold: Fraction
     entries: tuple          # CertEntry, canonically sorted
     ideal_hnf: tuple
     ideal_den: int
 
-    def __len__(self):
-        return len(self.entries)
 
-
-@dataclass
-class CoveringState:
+class CoveringState(NamedTuple):
     """Resumable branch-and-bound state: certified entries, open boxes."""
     entries: list
     boxes: list

@@ -24,10 +24,10 @@ boxes only.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd, lcm, prod
+from typing import NamedTuple
 
 from .errors import PrecisionUnreachable, UnsupportedDegree, ZeroIdeal
 from .hnf import (fp_kernel, hnf_columns, int_det, int_solve, kernel_int,
@@ -436,8 +436,7 @@ def elem_norm_trace(x: FieldElement):
     return x.norm(), x.trace()
 
 
-@dataclass(frozen=True)
-class EmbeddingBox:
+class EmbeddingBox(NamedTuple):
     """Certified enclosures of every archimedean embedding of an element."""
     reals: tuple
     complexes: tuple

@@ -10,9 +10,9 @@ independent cross-check of the dictionary route.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from fractions import Fraction
 from math import ceil, floor, gcd, lcm
+from typing import NamedTuple
 
 from .errors import (DegenerateForm, NonFundamental, NonFundamentalIndefinite,
                      NotABasis, NotQuadratic, SearchExhausted)
@@ -26,8 +26,7 @@ from .qmath import is_fundamental_discriminant, sqrt_upper
 WINDOW_MARGIN = 8   # integer steps the direct window reaches past its pairs
 
 
-@dataclass(frozen=True)
-class BinaryQuadraticForm:
+class BinaryQuadraticForm(NamedTuple):
     a: int
     b: int
     c: int

@@ -26,10 +26,11 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import ceil, gcd, lcm
 from types import MappingProxyType
+from typing import NamedTuple
 
-from .covering import (CoverBox, CoveringCertificate, CoveringState,
-                       Unresolved, bound_enclosure, box_arch, box_entry,
-                       box_floor, candidate_shifts, exact_bound,
+from .covering import (BUDGET, CoverBox, CoveringCertificate,
+                       CoveringState, Unresolved, bound_enclosure, box_arch,
+                       box_entry, box_floor, candidate_shifts, exact_bound,
                        gamma_in_s_ideal, grid_enclosure, initial_box,
                        profile_factor, profiles_for_box, screen_threshold,
                        shift_targets, split_arch, split_finite,
@@ -84,8 +85,7 @@ _CORNER_SCAN = MappingProxyType({"branch": "corner-scan"})
 _BOX_ENUMERATION = MappingProxyType({"branch": "box-enumeration"})
 
 
-@dataclass(frozen=True)
-class MReport:
+class MReport(NamedTuple):
     lower: Fraction
     witness: FieldElement
     witness_minimum: MinimumValue
@@ -96,8 +96,7 @@ class MReport:
     effort: dict
 
 
-@dataclass(frozen=True)
-class EuclideanVerdict:
+class EuclideanVerdict(NamedTuple):
     verdict: str                    # "euclidean" | "not_euclidean" | "undecided"
     certificate: CoveringCertificate | None
     witness: FieldElement | None
@@ -430,12 +429,6 @@ def _probe_box(a: FractionalIdeal, ctx: TorusContext, box: CoverBox,
         if mv.value >= t:
             return rho, mv, len(orb)
     return None
-
-
-# The default budget of covering_verify, compute_M and decide_norm_euclidean,
-# and of every command line run: one unit pays for one covering box or one
-# m_exact call.
-BUDGET = 20000
 
 
 def covering_verify(a: FractionalIdeal, sconfig, t, budget: int = BUDGET,

@@ -9,7 +9,6 @@ normalization N_S of a nonzero element is an exact rational.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field as datafield
 from fractions import Fraction
 from math import lcm
 
@@ -24,53 +23,58 @@ from .qmath import dyadic_outward, int_valuation, is_prime, ln_enclosure
 from .units import fundamental_unit, principal_power_generator, torsion_generator
 
 
-@dataclass(frozen=True)
 class Place:
     """A place of K: archimedean (real/complex) or finite prime.
 
-    A finite place keeps its exact data, made once in __post_init__: the
-    powers of its prime ideal by exponent, beta and a uniformizer.
-    places_above makes the finite places of each (field, p) only once.
+    A finite place keeps its exact data, made once in __init__: the powers
+    of its prime ideal by exponent, beta and a uniformizer; equality and
+    hash see the other attributes. places_above makes the finite places of
+    each (field, p) only once.
     """
-    field: NumberField
-    kind: str                      # "real" | "complex" | "finite"
-    index: int = 0                 # archimedean index into the root boxes
-    p: int = 0                     # finite residue characteristic
-    gen_poly: tuple = ()           # lifted irreducible factor of the field poly
-    e: int = 0
-    f: int = 0
-    _powers: dict = datafield(default_factory=dict, init=False, repr=False,
-                              compare=False)
-    _beta: tuple = datafield(default=(), init=False, repr=False,
-                             compare=False)
-    _uniformizer: FieldElement | None = datafield(
-        default=None, init=False, repr=False, compare=False)
 
-    def __post_init__(self):
-        if self.kind != "finite":
+    def __init__(self, field: NumberField, kind: str, index: int = 0,
+                 p: int = 0, gen_poly: tuple = (), e: int = 0, f: int = 0):
+        self.field = field
+        self.kind = kind            # "real" | "complex" | "finite"
+        self.index = index          # archimedean index into the root boxes
+        self.p = p                  # finite residue characteristic
+        self.gen_poly = gen_poly    # lifted irreducible factor mod p
+        self.e = e
+        self.f = f
+        self._identity = (field, kind, index, p, gen_poly, e, f)
+        self._powers = {}
+        self._beta = ()
+        self._uniformizer = None
+        if kind != "finite":
             return
-        if self.e * self.f > self.field.degree:
+        if e * f > field.degree:
             raise ValueError("e*f exceeds the field degree")
-        field = self.field
         g = self.second_generator()
-        p_elt = field.from_rational(self.p)
+        p_elt = field.from_rational(p)
         ideal = ideal_from_gens([p_elt, g])
-        if ideal_norm(ideal) != self.p**self.f:
+        if ideal_norm(ideal) != p**f:
             raise ValueError("prime ideal norm does not match p^f")
         self._powers[1] = ideal
         # beta: a nonzero kernel vector of multiplication by g modulo p
-        kernel = fp_kernel(field.int_mult_matrix(g.nums), self.p)
+        kernel = fp_kernel(field.int_mult_matrix(g.nums), p)
         if g.den != 1 or not kernel:
             raise AssertionError("no beta for this place")
-        object.__setattr__(self, "_beta", tuple(kernel[0]))
+        self._beta = tuple(kernel[0])
         candidates = [g, g + p_elt] if not g.is_zero() else []
         candidates.append(p_elt)
         for cand in candidates:
             if valuation(cand, self) == 1:
-                object.__setattr__(self, "_uniformizer", cand)
+                self._uniformizer = cand
                 break
         else:
             raise SearchExhausted("no uniformizer among standard candidates")
+
+    def __eq__(self, other):
+        return (self._identity == other._identity
+                if other.__class__ is self.__class__ else NotImplemented)
+
+    def __hash__(self):
+        return hash(self._identity)
 
     def is_finite(self) -> bool:
         return self.kind == "finite"

@@ -5,7 +5,6 @@ directly) to see the per-criterion lines; every tolerance and time limit is
 pinned here.
 """
 
-import dataclasses
 import random
 import time
 from fractions import Fraction as F
@@ -231,12 +230,12 @@ def test_criterion_6_covering_soundness():
     entries = list(cert.entries)
     e0 = entries[0]
     for tampered in (
-        dataclasses.replace(cert, entries=tuple(
-            [dataclasses.replace(e0, bound=e0.bound / 2)] + entries[1:])),
-        dataclasses.replace(cert, entries=tuple(
-            [dataclasses.replace(e0, gamma_coords=(e0.gamma_coords[0] + 1,))]
+        cert._replace(entries=tuple(
+            [e0._replace(bound=e0.bound / 2)] + entries[1:])),
+        cert._replace(entries=tuple(
+            [e0._replace(gamma_coords=(e0.gamma_coords[0] + 1,))]
             + entries[1:])),
-        dataclasses.replace(cert, entries=tuple(entries[1:])),
+        cert._replace(entries=tuple(entries[1:])),
     ):
         with pytest.raises(AssertionError):
             verify_certificate(ctx, tampered)

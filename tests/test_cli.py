@@ -9,6 +9,7 @@ from euclidmin import ParseError, ValidationError
 from euclidmin.cli import (certificate_from_json, certificate_to_json,
                            content_hash, emit_report, main, parse_config,
                            rat_to_str, run_command, str_to_rat)
+from test_covering import _fresh_python
 
 
 def make_cfg(tmp_path, name, data):
@@ -450,6 +451,27 @@ def evidence_reports(tmp_path_factory):
 def verify_detail(tmp_path, cfg_path, report, restamp=True):
     code = replay_code(tmp_path, cfg_path, report, restamp)
     return code, json.loads((tmp_path / "v.json").read_text())["result"]
+
+
+def test_verify_cert_in_a_fresh_process(tmp_path, evidence_reports):
+    # a covering replays without the search or dataclasses; a witness
+    # replay imports minima
+    for name, loaded in (("cover", []), ("m", ["dataclasses",
+                                              "euclidmin.minima"])):
+        cfg_path, report = evidence_reports[name]
+        cert, out = tmp_path / f"{name}.json", tmp_path / f"v-{name}.json"
+        cert.write_text(json.dumps(report))
+        argv = ["--config", cfg_path, "--command", "verify-cert",
+                "--cert", str(cert), "--output", str(out)]
+        done = _fresh_python(
+            "import sys\n"
+            "from euclidmin.cli import main\n"
+            f"code = main({argv!r})\n"
+            "print(code, *sorted({'euclidmin.minima', 'dataclasses'}\n"
+            "                    & set(sys.modules)))\n")
+        assert done.returncode == 0, done.stderr.decode()
+        assert done.stdout.decode().split() == ["0"] + loaded, name
+        assert json.loads(out.read_text())["result"]["replay"] == "pass"
 
 
 def test_verify_cert_tamper_table(tmp_path, evidence_reports):

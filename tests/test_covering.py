@@ -1,4 +1,3 @@
-import dataclasses
 import random
 from fractions import Fraction as F
 
@@ -96,23 +95,20 @@ def test_tampered_certificates_rejected(field_q, s_q_23):
         with pytest.raises(AssertionError):
             verify_certificate(ctx, c)
 
-    rejected(dataclasses.replace(
-        cert, entries=tuple([dataclasses.replace(e0, bound=e0.bound / 2)]
-                            + entries[1:])))
-    rejected(dataclasses.replace(
-        cert, entries=tuple([dataclasses.replace(
-            e0, gamma_coords=(e0.gamma_coords[0] + 1,))] + entries[1:])))
+    rejected(cert._replace(entries=tuple([e0._replace(bound=e0.bound / 2)]
+                                         + entries[1:])))
+    rejected(cert._replace(entries=tuple([e0._replace(
+        gamma_coords=(e0.gamma_coords[0] + 1,))] + entries[1:])))
     b = e0.box
     moved = CoverBox((b.lo[0] + F(1, 64),), b.hi, b.center, b.exponents)
-    rejected(dataclasses.replace(
-        cert, entries=tuple([dataclasses.replace(e0, box=moved)] + entries[1:])))
-    longer = dataclasses.replace(b, center=b.center + (F(0),))
-    rejected(dataclasses.replace(
-        cert, entries=tuple([dataclasses.replace(e0, box=longer)]
-                            + entries[1:])))
-    rejected(dataclasses.replace(cert, entries=tuple(entries[1:])))
+    rejected(cert._replace(
+        entries=tuple([e0._replace(box=moved)] + entries[1:])))
+    longer = b._replace(center=b.center + (F(0),))
+    rejected(cert._replace(entries=tuple([e0._replace(box=longer)]
+                                         + entries[1:])))
+    rejected(cert._replace(entries=tuple(entries[1:])))
     # duplicate box breaks disjointness even though the measure grows
-    rejected(dataclasses.replace(cert, entries=tuple(entries + [e0])))
+    rejected(cert._replace(entries=tuple(entries + [e0])))
 
 
 def test_covering_resume(field_qi, s_qi_inf):

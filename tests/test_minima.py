@@ -1,5 +1,4 @@
 import random
-from dataclasses import replace
 from fractions import Fraction as F
 
 import pytest
@@ -188,7 +187,7 @@ def test_witness_replay_checks_the_shift(field_q, s_q_23, field_sqrtm5,
     assert verdict.verdict == "not_euclidean"
     assert verdict.replays(O, s_sqrtm5_inf)
     seven = field_sqrtm5.from_rational(7)
-    forged = replace(verdict, witness_minimum=MinimumValue(
+    forged = verdict._replace(witness_minimum=MinimumValue(
         mv.value, seven, mv.search_box))
     assert not forged.replays(O, s_sqrtm5_inf)
     assert witness_mismatch(O, s_sqrtm5_inf, verdict.witness, mv.value,
@@ -216,9 +215,9 @@ def test_certificate_replay_failure_is_false(field_qi, s_qi_inf):
     assert verdict.verdict == "euclidean" and verdict.replays(O, s_qi_inf)
     cert = verdict.certificate
     first = cert.entries[0]
-    edited = replace(cert, entries=(replace(first, bound=first.bound / 2),)
-                     + cert.entries[1:])
-    assert replace(verdict, certificate=edited).replays(O, s_qi_inf) is False
+    edited = cert._replace(entries=(first._replace(bound=first.bound / 2),)
+                           + cert.entries[1:])
+    assert verdict._replace(certificate=edited).replays(O, s_qi_inf) is False
 
 
 def test_decide_fixtures_small(field_qi, s_qi_inf, field_sqrtm5, s_sqrtm5_inf):

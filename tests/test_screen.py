@@ -8,7 +8,6 @@ exactly what an all-exact screen returns, entry and best bound alike.
 
 import itertools
 import random
-from dataclasses import replace
 from fractions import Fraction as F
 
 import pytest
@@ -87,7 +86,7 @@ def _off_grid(box):
     """The box shrunk to coordinates that are not dyadic."""
     lo = tuple(a + (b - a) / 3 for a, b in zip(box.lo, box.hi))
     hi = tuple(b - (b - a) / 5 for a, b in zip(box.lo, box.hi))
-    return replace(box, lo=lo, hi=hi)
+    return box._replace(lo=lo, hi=hi)
 
 
 def _huge_element(field, rng):

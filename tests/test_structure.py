@@ -5,10 +5,13 @@ no other euclidmin module may import it, or read it as an attribute.
 """
 
 import ast
+import dataclasses
 import importlib
 from pathlib import Path
 
 import euclidmin
+from euclidmin.minima import MinimumValue
+from test_covering import _fresh_python
 
 PACKAGE = Path(euclidmin.__file__).parent
 TRACING = Path(__file__).resolve().parent.parent / "perfbench" / "tracing.py"
@@ -172,3 +175,35 @@ def test_trace_targets_resolve():
         if not callable(owner.get(attr)):
             missing.append(f"{module_name}.{path}")
     assert missing == []
+
+
+def _loaded_after(statement):
+    """The modules a fresh interpreter holds after running statement."""
+    done = _fresh_python(statement + "\nimport sys\nprint(*sys.modules)\n")
+    assert done.returncode == 0, done.stderr.decode()
+    return set(done.stdout.decode().split())
+
+
+def test_import_closure():
+    # the package loads a submodule on first use; the CLI loads the search
+    # and forms only in the commands that use them
+    assert {m for m in _loaded_after("import euclidmin")
+            if m.startswith("euclidmin.")} == {"euclidmin.errors"}
+    assert not _loaded_after("import euclidmin.cli") & {
+        "euclidmin.minima", "euclidmin.forms", "dataclasses"}
+
+
+def test_exports_resolve_to_their_home_module():
+    # __init__.py names each export's module by hand
+    for name in euclidmin.__all__:
+        obj = getattr(euclidmin, name)
+        home = importlib.import_module(obj.__module__)
+        assert home.__name__.startswith("euclidmin."), name
+        assert vars(home)[name] is obj, name
+    assert set(euclidmin.__all__) <= set(dir(euclidmin))
+
+
+def test_minimum_value_is_a_dataclass():
+    # perfbench/selftest.py::test_minimum_off_is_rejected forges m_exact
+    # results with dataclasses.replace
+    assert dataclasses.is_dataclass(MinimumValue)

@@ -9,7 +9,6 @@ every bound as a Fraction, entry by entry; a message longer than 160
 characters is recorded as its SHA-256 digest.
 """
 
-import dataclasses
 import functools
 import hashlib
 import json
@@ -55,26 +54,23 @@ def _tampers(ctx, cert):
     box = e.box
 
     def put(i, entry):
-        return dataclasses.replace(cert, entries=tuple(
+        return cert._replace(entries=tuple(
             entries[:i] + [entry] + entries[i + 1:]))
 
     b = e.bound
-    yield "bound_up", put(k, dataclasses.replace(
-        e, bound=b + F(1, b.denominator))), None
-    yield "bound_down", put(k, dataclasses.replace(
-        e, bound=b - F(1, b.denominator))), None
+    yield "bound_up", put(k, e._replace(bound=b + F(1, b.denominator))), None
+    yield "bound_down", put(k, e._replace(bound=b - F(1, b.denominator))), None
     # 1/7 has a denominator at 7, which no case has in S
-    yield "shift_outside", put(k, dataclasses.replace(e, gamma_coords=(
+    yield "shift_outside", put(k, e._replace(gamma_coords=(
         e.gamma_coords[0] + F(1, 7),) + e.gamma_coords[1:])), None
     width = box.hi[0] - box.lo[0]
     step = width if box.hi[0] + width <= 1 else -width
-    moved = dataclasses.replace(box, lo=(box.lo[0] + step,) + box.lo[1:],
-                                hi=(box.hi[0] + step,) + box.hi[1:])
-    yield "box_moved", put(k, dataclasses.replace(e, box=moved)), None
-    yield "entry_dropped", dataclasses.replace(
-        cert, entries=tuple(entries[:k] + entries[k + 1:])), None
-    yield "entry_duplicated", dataclasses.replace(
-        cert, entries=tuple(entries + [e])), None
+    moved = box._replace(lo=(box.lo[0] + step,) + box.lo[1:],
+                         hi=(box.hi[0] + step,) + box.hi[1:])
+    yield "box_moved", put(k, e._replace(box=moved)), None
+    yield "entry_dropped", cert._replace(
+        entries=tuple(entries[:k] + entries[k + 1:])), None
+    yield "entry_duplicated", cert._replace(entries=tuple(entries + [e])), None
     # a copy in place of another entry of the same volume and depths: the
     # measure stays exactly 1, and only disjointness fails
     j = next(i for i, f in enumerate(entries) if i != k
@@ -87,12 +83,11 @@ def _tampers(ctx, cert):
                 None)
     i, shift = (k, F(1, 2)) if deep is None else (deep, F(1))
     f = entries[i]
-    yield "center_moved", put(i, dataclasses.replace(
-        f, box=dataclasses.replace(f.box, center=(
-            f.box.center[0] + shift,) + f.box.center[1:]))), None
+    yield "center_moved", put(i, f._replace(box=f.box._replace(center=(
+        f.box.center[0] + shift,) + f.box.center[1:]))), None
     yield "threshold_requested", cert, cert.threshold - F(1, 100)
-    yield "threshold_recorded", dataclasses.replace(
-        cert, threshold=max(f.bound for f in entries)), None
+    yield "threshold_recorded", cert._replace(
+        threshold=max(f.bound for f in entries)), None
 
 
 def _message(exc) -> str:

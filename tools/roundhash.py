@@ -7,6 +7,7 @@ every answer byte for byte.
     python3 tools/roundhash.py SEED ROUND minima     # `minima` rounds 0..ROUND
     python3 tools/roundhash.py fields                # every benchmark field
     python3 tools/roundhash.py cli                   # `cli-reports` decide, M
+    python3 tools/roundhash.py cli-spawn             # all of `cli-reports` 0
 
 For `bounds`, the digest covers every certificate, witness and effort of
 round ROUND, and the surviving boxes of every Unresolved covering, also
@@ -30,6 +31,11 @@ For `cli`, it covers the canonical payload (the report without its timing,
 as `run_command` makes it at the default budget) of every `decide` and `M`
 command of `cli-reports` round 0: the 18 decide fixtures and the two M
 reports.
+For `cli-spawn`, it covers the exit code and the canonical payload (the
+report without its timing) of every operation of `cli-reports` round 0,
+verify-cert included, each run as its own process through
+perfbench/cli_entry.py, as the benchmark runs them: a fresh interpreter
+imports only what its command needs.
 The first line counts what was hashed, the second is the SHA-256 digest.
 The workloads are those of perfbench/workloads.py, run on the euclidmin
 source of this checkout.
@@ -37,6 +43,7 @@ source of this checkout.
 
 import hashlib
 import json
+import os
 import sys
 import tempfile
 from fractions import Fraction
@@ -131,6 +138,8 @@ def doc(res):
 
 def bounds_round(seed: int, r: int):
     inner, covering = [], minima.covering_verify
+    # the workload's own coverings stay untraced: only compute_M's are inner
+    em.covering_verify = covering
 
     def traced(*args, **kwargs):
         res = covering(*args, **kwargs)
@@ -253,11 +262,28 @@ def cli_reports():
     return docs
 
 
+def cli_spawn():
+    os.chdir(ROOT)      # the workload runs src/ of the working directory
+    wl = CliReports()
+    wl.setup(em, 0)
+    docs = []
+    with tempfile.TemporaryDirectory() as workdir:
+        for op in wl.round_ops(0, Path(workdir)):
+            code = wl.run_op(op, None)
+            report = json.loads(Path(op.out).read_text())
+            docs.append([op.command, op.case.name, code,
+                         canonical_payload_bytes(report).decode()])
+    print(len(docs), "reports")
+    return docs
+
+
 def main(argv) -> int:
     if argv[1:] == ["fields"]:
         docs = fields()
     elif argv[1:] == ["cli"]:
         docs = cli_reports()
+    elif argv[1:] == ["cli-spawn"]:
+        docs = cli_spawn()
     elif len(argv) == 4 and argv[1] == "replay":
         docs = replay_round(int(argv[2]), int(argv[3]))
     elif len(argv) in (3, 4) and argv[3:] in ([], ["minima"]):
