@@ -28,8 +28,8 @@ from .enumerate import GRID_BITS, embedding_rows, grid_row
 from .errors import SearchExhausted
 from .fields import FieldElement
 from .places import valuation
-from .qmath import ceil_scaled, int_valuation, rat_str
-from .torus import CongruenceSystem, TorusContext
+from .qmath import ceil_scaled, rat_str
+from .torus import TorusContext, shift_into_depths
 
 # width of the embedding enclosures behind every recorded bound
 BOUND_WIDTH = Fraction(1, 2**24)
@@ -416,9 +416,7 @@ def candidate_shifts(ctx: TorusContext, box: CoverBox, profile,
     center, midpoint = targets or shift_targets(ctx, box)
     lattice = ctx.s_lattice(profile)
     if any(m > 0 for m in profile):
-        gamma0 = _congruent_point(ctx, center, profile)
-        if gamma0 is None:
-            return []
+        gamma0 = shift_into_depths(ctx, center, profile)
     else:
         gamma0 = field.zero()
     w, d = lattice.int_coords(midpoint - gamma0)
@@ -447,22 +445,6 @@ def _round_half_even(num: int, den: int) -> int:
     if 2 * r > den or (2 * r == den and q % 2):
         return q + 1
     return q
-
-
-def _congruent_point(ctx: TorusContext, center: FieldElement, profile):
-    """Element of the S-ideal congruent to center at the positive depths."""
-    if profile not in ctx.congruences:
-        places = ctx.sconfig.finite_places
-        lattice = ctx.s_lattice([min(m, 0) for m in profile])
-        d0 = lattice.den
-        # d0 * gamma = d0 * center modulo P_v^{m_v + e * v_p(d0)}, m_v > 0
-        modulus = ctx.s_lattice(
-            [m + int_valuation(d0, v.p) * v.e if m > 0 else 0
-             for v, m in zip(places, profile)], over_order=True)
-        ctx.congruences[profile] = CongruenceSystem(lattice, d0, modulus)
-    system = ctx.congruences[profile]
-    return system.solve(FieldElement(ctx.field, tuple([
-        a * system.scale for a in center.nums]), center.den))
 
 
 def profiles_for_box(ctx: TorusContext, box: CoverBox):

@@ -248,16 +248,16 @@ def m_exact_attained(a: FractionalIdeal, sconfig, xi: FieldElement):
         targets = real_box_targets(field, real_bounds, cplx_bounds)
         basis = ctx.s_lattice(depths).basis_elements()
         search_info = _BOX_ENUMERATION
+        need = tuple([max(k, 0) for k in depths])
         for rep, u in orbit_pairs:
-            if any(k > 0 for k in depths):
-                need = [max(k, 0) for k in depths]
-                if all(valuation(rep, v) >= k
-                       for v, k in zip(sconfig.finite_places, need) if k > 0):
-                    offset = rep
-                else:
-                    offset = rep - shift_into_depths(ctx, rep, tuple(need))
-            else:
-                offset = rep
+            offset = rep
+            if any(valuation(rep, v) < k
+                   for v, k in zip(sconfig.finite_places, need) if k > 0):
+                offset = rep - shift_into_depths(ctx, rep, need)
+                if not offset.is_zero() and any(
+                        valuation(offset, v) < k
+                        for v, k in zip(sconfig.finite_places, need)):
+                    raise AssertionError("enumeration offset misses depths")
             for eta in elements_in_box(basis, offset, targets):
                 if eta.is_zero():
                     continue

@@ -240,14 +240,21 @@ def ideal_place_valuation(ideal: FractionalIdeal, place: Place) -> int:
     return min(valuation(b, place) for b in ideal.basis_elements())
 
 
+def times_prime_powers(ideal: FractionalIdeal, places,
+                       exponents) -> FractionalIdeal:
+    """ideal * prod P_v^{k_v} over finite places v, exponents of any sign:
+    the one product of prime-ideal powers."""
+    for v, k in zip(places, exponents):
+        if k:
+            ideal = ideal * v.ideal_power(k)
+    return ideal
+
+
 def strip_s_part(ideal: FractionalIdeal, sconfig: "SConfig") -> FractionalIdeal:
     """Remove all S-place components; canonical O-part of the O_S-ideal."""
-    out = ideal
-    for v in sconfig.finite_places:
-        k = ideal_place_valuation(out, v)
-        if k:
-            out = out * v.ideal_power(-k)
-    return out
+    places = sconfig.finite_places
+    return times_prime_powers(ideal, places, [
+        -ideal_place_valuation(ideal, v) for v in places])
 
 
 class SConfig:
@@ -367,13 +374,10 @@ def verify_s_unit_basis(sconfig: SConfig, gens) -> SConfig:
     for u in gens:
         if u.is_zero():
             raise NotAnSUnit("zero is not a unit")
-        vals = [valuation(u, v) for v in sconfig.finite_places]
-        expected = ideal_from_gens([u])
-        prod = field.maximal_order()
-        for v, w in zip(sconfig.finite_places, vals):
-            if w:
-                prod = prod * v.ideal_power(w)
-        if prod != expected:
+        support = times_prime_powers(
+            field.maximal_order(), sconfig.finite_places,
+            [valuation(u, v) for v in sconfig.finite_places])
+        if support != ideal_from_gens([u]):
             raise NotAnSUnit(f"{u} has support outside S")
         if s_norm(u, sconfig) != 1:
             raise NotAnSUnit(f"{u} has S-norm != 1")

@@ -4,6 +4,9 @@ Provides canonical reduction of field elements into the fundamental domain
 (the half-open parallelepiped of the ideal's HNF basis times the local
 integer rings), torsion coset representatives, finite unit orbits, the exact
 character pairing into Q/Z, and the trace-dual ideal.
+
+shift_into_depths, the one solver for S-ideal points, serves reduce_mod,
+m_exact's enumeration offset and the covering's candidate shifts.
 """
 
 from __future__ import annotations
@@ -13,11 +16,12 @@ from fractions import Fraction
 from functools import cached_property, lru_cache
 from math import floor, gcd, lcm
 
-from .errors import SearchExhausted, UnverifiedUnits
+from .errors import UnverifiedUnits
 from .fields import (FieldElement, FractionalIdeal, NumberField,
                      ideal_from_gens, ideal_invert, ideal_norm)
 from .hnf import echelon_mod_lattice, int_solve, solve_echelon
-from .places import Place, SConfig, places_above, strip_s_part, valuation
+from .places import (Place, SConfig, places_above, strip_s_part,
+                     times_prime_powers, valuation)
 from .qmath import int_valuation
 
 
@@ -72,7 +76,7 @@ class TorusContext:
         self.split_scales = {}      # (place index, exponents) -> element
         self.basis_rows = None      # embedding rows of the basis
         self.shift_rows = {}        # (nums, den) -> embedding row
-        self.congruences = {}       # profile -> CongruenceSystem
+        self.congruences = {}       # (k, depths, scale) -> CongruenceSystem
         self.cert_entries = {}      # box, shift nums, den -> CertEntry
         self.unit_factors = None    # per-place unit box factors of m_exact
 
@@ -84,11 +88,9 @@ class TorusContext:
         key = (over_order, tuple(exponents))
         out = self.lattices.get(key)
         if out is None:
-            out = self.field.maximal_order() if over_order else self.a_part
-            for v, k in zip(self.sconfig.finite_places, exponents):
-                if k:
-                    out = out * v.ideal_power(k)
-            self.lattices[key] = out
+            out = self.lattices[key] = times_prime_powers(
+                self.field.maximal_order() if over_order else self.a_part,
+                self.sconfig.finite_places, exponents)
         return out
 
     @cached_property
@@ -129,7 +131,6 @@ class CongruenceSystem:
     def __init__(self, lattice: FractionalIdeal, scale: int,
                  modulus: FractionalIdeal):
         self.lattice = lattice
-        self.scale = scale
         self.den = lcm(lattice.den, modulus.den)
         n = lattice.field.degree
         to_lattice = scale * (self.den // lattice.den)
@@ -177,60 +178,34 @@ def reduce_mod(a: FractionalIdeal, sconfig: SConfig, xi: FieldElement):
     return rho, gamma
 
 
-def shift_into_depths(ctx: TorusContext, xi: FieldElement,
+def shift_into_depths(ctx: TorusContext, x: FieldElement,
                       depths) -> FieldElement:
-    """gamma in the S-ideal with v(xi - gamma) >= depths[v] at the S-places.
+    """gamma in the S-ideal with v(x - gamma) >= depths[v] at each finite
+    place v of S, for any x and depths of any sign.
 
-    gamma is searched as g / t with t an S-smooth integer large enough to
-    clear xi's S-denominators and the requested depths, and g ranging over
-    the a-part lattice made extra-divisible at sibling places above the same
-    rational primes (so gamma stays inside the S-ideal). The congruence
-    v(t*xi - g) >= depth + v(t) becomes an integral linear system after
-    clearing every lattice to O; solvability follows from density of the
-    S-ideal at the S-places.
+    gamma ranges over L = ctx.s_lattice(k), k_v = min(depths[v], v(x), 0).
+    Where depths[v] > k_v, scale = lcm(L.den, x.den) makes the condition
+    scale * gamma = scale * x modulo P_v^{depths[v] + e_v v_p(scale)}, an
+    integral congruence that the Chinese remainder theorem solves; one
+    system per (k, depths, scale) is kept in ctx.congruences.
     """
-    field = ctx.field
-    sconfig = ctx.sconfig
-    d = xi.denominator()
-    s_primes = sorted({v.p for v in sconfig.finite_places})
-    t = 1
-    for p in s_primes:
-        need = int_valuation(d, p)
-        for v, depth in zip(sconfig.finite_places, depths):
-            if v.p == p and depth > 0:
-                need = max(need, -(-depth // v.e) + int_valuation(d, p))
-        t *= p**need
-    d_rest = d
-    for p in s_primes:
-        while d_rest % p == 0:
-            d_rest //= p
-    # lattice for g: a-part, extra divisibility at sibling places above t
-    lattice_a = ctx.a_part
-    for p in s_primes:
-        vp_t = int_valuation(t, p)
-        if vp_t == 0:
-            continue
-        for w in places_above(field, p):
-            if any(w.p == v.p and w.gen_poly == v.gen_poly
-                   for v in sconfig.finite_places):
-                continue
-            lattice_a = lattice_a * w.ideal_power(vp_t * w.e)
-    d0 = lattice_a.den
-    # congruence modulus: P_v^{max(depth_v + v(t*d0), 0)} over v in S_0
-    modulus = ctx.s_lattice(
-        [max(depth + int_valuation(t * d0, v.p) * v.e, 0)
-         for v, depth in zip(sconfig.finite_places, depths)], over_order=True)
-    if modulus.den != 1:
-        raise AssertionError("finite shift modulus is not integral")
-    g = CongruenceSystem(lattice_a, d_rest * d0, modulus).solve(
-        xi * (t * d_rest * d0))
-    if g is None:
-        raise SearchExhausted("finite shift system unsolvable (bug)")
-    gamma = g / t
-    diff = xi - gamma
-    if not diff.is_zero() and any(valuation(diff, v) < depth for v, depth
-                                  in zip(sconfig.finite_places, depths)):
-        raise AssertionError("finite shift misses the requested depths")
+    places = ctx.sconfig.finite_places
+    # v(x) < 0 only above a prime of x.den
+    k = tuple([min(depth, 0) if x.den % v.p else min(depth, valuation(x, v), 0)
+               for v, depth in zip(places, depths)])
+    lattice = ctx.s_lattice(k)
+    scale = lcm(lattice.den, x.den)
+    key = (k, tuple(depths), scale)
+    system = ctx.congruences.get(key)
+    if system is None:
+        modulus = ctx.s_lattice(
+            [depth + int_valuation(scale, v.p) * v.e if depth > kv else 0
+             for v, depth, kv in zip(places, depths, k)], over_order=True)
+        system = ctx.congruences[key] = CongruenceSystem(lattice, scale,
+                                                         modulus)
+    gamma = system.solve(x * scale)
+    if gamma is None:
+        raise AssertionError("finite shift system unsolvable")
     return gamma
 
 
@@ -304,12 +279,11 @@ def local_trace_polar(x: FieldElement, place: Place) -> Fraction:
     depth = field.degree * int_valuation(x.den, p)
     if depth == 0:
         return Fraction(0)
-    lattice = field.maximal_order()
-    for w in places_above(field, p):
-        if w != place:
-            lattice = lattice * w.ideal_power(depth)
-    y = CongruenceSystem(lattice, 1, place.ideal_power(depth)).solve(
-        field.one())
+    order = field.maximal_order()
+    others = [w for w in places_above(field, p) if w != place]
+    y = CongruenceSystem(
+        times_prime_powers(order, others, [depth] * len(others)), 1,
+        times_prime_powers(order, [place], [depth])).solve(field.one())
     if y is None:
         raise AssertionError("no local idempotent at this place")
     t = (x * y).trace()

@@ -15,9 +15,9 @@ import pytest
 from euclidmin import (SConfig, ideal_from_gens, make_field, make_sconfig,
                        verify_s_unit_basis)
 from euclidmin import covering, minima
-from euclidmin.covering import (CertEntry, CoverBox, _congruent_point,
-                                bound_enclosure, box_arch, box_bound,
-                                box_floor, candidate_shifts, exact_bound,
+from euclidmin.covering import (CertEntry, CoverBox, bound_enclosure,
+                                box_arch, box_bound, box_floor,
+                                candidate_shifts, exact_bound,
                                 grid_enclosure, initial_box, profile_factor,
                                 profiles_for_box, screen_threshold,
                                 split_arch, split_finite)
@@ -25,7 +25,8 @@ from euclidmin.enumerate import GRID_BITS
 from euclidmin.minima import _certify_box
 from euclidmin.places import valuation
 from euclidmin.qmath import int_valuation
-from euclidmin.torus import CongruenceSystem, TorusContext, torus_context
+from euclidmin.torus import (CongruenceSystem, TorusContext,
+                             shift_into_depths, torus_context)
 from test_covering import _fresh_python
 
 
@@ -147,9 +148,7 @@ def _reference_shifts(ctx, box, profile):
     lattice = ctx.s_lattice(profile)
     gamma0 = field.zero()
     if any(m > 0 for m in profile):
-        gamma0 = _congruent_point(ctx, box.center_element(ctx), profile)
-        if gamma0 is None:
-            return []
+        gamma0 = shift_into_depths(ctx, box.center_element(ctx), profile)
     target = field.zero()
     for j, b in enumerate(ctx.basis):
         target = target + b * ((box.lo[j] + box.hi[j]) / 2)
@@ -304,11 +303,9 @@ def test_congruent_point_solves_the_congruence(case):
             modulus = ctx.s_lattice(
                 [m + int_valuation(d0, v.p) * v.e if m > 0 else 0
                  for v, m in zip(places, profile)], over_order=True)
-            got = _congruent_point(ctx, center, profile)
+            got = shift_into_depths(ctx, center, profile)
             assert got == CongruenceSystem(lattice, d0, modulus).solve(
                 center * d0)
-            if got is None:
-                continue
             solved += 1
             assert lattice.contains(got)
             diff = got - center

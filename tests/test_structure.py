@@ -207,3 +207,43 @@ def test_minimum_value_is_a_dataclass():
     # perfbench/selftest.py::test_minimum_off_is_rejected forges m_exact
     # results with dataclasses.replace
     assert dataclasses.is_dataclass(MinimumValue)
+
+
+def _calls_by_scope(path, callee):
+    """'module.Class.function:line' for each call of callee in path, a name
+    called directly or as an attribute (x.callee(...))."""
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    found = []
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                  ast.ClassDef)):
+                visit(child, f"{scope}.{child.name}")
+                continue
+            if isinstance(child, ast.Call):
+                func = child.func
+                name = func.attr if isinstance(func, ast.Attribute) \
+                    else getattr(func, "id", None)
+                if name == callee:
+                    found.append(f"{scope}:{child.lineno}")
+            visit(child, scope)
+
+    visit(tree, path.stem)
+    return found
+
+
+def _scopes_calling(callee):
+    modules = sorted(PACKAGE.glob("*.py"))
+    assert modules
+    return [hit for path in modules for hit in _calls_by_scope(path, callee)]
+
+
+def test_one_prime_power_product_and_one_congruence_solver():
+    # one S-lattice builder: only the product multiplies prime powers out
+    allowed = ("places.Place.", "places.times_prime_powers:")
+    assert [hit for hit in _scopes_calling("ideal_power")
+            if not hit.startswith(allowed)] == []
+    # one solver for S-ideal points; the local idempotent is the other system
+    systems = {hit.split(":")[0] for hit in _scopes_calling("CongruenceSystem")}
+    assert systems == {"torus.shift_into_depths", "torus.local_trace_polar"}

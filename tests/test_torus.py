@@ -1,11 +1,20 @@
+import itertools
 import random
 from fractions import Fraction as F
+from math import floor
+
+import pytest
 
 from euclidmin import (QmodZ, char_pair, ideal_from_gens, ideal_norm,
                        inverse_different, make_field, make_sconfig, orbit,
                        places_above, reduce_mod, s_trace_dual, torsion_reps,
                        valuation)
-from euclidmin.torus import local_trace_polar, torus_context
+from euclidmin.covering import gamma_in_s_ideal
+from euclidmin.errors import SearchExhausted
+from euclidmin.qmath import int_valuation
+from euclidmin.torus import (CongruenceSystem, local_trace_polar,
+                             shift_into_depths, torus_context)
+from test_covering import _fresh_python
 
 
 def test_reduce_mod_examples(field_q, s_q_2):
@@ -63,6 +72,131 @@ def test_fundamental_domain_membership(field_q, s_q_2):
         rho, _ = reduce_mod(Z, s_q_2, xi)
         assert _in_fundamental_domain(Z, s_q_2, rho)
         assert not _in_fundamental_domain(Z, s_q_2, rho + field_q.one())
+
+
+def _ref_shift_into_depths(ctx, xi, depths):
+    """The earlier solver: gamma = g / t with t an S-smooth integer, and g
+    in the a-part made extra-divisible at the sibling places (the places
+    above a prime of S that are not in S)."""
+    field = ctx.field
+    sconfig = ctx.sconfig
+    d = xi.denominator()
+    s_primes = sorted({v.p for v in sconfig.finite_places})
+    t = 1
+    for p in s_primes:
+        need = int_valuation(d, p)
+        for v, depth in zip(sconfig.finite_places, depths):
+            if v.p == p and depth > 0:
+                need = max(need, -(-depth // v.e) + int_valuation(d, p))
+        t *= p**need
+    d_rest = d
+    for p in s_primes:
+        while d_rest % p == 0:
+            d_rest //= p
+    lattice_a = ctx.a_part
+    for p in s_primes:
+        vp_t = int_valuation(t, p)
+        if vp_t == 0:
+            continue
+        for w in places_above(field, p):
+            if any(w.p == v.p and w.gen_poly == v.gen_poly
+                   for v in sconfig.finite_places):
+                continue
+            lattice_a = lattice_a * w.ideal_power(vp_t * w.e)
+    d0 = lattice_a.den
+    modulus = ctx.s_lattice(
+        [max(depth + int_valuation(t * d0, v.p) * v.e, 0)
+         for v, depth in zip(sconfig.finite_places, depths)], over_order=True)
+    if modulus.den != 1:
+        raise AssertionError("finite shift modulus is not integral")
+    g = CongruenceSystem(lattice_a, d_rest * d0, modulus).solve(
+        xi * (t * d_rest * d0))
+    if g is None:
+        raise SearchExhausted("finite shift system unsolvable (bug)")
+    gamma = g / t
+    diff = xi - gamma
+    if not diff.is_zero() and any(valuation(diff, v) < depth for v, depth
+                                  in zip(sconfig.finite_places, depths)):
+        raise AssertionError("finite shift misses the requested depths")
+    return gamma
+
+
+def _ref_rho(ctx, xi):
+    """reduce_mod's rho, its finite step taken by the earlier solver."""
+    places = ctx.sconfig.finite_places
+    rho = xi
+    if any(valuation(xi, v) < 0 for v in places):
+        rho = xi - _ref_shift_into_depths(ctx, xi, (0,) * len(places))
+    for c, b in zip(ctx.a_part.coords_in_basis(rho), ctx.basis):
+        rho = rho - b * floor(c)
+    return rho
+
+
+def _shift_cases():
+    """(ideal, S, the sibling places) of the solver's reference test."""
+    q, qi, r2 = (make_field(c) for c in ([-1, 1], [1, 0, 1], [-2, 0, 1]))
+    return [(q.maximal_order(), make_sconfig(q, [2, 3]), []),
+            (qi.maximal_order(), make_sconfig(qi, [5], place_indices={5: [0]}),
+             places_above(qi, 5)[1:]),
+            (r2.maximal_order(), make_sconfig(r2, [7]), []),
+            (ideal_from_gens([qi.element([F(3, 2), 3])]),
+             make_sconfig(qi, [2]), [])]
+
+
+def test_shift_into_depths_matches_the_earlier_solver():
+    # poles at S, at a sibling place and away from S, depths of both signs
+    rng = random.Random(24)
+    for a, sconfig, siblings in _shift_cases():
+        ctx = torus_context(a, sconfig)
+        field = ctx.field
+        places = sconfig.finite_places
+        s_primes = {v.p for v in places}
+        other_primes = [q for q in (1, 11, 13) if q not in s_primes]
+        for _ in range(6):
+            den = rng.choice(other_primes)
+            for p in s_primes:
+                den *= p**rng.randint(0, 3)
+            x = field.element([F(rng.randint(1, 60), den)]
+                              + [F(rng.randint(-60, 60), den)
+                                 for _ in range(field.degree - 1)])
+            for w in siblings:
+                x = x * w.uniformizer() ** -rng.randint(0, 2)
+            for depths in itertools.product(range(-2, 4), repeat=len(places)):
+                gamma = shift_into_depths(ctx, x, depths)
+                assert gamma_in_s_ideal(ctx, gamma), (x, depths)
+                diff = x - gamma
+                assert diff.is_zero() or all(
+                    valuation(diff, v) >= d for v, d in zip(places, depths))
+                if min(depths) >= 0:
+                    ref = _ref_shift_into_depths(ctx, x, depths)
+                    assert ctx.s_lattice(depths).contains(gamma - ref)
+            assert reduce_mod(a, sconfig, x)[0] == _ref_rho(ctx, x)
+
+
+UNSOLVABLE = (
+    "from fractions import Fraction\n"
+    "from euclidmin import make_field, make_sconfig, reduce_mod\n"
+    "from euclidmin.torus import CongruenceSystem\n"
+    "CongruenceSystem.solve = lambda self, target: None\n"
+    "field = make_field([-1, 1])\n"
+    "half = field.from_rational(Fraction(1, 2))\n"
+    "try:\n"
+    "    reduce_mod(field.maximal_order(), make_sconfig(field, [2]), half)\n"
+    "except AssertionError as exc:\n"
+    "    raise SystemExit(0 if 'unsolvable' in str(exc) else 1)\n"
+    "raise SystemExit(1)\n")
+
+
+def test_unsolvable_shift_system_raises(monkeypatch):
+    # the CRT always solves the system, so None can only be a defect
+    field = make_field([-1, 1])
+    sconfig = make_sconfig(field, [2])
+    ctx = torus_context(field.maximal_order(), sconfig)
+    monkeypatch.setattr(CongruenceSystem, "solve", lambda self, target: None)
+    with pytest.raises(AssertionError, match="unsolvable"):
+        shift_into_depths(ctx, field.from_rational(F(1, 2)), (0,))
+    done = _fresh_python(UNSOLVABLE, "-O")
+    assert done.returncode == 0, done.stderr.decode()
 
 
 def test_torsion_reps(field_q, field_qi, s_q_2, s_qi_inf):
