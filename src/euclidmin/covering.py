@@ -19,6 +19,7 @@ comparisons only and never reaches a recorded bound.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from fractions import Fraction
 from math import lcm, prod
@@ -36,6 +37,7 @@ BOUND_WIDTH = Fraction(1, 2**24)
 CORNER_RADIUS = 1       # lattice steps around the box midpoint per coordinate
 PROFILE_NEG_DEPTH = 2   # the deepest denominator level of a profile
 PROFILE_CAP = 48        # profiles tried per box
+PROFILE_SCHEDULES = 256  # schedules kept, one per (residue norms, depths)
 # The default budget of covering_verify, compute_M and decide_norm_euclidean,
 # and of every command line run: one unit pays for one covering box or one
 # m_exact call.
@@ -227,13 +229,13 @@ def exact_bound(ctx: TorusContext, arch, gamma: FieldElement,
 
 
 def _norm_factor(pairs) -> tuple[int, int]:
-    """Integers (num, den) with num / den = prod Np^-m over (place, m)."""
+    """Integers (num, den) with num / den = prod Np^-m over (Np, m)."""
     num = den = 1
-    for v, m in pairs:
+    for q, m in pairs:
         if m > 0:
-            den *= v.residue_norm() ** m
+            den *= q ** m
         elif m < 0:
-            num *= v.residue_norm() ** -m
+            num *= q ** -m
     return num, den
 
 
@@ -241,7 +243,7 @@ def _finite_factor(terms) -> tuple[int, int]:
     """Exact upper bound (num, den) of prod |x - gamma|_v for
     x = center mod P_v^k, over the (place, center - gamma, k) terms."""
     return _norm_factor(
-        (v, k if diff.is_zero() else min(k, valuation(diff, v)))
+        (v.residue_norm(), k if diff.is_zero() else min(k, valuation(diff, v)))
         for v, diff, k in terms)
 
 
@@ -309,7 +311,8 @@ def grid_enclosure(arch) -> list:
 def profile_factor(ctx: TorusContext, profile) -> tuple[int, int]:
     """Integers (num, den) with num / den = prod Np^-m_v, which bounds the
     finite part of the norm over a box for shifts of a congruence profile."""
-    return _norm_factor(zip(ctx.sconfig.finite_places, profile))
+    return _norm_factor((v.residue_norm(), m) for v, m in
+                        zip(ctx.sconfig.finite_places, profile))
 
 
 def screen_threshold(ctx: TorusContext, t: Fraction) -> int:
@@ -447,25 +450,35 @@ def _round_half_even(num: int, den: int) -> int:
     return q
 
 
-def profiles_for_box(ctx: TorusContext, box: CoverBox):
-    """Deterministic profile schedule, most congruent first.
+@functools.lru_cache(maxsize=PROFILE_SCHEDULES)
+def profile_schedule(norms: tuple, depths: tuple) -> tuple:
+    """Deterministic profile schedule of a box of the given depths, most
+    congruent first: (profile, num, den) per profile, num / den its
+    profile_factor under the residue norms of S's finite places.
 
     The menu per place keeps the deepest congruences, the free level, and a
     few denominator levels; intermediate depths are rarely optimal and only
     cost bound evaluations (never soundness).
     """
-    places = ctx.sconfig.finite_places
-    if not places:
-        return [()]
-    menus = []
-    for v, k in zip(places, box.exponents):
-        menu = sorted({k, max(k - 1, 0), max(k - 2, 0), 0, -1,
-                       -PROFILE_NEG_DEPTH},
-                      reverse=True)
-        menus.append([m for m in menu if m <= k])
+    menus = [{k, max(k - 1, 0), max(k - 2, 0), 0, -1, -PROFILE_NEG_DEPTH}
+             for k in depths]
     # most congruent profiles first: larger sum of depths first
-    out = sorted(itertools.product(*menus), key=lambda pr: (-sum(pr), pr))
-    return out[:PROFILE_CAP]
+    profiles = sorted(itertools.product(*menus), key=lambda pr: (-sum(pr), pr))
+    return tuple((pr,) + _norm_factor(zip(norms, pr))
+                 for pr in profiles[:PROFILE_CAP])
+
+
+def box_schedule(ctx: TorusContext, box: CoverBox) -> tuple:
+    """The profile_schedule of a box, made once per (residue norms of S,
+    box depths) and shared by every box, ideal and S with those."""
+    norms = tuple(v.residue_norm() for v in ctx.sconfig.finite_places)
+    return profile_schedule(norms, box.exponents)
+
+
+def profiles_for_box(ctx: TorusContext, box: CoverBox) -> tuple:
+    """The profiles of box_schedule(ctx, box), in schedule order; that
+    schedule is made once per (residue norms of S, box depths) and shared."""
+    return tuple(pr for pr, _, _ in box_schedule(ctx, box))
 
 
 # -- certificates ---------------------------------------------------------------

@@ -30,11 +30,10 @@ from typing import NamedTuple
 
 from .covering import (BUDGET, CoverBox, CoveringCertificate,
                        CoveringState, Unresolved, bound_enclosure, box_arch,
-                       box_entry, box_floor, candidate_shifts, exact_bound,
-                       gamma_in_s_ideal, grid_enclosure, initial_box,
-                       profile_factor, profiles_for_box, screen_threshold,
-                       shift_targets, split_arch, split_finite,
-                       verify_certificate)
+                       box_entry, box_floor, box_schedule, candidate_shifts,
+                       exact_bound, gamma_in_s_ideal, grid_enclosure,
+                       initial_box, screen_threshold, shift_targets,
+                       split_arch, split_finite, verify_certificate)
 from .enumerate import elements_in_box, real_box_targets
 from .errors import UnverifiedUnits
 from .fields import FieldElement, FractionalIdeal, embed
@@ -324,8 +323,7 @@ def _certify_box(ctx: TorusContext, box: CoverBox, t: Fraction):
     t_grid = screen_threshold(ctx, t)
     least = None                # least upper end of an enclosure so far
     near = []                   # (lo, exact bound | None, shift, num, den)
-    for profile in profiles_for_box(ctx, box):
-        num, den = profile_factor(ctx, profile)
+    for profile, num, den in box_schedule(ctx, box):
         # least >= t_grid, so such a profile holds no winner either
         if least is not None and num * floor // den > least:
             continue

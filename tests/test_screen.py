@@ -312,3 +312,83 @@ def test_congruent_point_solves_the_congruence(case):
             for v, m in zip(places, profile):
                 assert m <= 0 or diff.is_zero() or valuation(diff, v) >= m
     assert solved >= 10
+
+
+def _reference_profiles(depths):
+    """The profile schedule built from scratch: the sorted product of the
+    per-place depth menus, cut at PROFILE_CAP, with the uncut length."""
+    menus = []
+    for k in depths:
+        menu = sorted({k, max(k - 1, 0), max(k - 2, 0), 0, -1,
+                       -covering.PROFILE_NEG_DEPTH}, reverse=True)
+        menus.append([m for m in menu if m <= k])
+    out = sorted(itertools.product(*menus), key=lambda pr: (-sum(pr), pr))
+    return out[:covering.PROFILE_CAP], len(out)
+
+
+def test_profile_schedule_is_shared_and_matches_the_sorted_product():
+    field = make_field([-1, 1])
+    s235 = make_sconfig(field, [2, 3, 5])
+    ctx = torus_context(field.maximal_order(), s235)
+    other_ideal = torus_context(
+        ideal_from_gens([field.element([F(3, 7)])]), s235)
+    # equal residue norms: two S configs of Q with S = {2, 3}, one place of
+    # norm 2 over Q and over Q(i), and no finite place at all
+    s23 = make_sconfig(field, [2, 3])
+    pairs = [(ctx, other_ideal),
+             (torus_context(*CASES["Q_S23"]()),
+              torus_context(field.maximal_order(), s23)),
+             (torus_context(field.maximal_order(), make_sconfig(field, [2])),
+              torus_context(*CASES["Qi_S2"]())),
+             (torus_context(*CASES["Qsqrt-5_class"]()),
+              torus_context(*CASES["cubic_unit"]()))]
+    contexts = [c for pair in pairs for c in pair]
+    contexts.append(torus_context(*CASES["Qsqrt2_S7"]()))
+    rng = random.Random("profile-schedule")
+    for c in contexts:
+        places = len(c.sconfig.finite_places)
+        depth_vectors = [tuple(rng.randint(0, 6) for _ in range(places))
+                         for _ in range(12)]
+        if places == 3:
+            depth_vectors.append((3, 4, 5))
+        for depths in depth_vectors:
+            box = initial_box(c)._replace(exponents=depths)
+            schedule = covering.box_schedule(c, box)
+            assert type(schedule) is tuple
+            assert all(type(item) is tuple and type(item[0]) is tuple
+                       for item in schedule)
+            want, uncut = _reference_profiles(depths)
+            assert [pr for pr, _, _ in schedule] == want
+            assert list(profiles_for_box(c, box)) == want
+            for profile, num, den in schedule:
+                assert (num, den) == profile_factor(c, profile)
+            assert len(schedule) == min(uncut, covering.PROFILE_CAP)
+            if depths == (3, 4, 5):
+                assert (uncut, len(schedule)) == (216, 48)
+    for a, b in pairs:
+        assert a is not b
+        for _ in range(6):
+            depths = tuple(rng.randint(0, 6)
+                           for _ in a.sconfig.finite_places)
+            box_a = initial_box(a)._replace(exponents=depths)
+            box_b = initial_box(b)._replace(exponents=depths)
+            assert covering.box_schedule(a, box_a) is \
+                covering.box_schedule(b, box_b)
+
+
+def test_covering_builds_each_schedule_once(monkeypatch):
+    field = make_field([-1, 1])
+    sconfig = make_sconfig(field, [2, 3, 5])
+    seen = set()                # box depths that _certify_box was asked
+
+    def recording(ctx, box, t):
+        seen.add(box.exponents)
+        return _certify_box(ctx, box, t)
+
+    monkeypatch.setattr(minima, "_certify_box", recording)
+    covering.profile_schedule.cache_clear()
+    cert = minima.covering_verify(field.maximal_order(), sconfig, F(17, 100))
+    assert isinstance(cert, covering.CoveringCertificate)
+    info = covering.profile_schedule.cache_info()
+    assert len(seen) > 1 and info.hits > 0
+    assert info.misses == len(seen)
