@@ -24,11 +24,12 @@ _EXPORTS = {name: module for module, names in {
              "form_from_ideal m_form",
     "minima": "EuclideanVerdict MinimumValue MReport compute_M "
               "covering_verify decide_norm_euclidean m_exact search_lower",
-    "places": "Place SConfig make_sconfig places_above s_norm shrinking_unit "
-              "strip_s_part valuation verify_s_unit_basis",
+    "places": "Place SConfig make_sconfig places_above s_norm strip_s_part "
+              "valuation",
     "torus": "QmodZ char_pair inverse_different orbit reduce_mod s_trace_dual "
              "torsion_reps",
-    "units": "fundamental_unit torsion_generator",
+    "units": "fundamental_unit shrinking_unit torsion_generator "
+             "verify_s_unit_basis",
 }.items() for name in names.split()}
 
 __all__ = [n for n in vars(errors) if not n.startswith("_")] + list(_EXPORTS)

@@ -15,12 +15,13 @@ import re
 import sys
 import time
 from fractions import Fraction
+from functools import cached_property
 
 from .covering import BUDGET, CertEntry, CoverBox, CoveringCertificate, \
     verify_certificate
 from .errors import EuclidMinError, IoError, ParseError, ValidationError
 from .fields import ideal_from_gens, ideal_norm, make_field
-from .places import make_sconfig, places_above, s_norm
+from .places import SConfig, add_unit_basis, places_above, s_norm, s_places
 from .qmath import int_str
 from .torus import orbit, s_trace_dual, torus_context
 
@@ -113,7 +114,9 @@ def coords_to_json(coords):
 
 
 class RunConfig:
-    """Validated run configuration; builds the verified working objects."""
+    """Validated run configuration. S's places and the shape of its unit
+    generators are checked on parsing, the S-unit basis on first use of
+    sconfig, which a covering replay never makes."""
 
     def __init__(self, raw: dict):
         self.raw = raw
@@ -148,15 +151,11 @@ class RunConfig:
                 place_indices[p] = self._place_indices(p, entry["indices"],
                                                        f"{path}.indices")
             primes.append(p)
-        unit_gens = None
         gens = _list(_object(raw, "units").get("gens") or [], "units.gens")
-        if gens:
-            unit_gens = [_element(self.field, vec, f"units.gens[{i}]")
-                         for i, vec in enumerate(gens)]
+        self._unit_gens = [_element(self.field, vec, f"units.gens[{i}]")
+                           for i, vec in enumerate(gens)] or None
         try:
-            self.sconfig = make_sconfig(self.field, primes,
-                                        unit_gens=unit_gens,
-                                        place_indices=place_indices or None)
+            self.s_places = s_places(self.field, primes, place_indices)
         except EuclidMinError as exc:
             raise ValidationError(str(exc), "S")
         self.ideal = _parse_ideal(self.field, raw)
@@ -199,6 +198,15 @@ class RunConfig:
                 f"must be a list of distinct place indices below {count}",
                 path)
         return indices
+
+    @cached_property
+    def sconfig(self) -> SConfig:
+        """s_places with its verified S-unit basis attached; a basis that
+        does not verify is a ValidationError at S."""
+        try:
+            return add_unit_basis(self.s_places, self._unit_gens)
+        except EuclidMinError as exc:
+            raise ValidationError(str(exc), "S")
 
     def echo(self) -> dict:
         return self.raw
@@ -301,6 +309,8 @@ def witness_to_json(xi, mv) -> dict:
 
 def run_command(cfg: RunConfig, command: str) -> dict:
     """Execute one command; returns the report document (without timing)."""
+    if command != "verify-cert":
+        sconfig = cfg.sconfig   # any S-unit basis error comes before work
     if command not in COMMANDS:
         raise ValidationError(f"unknown command {command!r}; "
                               f"choose from {', '.join(COMMANDS)}")
@@ -308,7 +318,6 @@ def run_command(cfg: RunConfig, command: str) -> dict:
     if command == "form" and field.degree != 2:
         raise ValidationError(f"form needs a quadratic field, not degree "
                               f"{field.degree}", "field.poly")
-    sconfig = cfg.sconfig
     doc = {
         "format_version": FORMAT_VERSION,
         "command": command,
@@ -537,8 +546,7 @@ def replay_report(cfg: RunConfig, path: str):
         claim = "report result does not parse"
     if claim:
         return False, claim
-    field, sconfig = cfg.field, cfg.sconfig
-    ctx = torus_context(cfg.ideal, sconfig)
+    field = cfg.field
     orbit_size = saved["result"].get("witness_orbit_size") \
         if saved.get("command") in ("search", "M") else None
 
@@ -554,15 +562,17 @@ def replay_report(cfg: RunConfig, path: str):
         except _MALFORMED as exc:
             return False, f"evidence does not parse: {exc!r}"
         if kind == "covering":
+            # a covering claim runs on the places of S alone
             try:
-                verify_certificate(ctx, cert)
+                verify_certificate(torus_context(cfg.ideal, cfg.s_places),
+                                   cert)
             except AssertionError as exc:
                 return False, f"covering replay failed: {exc}"
             return True, f"covering certificate with {len(cert.entries)} boxes"
         if kind == "witness":
             from .minima import witness_mismatch
-            mismatch = witness_mismatch(cfg.ideal, sconfig, xi, value, shift,
-                                        orbit_size)
+            mismatch = witness_mismatch(cfg.ideal, cfg.sconfig, xi, value,
+                                        shift, orbit_size)
             if mismatch:
                 return False, mismatch
             return True, "witness replayed"

@@ -25,9 +25,8 @@ from fractions import Fraction
 from math import lcm, prod
 from typing import NamedTuple
 
-from .enumerate import GRID_BITS, embedding_rows, grid_row
 from .errors import SearchExhausted
-from .fields import FieldElement
+from .fields import GRID_BITS, FieldElement, embedding_rows, grid_row
 from .places import valuation
 from .qmath import ceil_scaled, rat_str
 from .torus import TorusContext, shift_into_depths

@@ -6,14 +6,15 @@ whose embeddings fall inside the box. Callers filter candidates exactly, so
 interval slack here costs time but never correctness.
 
 The solve works on integers: every row entry is an integer interval
-(lo, hi) on the grid 2^-bits. The rows of an element (grid_row) are exact
-combinations of the field's integral-basis rows (basis_row_bounds),
-rounded outward to that grid, as are the targets; this is the only
-rounding here, and the covering's bound screen takes its shift rows from
-grid_row at GRID_BITS as well. Cramer's rule runs on these pairs
-(hnf.int_interval_det); each range spans the four endpoint quotients, by
-floor division, and a determinant enclosure holding 0 retries on a finer
-grid. Points are built as integer combinations over one denominator.
+(lo, hi) on the grid 2^-bits. The rows of an element (fields.grid_row)
+are exact combinations of the field's integral-basis rows
+(basis_row_bounds), rounded outward to that grid, as are the targets;
+this is the only rounding here, and the covering's bound screen takes its
+shift rows from grid_row at GRID_BITS as well. Cramer's rule runs on
+these pairs (hnf.int_interval_det); each range spans the four endpoint
+quotients, by floor division, and a determinant enclosure holding 0
+retries on a finer grid. Points are built as integer combinations over
+one denominator.
 """
 
 from __future__ import annotations
@@ -23,34 +24,15 @@ from fractions import Fraction
 from math import lcm
 
 from .errors import SearchExhausted
-from .fields import FieldElement, embed
+from .fields import GRID_BITS, FieldElement, grid_row
 from .hnf import int_interval_det
 from .intervals import Iv
 from .qmath import ceil_scaled, floor_scaled, sqrt_upper
 
-# binary digits of the first grid, and how many more each retry takes
-GRID_BITS = 64
+# binary digits each retry adds to the grid, which starts at GRID_BITS
 GRID_STEP = 16
 GRID_TRIES = 12
 POINT_CAP = 4_000_000   # most integer points one enumeration may yield
-
-
-def grid_row(elem: FieldElement, omega) -> list[tuple[int, int]]:
-    """Integer enclosures (lo, hi) on the grid of elem's real coordinates:
-    the exact combination sum nums_k * omega_k / den, rounded outward."""
-    den = elem.den
-    out = []
-    for c in range(len(omega)):
-        lo = hi = 0
-        for a, row in zip(elem.nums, omega):
-            if a > 0:
-                lo += a * row[c][0]
-                hi += a * row[c][1]
-            elif a:
-                lo += a * row[c][1]
-                hi += a * row[c][0]
-        out.append((lo // den, -(-hi // den)))
-    return out
 
 
 def _grid_target(t: Iv, bits: int) -> Iv:
@@ -74,16 +56,6 @@ def _interval_solve(a, b):
         out.append((-max(-c_lo // d_lo, -c_lo // d_hi, -c_hi // d_lo, -c_hi // d_hi),
                     max(c_lo // d_lo, c_lo // d_hi, c_hi // d_lo, c_hi // d_hi)))
     return out
-
-
-def embedding_rows(elem: FieldElement, width: Fraction):
-    """Real coordinates of an embedding vector: reals, then (re, im) pairs."""
-    box = embed(elem, width)
-    row = list(box.reals)
-    for z in box.complexes:
-        row.append(z.re)
-        row.append(z.im)
-    return row
 
 
 def real_box_targets(field, real_bounds, complex_bounds):

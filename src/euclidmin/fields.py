@@ -38,6 +38,10 @@ from .polynomials import (certify_irreducible, count_real_roots, deg,
 from .qmath import ceil_scaled, factorize, floor_scaled
 from .roots import RootEnclosures, eval_interval
 
+# binary digits of the grid on which lattice enumeration starts and the
+# covering's bound screen works (basis_row_bounds, grid_row)
+GRID_BITS = 64
+
 
 def int_mul(table, a, b) -> tuple:
     """Coordinates of the product of two integral elements, given by integer
@@ -214,16 +218,10 @@ class NumberField:
         """
         rows = self._basis_rows.get(bits)
         if rows is None:
-            rows = []
-            for w in self.integral_basis:
-                box = embed(w, Fraction(1, 2**bits))
-                coords = list(box.reals)
-                for z in box.complexes:
-                    coords += [z.re, z.im]
-                rows.append(tuple([(floor_scaled(iv.lo, bits),
-                                    ceil_scaled(iv.hi, bits))
-                                   for iv in coords]))
-            rows = self._basis_rows[bits] = tuple(rows)
+            rows = self._basis_rows[bits] = tuple([
+                tuple([(floor_scaled(iv.lo, bits), ceil_scaled(iv.hi, bits))
+                       for iv in embedding_rows(w, Fraction(1, 2**bits))])
+                for w in self.integral_basis])
         return rows
 
     def maximal_order(self) -> "FractionalIdeal":
@@ -239,6 +237,25 @@ class NumberField:
 
     def __repr__(self):
         return f"NumberField({list(self.coeffs)})"
+
+
+def grid_row(elem: "FieldElement", omega) -> list[tuple[int, int]]:
+    """Integer enclosures (lo, hi) on the grid of omega =
+    basis_row_bounds(bits) of elem's real coordinates: the exact
+    combination sum nums_k * omega_k / den, rounded outward."""
+    den = elem.den
+    out = []
+    for c in range(len(omega)):
+        lo = hi = 0
+        for a, row in zip(elem.nums, omega):
+            if a > 0:
+                lo += a * row[c][0]
+                hi += a * row[c][1]
+            elif a:
+                lo += a * row[c][1]
+                hi += a * row[c][0]
+        out.append((lo // den, -(-hi // den)))
+    return out
 
 
 @lru_cache(maxsize=64)
@@ -476,6 +493,17 @@ def embed(x: FieldElement, precision) -> EmbeddingBox:
             return EmbeddingBox(tuple(reals), tuple(comps), precision)
         level += 6
     raise PrecisionUnreachable(f"embedding width target {precision} not met")
+
+
+def embedding_rows(elem: FieldElement, width: Fraction) -> list[Iv]:
+    """Real coordinates of the embedding of elem, boxes of width <= width:
+    the real places, then (re, im) per complex place."""
+    box = embed(elem, width)
+    row = list(box.reals)
+    for z in box.complexes:
+        row.append(z.re)
+        row.append(z.im)
+    return row
 
 
 class FractionalIdeal:

@@ -6,7 +6,7 @@ endpoints can grow long. Code that needs bounded sizes rounds outward
 itself, outside this module: lattice enumeration and the covering's bound
 screen move their data to integers on one dyadic grid (enumerate.py,
 covering.py), and the log-rank check rounds magnitudes to 64-bit dyadics
-before taking logs (places._log_abs_interval, qmath.dyadic_outward).
+before taking logs (units._log_abs_interval, qmath.dyadic_outward).
 Three evaluators follow Iv's semantics on integers over a common
 denominator: the covering's exact bounds (covering.exact_bound), the
 Horner evaluation of a polynomial over an Iv or CIv box

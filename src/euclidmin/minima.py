@@ -140,9 +140,7 @@ def _unit_box_factors(ctx: TorusContext) -> list[Fraction]:
             else:
                 prec = Fraction(1, 2**16)
                 while True:
-                    box = embed(u, prec)
-                    iv = (box.reals[place.index].abs() if place.kind == "real"
-                          else box.complexes[place.index].abs_sq())
+                    iv = place.magnitude(embed(u, prec))
                     if iv.lo > 0:
                         break
                     prec /= 16

@@ -1,4 +1,4 @@
-"""Places of a number field, exact S-norms, and verified S-unit data.
+"""Places of a number field, exact S-norms, and S-configurations.
 
 Absolute values are normalized so the product formula holds exactly over Q:
 real places contribute |x|, complex places the squared modulus, and a finite
@@ -8,19 +8,14 @@ normalization N_S of a nonzero element is an exact rational.
 
 from __future__ import annotations
 
-import itertools
 from fractions import Fraction
-from math import lcm
 
-from .errors import (IndexDivisor, NotAnSUnit, NotPrime, RankDeficient,
-                     RankUndetermined, SearchExhausted, ZeroElement)
-from .fields import (FieldElement, FractionalIdeal, NumberField, embed,
+from .errors import IndexDivisor, NotPrime, SearchExhausted, ZeroElement
+from .fields import (FieldElement, FractionalIdeal, NumberField,
                      ideal_from_gens, ideal_norm, int_mul)
-from .hnf import fp_kernel, int_interval_det
-from .intervals import Iv
+from .hnf import fp_kernel
 from .polynomials import deg, factor_mod_p
-from .qmath import dyadic_outward, int_valuation, is_prime, ln_enclosure
-from .units import fundamental_unit, principal_power_generator, torsion_generator
+from .qmath import int_valuation, is_prime
 
 
 class Place:
@@ -121,6 +116,13 @@ class Place:
         if x.is_zero():
             return Fraction(0)
         return Fraction(self.residue_norm()) ** (-valuation(x, self))
+
+    def magnitude(self, box):
+        """The interval of |x| at this archimedean place from an embedding
+        box of x: the absolute value when real, the squared modulus when
+        complex."""
+        return (box.reals[self.index].abs() if self.kind == "real"
+                else box.complexes[self.index].abs_sq())
 
     def __repr__(self):
         if self.is_finite():
@@ -258,24 +260,20 @@ def strip_s_part(ideal: FractionalIdeal, sconfig: "SConfig") -> FractionalIdeal:
 
 
 class SConfig:
-    """A finite set of places containing all archimedean ones, plus unit data."""
+    """A finite set of places containing all archimedean ones, plus the unit
+    data that units.verify_s_unit_basis attaches."""
 
-    def __init__(self, field: NumberField, finite_places, unit_gens=None,
-                 torsion=None, verified=False):
+    def __init__(self, field: NumberField, finite_places):
         self.field = field
         self.arch_places = tuple(archimedean_places(field))
         fps = sorted(finite_places, key=lambda v: v.sort_key())
         self.finite_places = tuple(fps)
-        seen = set()
-        for v in fps:
-            key = (v.p, v.gen_poly)
-            if key in seen:
-                raise ValueError("duplicate finite place")
-            seen.add(key)
+        if len({(v.p, v.gen_poly) for v in fps}) != len(fps):
+            raise ValueError("duplicate finite place")
         self.places = self.arch_places + self.finite_places
-        self.unit_gens = tuple(unit_gens) if unit_gens else ()
-        self.torsion = torsion  # (generator, order)
-        self.verified = verified
+        self.unit_gens = ()
+        self.torsion = None  # (generator, order)
+        self.verified = False
         self.torus_contexts = {}  # (hnf, den) -> TorusContext, see torus
 
     @property
@@ -290,186 +288,29 @@ class SConfig:
                 f"verified={self.verified})")
 
 
-def default_unit_gens(field: NumberField, finite_places) -> list[FieldElement]:
-    """Built-in S-unit generators for Q and quadratic fields.
-
-    Q: the rational primes under the finite places. Quadratic fields: the
-    fundamental unit (real case) plus a generator of the least principal
-    power of each finite prime.
-    """
-    gens = []
-    if field.degree == 1:
-        return [field.from_rational(v.p) for v in finite_places]
-    if field.degree == 2:
-        if field.signature == (2, 0):
-            gens.append(fundamental_unit(field))
-        for v in finite_places:
-            _, alpha = principal_power_generator(v.prime_ideal())
-            gens.append(alpha)
-        return gens
-    if finite_places or field.signature[0] + field.signature[1] > 1:
-        raise SearchExhausted(
-            "no built-in unit generators beyond Q and quadratic fields; "
-            "supply unit generators explicitly")
-    return []
-
-
-def make_sconfig(field: NumberField, primes=(), unit_gens=None,
-                 place_indices=None) -> SConfig:
-    """Assemble and verify an S-configuration.
-
-    primes: iterable of rational primes; all places above each are included
-    unless place_indices[p] selects a subset by index into places_above.
-    """
+def s_places(field: NumberField, primes=(), place_indices=None) -> SConfig:
+    """The places of S, without unit data: all archimedean places and the
+    finite places above each rational prime in primes, or the subset that
+    place_indices[p] selects by index into places_above."""
     finite = []
     for p in primes:
         places = places_above(field, p)
         if place_indices and p in place_indices:
             places = [places[i] for i in place_indices[p]]
         finite.extend(places)
-    cfg = SConfig(field, finite)
+    return SConfig(field, finite)
+
+
+def make_sconfig(field: NumberField, primes=(), unit_gens=None,
+                 place_indices=None) -> SConfig:
+    """The places of S (s_places) with a verified S-unit basis."""
+    return add_unit_basis(s_places(field, primes, place_indices), unit_gens)
+
+
+def add_unit_basis(sconfig: SConfig, unit_gens=None) -> SConfig:
+    """sconfig (from s_places) with a verified S-unit basis attached in place:
+    unit_gens, or when None the built-in ones (units.default_unit_gens)."""
+    from .units import default_unit_gens, verify_s_unit_basis
     if unit_gens is None:
-        unit_gens = default_unit_gens(field, cfg.finite_places)
-    return verify_s_unit_basis(cfg, unit_gens)
-
-
-def _log_abs_interval(sconfig: SConfig, x: FieldElement, place: Place,
-                      err: Fraction) -> Iv:
-    """Certified interval around ln|x|_place (normalized absolute value)."""
-    if place.is_finite():
-        w = valuation(x, place)
-        lo, hi = ln_enclosure(Fraction(place.residue_norm()), err)
-        return Iv(-w * hi, -w * lo) if w >= 0 else Iv(-w * lo, -w * hi)
-    prec = err
-    for _ in range(60):
-        box = embed(x, prec)
-        if place.kind == "real":
-            iv = box.reals[place.index].abs()
-        else:
-            iv = box.complexes[place.index].abs_sq()
-        if iv.lo > 0:
-            # ln is increasing, so a dyadic enclosure of the magnitude
-            # keeps the log enclosure certified; lo stays positive
-            lo, hi = dyadic_outward(iv.lo, iv.hi)
-            return Iv(ln_enclosure(lo, err / 2)[0], ln_enclosure(hi, err / 2)[1])
-        prec /= 16
-    raise SearchExhausted("embedding magnitude would not separate from zero")
-
-
-def verify_s_unit_basis(sconfig: SConfig, gens) -> SConfig:
-    """Check the generators really are independent S-units; returns a
-    verified configuration carrying them.
-
-    Each generator must have its principal ideal supported exactly on the
-    finite places of S, and the log-embedding matrix (one column per place)
-    must have certified rank #S - 1.
-    """
-    field = sconfig.field
-    gens = list(gens)
-    need = sconfig.rank()
-    if len(gens) < need:
-        raise RankDeficient(f"need {need} generators, got {len(gens)}")
-    if len(gens) > need:
-        raise RankDeficient(f"expected exactly {need} generators, got {len(gens)}")
-    for u in gens:
-        if u.is_zero():
-            raise NotAnSUnit("zero is not a unit")
-        support = times_prime_powers(
-            field.maximal_order(), sconfig.finite_places,
-            [valuation(u, v) for v in sconfig.finite_places])
-        if support != ideal_from_gens([u]):
-            raise NotAnSUnit(f"{u} has support outside S")
-        if s_norm(u, sconfig) != 1:
-            raise NotAnSUnit(f"{u} has S-norm != 1")
-    if need:
-        _certify_log_rank(sconfig, gens)
-    torsion = torsion_generator(field)
-    return SConfig(field, sconfig.finite_places, unit_gens=gens,
-                   torsion=torsion, verified=True)
-
-
-def _certify_log_rank(sconfig: SConfig, gens):
-    """Interval determinant of the log matrix with one place column dropped,
-    on integers: the entries over one common denominator D, which scales
-    the enclosure by D^n and so keeps whether it holds 0."""
-    err = Fraction(1, 2**16)
-    for _ in range(8):
-        rows = [[_log_abs_interval(sconfig, u, v, err)
-                 for v in sconfig.places[:-1]] for u in gens]
-        den = lcm(*[x.denominator for row in rows for iv in row
-                    for x in (iv.lo, iv.hi)])
-        lo, hi = int_interval_det([[(int(iv.lo * den), int(iv.hi * den))
-                                    for iv in row] for row in rows])
-        if not lo <= 0 <= hi:
-            return
-        err /= 256
-    raise RankUndetermined("log-rank certification ran out of precision")
-
-
-def shrinking_unit(sconfig: SConfig, w: Place) -> FieldElement:
-    """An S-unit with |eps|_v < 1 at every place of S except w.
-
-    Searched as integer exponent vectors on the verified generators in
-    boxes of growing radius; every strict inequality is certified (exactly
-    at finite places, by intervals at archimedean ones).
-    """
-    if not sconfig.verified:
-        raise SearchExhausted("S-unit basis must be verified first")
-    if sconfig.size < 2:
-        raise SearchExhausted("need at least two places")
-    gens = sconfig.unit_gens
-    others = [v for v in sconfig.places if v != w]
-    if len(others) == len(sconfig.places):
-        raise ValueError("w must belong to S")
-    # precompute exact finite-place valuations of the generators
-    fin_vals = {v: [valuation(u, v) for u in gens]
-                for v in sconfig.finite_places if v != w}
-    for radius in range(1, 9):
-        for ks in _exponent_vectors(len(gens), radius):
-            ok = True
-            for v, vals in fin_vals.items():
-                if sum(k * val for k, val in zip(ks, vals)) <= 0:
-                    ok = False
-                    break
-            if not ok:
-                continue
-            eps = sconfig.field.one()
-            for k, u in zip(ks, gens):
-                if k:
-                    eps = eps * u ** k
-            if _certify_small_everywhere(sconfig, eps, w):
-                return eps
-    raise SearchExhausted("no shrinking unit in the exponent search box")
-
-
-def _exponent_vectors(dim, radius):
-    """Vectors with max-norm exactly radius, lexicographic order."""
-    for ks in itertools.product(range(-radius, radius + 1), repeat=dim):
-        if radius in ks or -radius in ks:
-            yield ks
-
-
-def _certify_small_everywhere(sconfig: SConfig, eps: FieldElement,
-                              w: Place) -> bool:
-    for v in sconfig.places:
-        if v == w:
-            continue
-        if v.is_finite():
-            if v.abs_value(eps) >= 1:
-                return False
-            continue
-        prec = Fraction(1, 2**10)
-        decided = False
-        for _ in range(20):
-            box = embed(eps, prec)
-            iv = (box.reals[v.index].abs() if v.kind == "real"
-                  else box.complexes[v.index].abs_sq())
-            if iv.hi < 1:
-                decided = True
-                break
-            if iv.lo > 1:
-                return False
-            prec /= 16
-        if not decided:
-            return False
-    return True
+        unit_gens = default_unit_gens(sconfig.field, sconfig.finite_places)
+    return verify_s_unit_basis(sconfig, unit_gens)

@@ -306,7 +306,8 @@ def squarefree_decompose_mod_p(f, p) -> list[tuple[list[int], int]]:
             c = pdivmod(c, y, p)[0]
         i += 1
     if deg(c) > 0:
-        out.extend((part, p * m) for part, m in squarefree_decompose_mod_p(c, p))
+        # c is a p-th power; the call returns its multiplicities times p
+        out.extend(squarefree_decompose_mod_p(c, p))
     return out
 
 

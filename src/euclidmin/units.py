@@ -1,4 +1,5 @@
-"""Unit computations: torsion, fundamental units, principal power generators.
+"""Unit computations: torsion, fundamental units, principal power generators,
+and verified S-unit bases.
 
 Fundamental units of real quadratic fields come from the continued fraction
 of sqrt(m) (fundamental solution of the +-1 Pell equation is a convergent),
@@ -9,14 +10,20 @@ is verified exactly; floats only propose candidates.
 
 from __future__ import annotations
 
+import itertools
 from fractions import Fraction
-from math import isqrt, sqrt
+from math import isqrt, lcm, sqrt
 
 from .enumerate import elements_in_box, real_box_targets
-from .errors import SearchExhausted, UnsupportedDegree
+from .errors import (NotAnSUnit, RankDeficient, RankUndetermined,
+                     SearchExhausted, UnsupportedDegree)
 from .fields import (FieldElement, FractionalIdeal, NumberField, embed,
                      ideal_from_gens, ideal_norm)
-from .qmath import squarefree_part, sqrt_upper
+from .hnf import int_interval_det
+from .intervals import Iv
+from .places import Place, SConfig, s_norm, times_prime_powers, valuation
+from .qmath import (dyadic_outward, ln_enclosure, squarefree_part,
+                    sqrt_upper)
 
 PELL_STEPS = 200000   # continued-fraction steps the Pell search may take
 POWER_MAX = 12        # largest ideal power principal_power_generator tries
@@ -56,15 +63,11 @@ def pell_fundamental(m: int) -> tuple[int, int]:
     raise SearchExhausted(f"Pell equation for m={m} not solved in {PELL_STEPS} steps")
 
 
-def _last_real_embedding(x: FieldElement, prec: Fraction):
-    return embed(x, prec).reals[-1]
-
-
 def _canonicalize_real_unit(field, unit: FieldElement) -> FieldElement:
     """Scale by +-1 and inversion so the last real embedding exceeds 1."""
     prec = Fraction(1, 2**12)
     for _ in range(60):
-        iv = _last_real_embedding(unit, prec).abs()
+        iv = embed(unit, prec).reals[-1].abs()
         if iv.hi < 1:
             unit = unit.inverse()
             break
@@ -75,7 +78,7 @@ def _canonicalize_real_unit(field, unit: FieldElement) -> FieldElement:
         raise SearchExhausted("unit magnitude stuck at 1")
     prec = Fraction(1, 2**12)
     for _ in range(60):
-        iv = _last_real_embedding(unit, prec)
+        iv = embed(unit, prec).reals[-1]
         if iv.hi < 0:
             return -unit
         if iv.lo > 0:
@@ -188,7 +191,6 @@ def principal_power_generator(ideal: FractionalIdeal):
         nrm = ideal_norm(power)
         if nrm.denominator != 1:
             raise ValueError("ideal power has a non-integral norm")
-        target_norm = nrm
         if r1 == 0:
             targets = real_box_targets(field, [], [Fraction(nrm)])
         else:
@@ -202,7 +204,152 @@ def principal_power_generator(ideal: FractionalIdeal):
         for cand in elements_in_box(basis, field.zero(), targets):
             if cand.is_zero():
                 continue
-            if abs(cand.norm()) == target_norm and power.contains(cand):
+            if abs(cand.norm()) == nrm and power.contains(cand):
                 if ideal_from_gens([cand]) == power:
                     return h, cand
     raise SearchExhausted(f"no principal power up to exponent {POWER_MAX}")
+
+
+def default_unit_gens(field: NumberField, finite_places) -> list[FieldElement]:
+    """Built-in S-unit generators for Q and quadratic fields.
+
+    Q: the rational primes under the finite places. Quadratic fields: the
+    fundamental unit (real case) plus a generator of the least principal
+    power of each finite prime.
+    """
+    if field.degree == 1:
+        return [field.from_rational(v.p) for v in finite_places]
+    if field.degree == 2:
+        gens = [fundamental_unit(field)] if field.signature == (2, 0) else []
+        return gens + [principal_power_generator(v.prime_ideal())[1]
+                       for v in finite_places]
+    if finite_places or field.signature[0] + field.signature[1] > 1:
+        raise SearchExhausted(
+            "no built-in unit generators beyond Q and quadratic fields; "
+            "supply unit generators explicitly")
+    return []
+
+
+def verify_s_unit_basis(sconfig: SConfig, gens) -> SConfig:
+    """Check the generators really are independent S-units, and attach
+    them to sconfig, which is returned verified.
+
+    Each generator must have its principal ideal supported exactly on the
+    finite places of S, and the log-embedding matrix (one column per place)
+    must have certified rank #S - 1.
+    """
+    field = sconfig.field
+    gens = list(gens)
+    need = sconfig.rank()
+    if len(gens) < need:
+        raise RankDeficient(f"need {need} generators, got {len(gens)}")
+    if len(gens) > need:
+        raise RankDeficient(f"expected exactly {need} generators, got {len(gens)}")
+    for u in gens:
+        if u.is_zero():
+            raise NotAnSUnit("zero is not a unit")
+        support = times_prime_powers(
+            field.maximal_order(), sconfig.finite_places,
+            [valuation(u, v) for v in sconfig.finite_places])
+        if support != ideal_from_gens([u]):
+            raise NotAnSUnit(f"{u} has support outside S")
+        if s_norm(u, sconfig) != 1:
+            raise NotAnSUnit(f"{u} has S-norm != 1")
+    if need:
+        _certify_log_rank(sconfig, gens)
+    sconfig.unit_gens = tuple(gens)
+    sconfig.torsion = torsion_generator(field)
+    sconfig.verified = True
+    return sconfig
+
+
+def _certify_log_rank(sconfig: SConfig, gens):
+    """Interval determinant of the log matrix with one place column dropped,
+    on integers: the entries over one common denominator D, which scales
+    the enclosure by D^n and so keeps whether it holds 0."""
+    err = Fraction(1, 2**16)
+    for _ in range(8):
+        rows = [[_log_abs_interval(u, v, err)
+                 for v in sconfig.places[:-1]] for u in gens]
+        den = lcm(*[x.denominator for row in rows for iv in row
+                    for x in (iv.lo, iv.hi)])
+        lo, hi = int_interval_det([[(int(iv.lo * den), int(iv.hi * den))
+                                    for iv in row] for row in rows])
+        if not lo <= 0 <= hi:
+            return
+        err /= 256
+    raise RankUndetermined("log-rank certification ran out of precision")
+
+
+def _log_abs_interval(x: FieldElement, place: Place, err: Fraction) -> Iv:
+    """Certified interval around ln|x|_place (normalized absolute value)."""
+    if place.is_finite():
+        w = valuation(x, place)
+        lo, hi = ln_enclosure(Fraction(place.residue_norm()), err)
+        return Iv(-w * hi, -w * lo) if w >= 0 else Iv(-w * lo, -w * hi)
+    prec = err
+    for _ in range(60):
+        iv = place.magnitude(embed(x, prec))
+        if iv.lo > 0:
+            # ln is increasing, so a dyadic enclosure of the magnitude
+            # keeps the log enclosure certified; lo stays positive
+            lo, hi = dyadic_outward(iv.lo, iv.hi)
+            return Iv(ln_enclosure(lo, err / 2)[0], ln_enclosure(hi, err / 2)[1])
+        prec /= 16
+    raise SearchExhausted("embedding magnitude would not separate from zero")
+
+
+def shrinking_unit(sconfig: SConfig, w: Place) -> FieldElement:
+    """An S-unit with |eps|_v < 1 at every place of S except w.
+
+    Searched as integer exponent vectors on the verified generators in
+    boxes of growing radius; every strict inequality is certified (exactly
+    at finite places, by intervals at archimedean ones).
+    """
+    if not sconfig.verified:
+        raise SearchExhausted("S-unit basis must be verified first")
+    if sconfig.size < 2:
+        raise SearchExhausted("need at least two places")
+    gens = sconfig.unit_gens
+    if w not in sconfig.places:
+        raise ValueError("w must belong to S")
+    # precompute exact finite-place valuations of the generators
+    fin_vals = {v: [valuation(u, v) for u in gens]
+                for v in sconfig.finite_places if v != w}
+    for radius in range(1, 9):
+        # exponent vectors of max-norm exactly radius, lexicographic
+        for ks in itertools.product(range(-radius, radius + 1),
+                                    repeat=len(gens)):
+            if radius not in map(abs, ks) or any(
+                    sum(k * val for k, val in zip(ks, vals)) <= 0
+                    for vals in fin_vals.values()):
+                continue
+            eps = sconfig.field.one()
+            for k, u in zip(ks, gens):
+                if k:
+                    eps = eps * u ** k
+            if _certify_small_everywhere(sconfig, eps, w):
+                return eps
+    raise SearchExhausted("no shrinking unit in the exponent search box")
+
+
+def _certify_small_everywhere(sconfig: SConfig, eps: FieldElement,
+                              w: Place) -> bool:
+    for v in sconfig.places:
+        if v == w:
+            continue
+        if v.is_finite():
+            if v.abs_value(eps) >= 1:
+                return False
+            continue
+        prec = Fraction(1, 2**10)
+        for _ in range(20):
+            iv = v.magnitude(embed(eps, prec))
+            if iv.hi < 1:
+                break
+            if iv.lo > 1:
+                return False
+            prec /= 16
+        else:
+            return False
+    return True

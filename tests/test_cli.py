@@ -454,10 +454,12 @@ def verify_detail(tmp_path, cfg_path, report, restamp=True):
 
 
 def test_verify_cert_in_a_fresh_process(tmp_path, evidence_reports):
-    # a covering replays without the search or dataclasses; a witness
-    # replay imports minima
+    # a covering replays without the search, the S-unit basis or
+    # dataclasses; a witness replay imports minima and units
     for name, loaded in (("cover", []), ("m", ["dataclasses",
-                                              "euclidmin.minima"])):
+                                              "euclidmin.enumerate",
+                                              "euclidmin.minima",
+                                              "euclidmin.units"])):
         cfg_path, report = evidence_reports[name]
         cert, out = tmp_path / f"{name}.json", tmp_path / f"v-{name}.json"
         cert.write_text(json.dumps(report))
@@ -467,11 +469,61 @@ def test_verify_cert_in_a_fresh_process(tmp_path, evidence_reports):
             "import sys\n"
             "from euclidmin.cli import main\n"
             f"code = main({argv!r})\n"
-            "print(code, *sorted({'euclidmin.minima', 'dataclasses'}\n"
-            "                    & set(sys.modules)))\n")
+            "print(code, *sorted({'euclidmin.minima', 'dataclasses',\n"
+            "                     'euclidmin.units', 'euclidmin.enumerate',\n"
+            "                     'euclidmin.forms'} & set(sys.modules)))\n")
         assert done.returncode == 0, done.stderr.decode()
         assert done.stdout.decode().split() == ["0"] + loaded, name
         assert json.loads(out.read_text())["result"]["replay"] == "pass"
+
+
+def test_generators_that_are_not_s_units(tmp_path, evidence_reports):
+    # S-integers 2 and 5 of the right shape, but 5 is not an S-unit of
+    # Z[1/6]: each command that uses the unit basis fails at S before any
+    # work, and so does the replay of a witness, whose orbit uses it
+    bad = dict(Z16, units={"gens": [[2], [5]]})
+    for command, flags in (("info", []), ("m", []),
+                           ("cover", ["--t", "21/100"])):
+        cfg_path = make_cfg(tmp_path, "bad.json",
+                            dict(bad, params={"xi": ["1/5"]}))
+        out = tmp_path / "err.json"
+        assert main(["--config", cfg_path, "--command", command,
+                     "--output", str(out)] + flags) == 1, command
+        error = json.loads(out.read_text())["error"]
+        assert error["type"] == "ValidationError", command
+        assert error["message"].startswith("S: "), command
+    # the report's units are compared with the config's as data
+    cfg_path = make_cfg(tmp_path, "bad.json", bad)
+    assert verify_detail(tmp_path, cfg_path, evidence_reports["cover"][1],
+                         restamp=False) == \
+        (3, {"replay": "fail",
+             "detail": "report units differs from the given config"})
+    # reports forged for that config and stamped again, as no command
+    # makes them
+    for name, code in (("m", 1), ("M", 1), ("cover", 0)):
+        _, report = evidence_reports[name]
+        forged = dict(report["config"], units=bad["units"])
+        cfg_path = make_cfg(tmp_path, "bad.json", forged)
+        assert replay_code(tmp_path, cfg_path,
+                           dict(report, config=forged)) == code, name
+        written = json.loads((tmp_path / "v.json").read_text())
+        if code == 1:
+            # the witness replay fails at the unit basis, not elsewhere
+            assert written["error"]["type"] == "ValidationError", name
+            assert written["error"]["message"].startswith("S: "), name
+    # a covering claim does not use units: its replay runs on S's places
+    assert written["result"] == {"replay": "pass",
+                                 "detail": "covering certificate with 20 boxes"}
+
+
+def test_unit_basis_is_attached_to_the_places_of_s():
+    # one SConfig per config, so a replay of covering and witness evidence
+    # builds one torus context per ideal
+    cfg = parse_config(json.dumps(Z16))
+    places = cfg.s_places
+    assert not places.verified and places.unit_gens == ()
+    assert cfg.sconfig is places
+    assert places.verified and len(places.unit_gens) == 2
 
 
 def test_verify_cert_tamper_table(tmp_path, evidence_reports):

@@ -16,8 +16,8 @@ import pytest
 
 import euclidmin.enumerate as enum
 from euclidmin import SearchExhausted, make_field
-from euclidmin.enumerate import (GRID_BITS, embedding_rows,
-                                 lattice_points_in_box)
+from euclidmin.enumerate import lattice_points_in_box
+from euclidmin.fields import GRID_BITS, embedding_rows, grid_row
 from euclidmin.intervals import Iv
 from euclidmin.qmath import ceil_scaled, dyadic_outward, floor_scaled
 
@@ -93,7 +93,7 @@ def test_grid_rows_enclose_embeddings(coeffs):
         grid_t = enum._grid_target(t, GRID_BITS)
         assert grid_t.lo / scale <= t.lo and t.hi <= grid_t.hi / scale
         elem = _random_element(rng, field)
-        got = enum.grid_row(elem, omega)
+        got = grid_row(elem, omega)
         for c, (lo, hi) in enumerate(got):
             exact = sum((Iv(row[c][0], row[c][1]) * x
                          for x, row in zip(elem.coords, omega)), Iv(0))

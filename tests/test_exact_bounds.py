@@ -17,7 +17,7 @@ from euclidmin.covering import (BOUND_WIDTH, CertEntry, CoverBox,
                                 CoveringCertificate, _finite_factor,
                                 box_arch, box_bound, candidate_shifts,
                                 exact_bound, profile_factor, profiles_for_box)
-from euclidmin.enumerate import embedding_rows
+from euclidmin.fields import embedding_rows
 from euclidmin.intervals import Iv
 from euclidmin.places import valuation
 from euclidmin.torus import torus_context

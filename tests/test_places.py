@@ -1,14 +1,17 @@
+import itertools
 import random
 from fractions import Fraction as F
 
 import pytest
 
-from euclidmin import (IndexDivisor, NotAnSUnit, NotPrime, RankDeficient,
-                       RankUndetermined, ZeroElement, ideal_from_gens,
-                       make_field, make_sconfig, places_above, s_norm,
-                       shrinking_unit, strip_s_part, valuation,
-                       verify_s_unit_basis)
+from euclidmin import (EuclidMinError, IndexDivisor, NotAnSUnit, NotPrime,
+                       RankDeficient, RankUndetermined, ZeroElement,
+                       ideal_from_gens, make_field, make_sconfig,
+                       places_above, s_norm, shrinking_unit, strip_s_part,
+                       valuation, verify_s_unit_basis)
 from euclidmin.places import SConfig, ideal_place_valuation
+from euclidmin.polynomials import (certify_irreducible, factor_mod_p, pmul,
+                                   squarefree_decompose_mod_p)
 from euclidmin.qmath import factorize
 
 
@@ -35,6 +38,64 @@ def test_places_above_partition():
                 continue
             places = places_above(field, p)
             assert sum(v.e * v.f for v in places) == field.degree
+
+
+def test_factor_mod_p_counts_a_leftover_p_th_power_once():
+    # x^3 + x = x (x + 1)^2 over F_2: the squarefree split leaves the
+    # square (x + 1)^2, whose multiplicity 2 must not be doubled again
+    assert factor_mod_p([0, 1, 0, 1], 2) == [([0, 1], 1), ([1, 1], 2)]
+    assert squarefree_decompose_mod_p([0, 1, 0, 1], 2) == [([0, 1], 1),
+                                                           ([1, 1], 2)]
+
+
+@pytest.mark.parametrize("p", [2, 3])
+def test_mod_p_factorizations_multiply_back(p):
+    # every monic f of degree 1-6 over F_p is the product of its pieces
+    # g^m, each g monic of positive degree and no g twice
+    for n in range(1, 7):
+        for low in itertools.product(range(p), repeat=n):
+            f = list(low) + [1]
+            for pieces in (squarefree_decompose_mod_p(f, p),
+                           factor_mod_p(f, p)):
+                product = [1]
+                for g, m in pieces:
+                    assert m >= 1 and len(g) > 1 and g[-1] == 1, (f, pieces)
+                    for _ in range(m):
+                        product = pmul(product, g, p)
+                assert product == f, (f, pieces)
+                gs = [tuple(g) for g, _ in pieces]
+                assert len(set(gs)) == len(gs), (f, pieces)
+
+
+@pytest.mark.parametrize("coeffs, p", [
+    ([-4, -5, 6, 1], 2), ([-4, -3, -4, 1], 2), ([-2, -2, -1, -1, 1], 2),
+    ([-1, -2, 0, -1, 1], 3)])
+def test_places_above_where_f_mod_p_has_a_p_th_power(coeffs, p):
+    places = places_above(make_field(coeffs), p)
+    assert sum(v.e * v.f for v in places) == len(coeffs) - 1
+
+
+def test_places_above_over_a_coefficient_box():
+    # every irreducible monic cubic with coefficients in [-4, 4] at p = 2,
+    # and quartic with coefficients in [-2, 2] at p = 2 and 3, whose index
+    # is prime to p: 416, 341 and 354 fields
+    counts = []
+    for n, r, p in ((3, 4, 2), (4, 2, 2), (4, 2, 3)):
+        count = 0
+        for low in itertools.product(range(-r, r + 1), repeat=n):
+            coeffs = list(low) + [1]
+            try:
+                certify_irreducible(coeffs)
+            except EuclidMinError:
+                continue
+            field = make_field(coeffs)
+            if field.index % p == 0:
+                continue
+            count += 1
+            places = places_above(field, p)
+            assert sum(v.e * v.f for v in places) == n, (coeffs, p)
+        counts.append(count)
+    assert counts == [416, 341, 354]
 
 
 def test_places_above_errors(field_qi):
@@ -156,6 +217,21 @@ def test_verify_s_unit_basis(field_q, field_sqrt2):
         verify_s_unit_basis(SConfig(field_q, places_above(field_q, 2)), [])
 
 
+def test_s_unit_basis_refusals(field_q, field_qi):
+    # (1 + i)(2 + i)/(2 - i) has S-norm 1 for S = {inf, (1 + i)} but its
+    # support meets the places above 5
+    s2 = SConfig(field_qi, places_above(field_qi, 2))
+    one_i, two_i = field_qi.element([1, 1]), field_qi.element([2, 1])
+    u = one_i * two_i / field_qi.element([2, -1])
+    assert s_norm(u, s2) == 1
+    with pytest.raises(NotAnSUnit):
+        verify_s_unit_basis(s2, [u])
+    # one generator too many
+    with pytest.raises(RankDeficient):
+        verify_s_unit_basis(SConfig(field_q, places_above(field_q, 2)),
+                            [field_q.from_rational(2)] * 2)
+
+
 def test_dependent_s_units_are_refused(field_q, field_qi):
     # the right number of S-units whose log vectors are dependent: the
     # log-rank determinant is 0, so no precision certifies it
@@ -194,6 +270,20 @@ def test_shrinking_unit_certified_small(field_qi):
                 continue
             assert v.abs_value(eps) < 1
         assert s_norm(eps, cfg) == 1
+
+
+def test_shrinking_unit_is_small_at_every_other_place():
+    # Q(sqrt(-2)) with S = {inf} and both places above 3: for w above 3
+    # the search meets a quotient of the two generators, of absolute value
+    # exactly 1 at the complex place, where |x| is the norm, before a
+    # shrinking unit; its embedding interval straddles 1
+    cfg = make_sconfig(make_field([2, 0, 1]), [3])
+    for w in cfg.places:
+        eps = shrinking_unit(cfg, w)
+        for v in cfg.places:
+            if v != w:
+                assert (v.abs_value(eps) if v.is_finite()
+                        else abs(eps.norm())) < 1, (w, v)
 
 
 def test_strip_s_part(field_qi):

@@ -21,7 +21,7 @@ from euclidmin.covering import (CertEntry, CoverBox, bound_enclosure,
                                 grid_enclosure, initial_box, profile_factor,
                                 profiles_for_box, screen_threshold,
                                 split_arch, split_finite)
-from euclidmin.enumerate import GRID_BITS
+from euclidmin.fields import GRID_BITS
 from euclidmin.minima import _certify_box
 from euclidmin.places import valuation
 from euclidmin.qmath import int_valuation

@@ -185,12 +185,13 @@ def _loaded_after(statement):
 
 
 def test_import_closure():
-    # the package loads a submodule on first use; the CLI loads the search
-    # and forms only in the commands that use them
+    # the package loads a submodule on first use; the CLI loads the search,
+    # forms and the S-unit basis only in the commands that use them
     assert {m for m in _loaded_after("import euclidmin")
             if m.startswith("euclidmin.")} == {"euclidmin.errors"}
     assert not _loaded_after("import euclidmin.cli") & {
-        "euclidmin.minima", "euclidmin.forms", "dataclasses"}
+        "euclidmin.minima", "euclidmin.forms", "dataclasses",
+        "euclidmin.units", "euclidmin.enumerate"}
 
 
 def test_exports_resolve_to_their_home_module():
