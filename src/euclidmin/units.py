@@ -1,18 +1,17 @@
 """Unit computations: torsion, fundamental units, principal power generators,
 and verified S-unit bases.
 
-Fundamental units of real quadratic fields come from the continued fraction
-of sqrt(m) (fundamental solution of the +-1 Pell equation is a convergent),
-followed by an exact cube-root refinement when the maximal order is strictly
-larger than Z[sqrt(m)] (the unit index there divides 3). Everything returned
-is verified exactly; floats only propose candidates.
+The fundamental unit of a real quadratic field comes from one continued
+fraction over the maximal order, that of (s + sqrt(D))/2 with D the field
+discriminant, on integers; it is returned > 1 at the last real place and
+its norm is checked exactly. No float enters this module.
 """
 
 from __future__ import annotations
 
 import itertools
 from fractions import Fraction
-from math import isqrt, lcm, sqrt
+from math import isqrt, lcm
 
 from .enumerate import elements_in_box, real_box_targets
 from .errors import (NotAnSUnit, RankDeficient, RankUndetermined,
@@ -22,122 +21,59 @@ from .fields import (FieldElement, FractionalIdeal, NumberField, embed,
 from .hnf import int_interval_det
 from .intervals import Iv
 from .places import Place, SConfig, s_norm, times_prime_powers, valuation
-from .qmath import (dyadic_outward, ln_enclosure, squarefree_part,
-                    sqrt_upper)
+from .qmath import dyadic_outward, ln_enclosure, sqrt_upper
 
-PELL_STEPS = 200000   # continued-fraction steps the Pell search may take
+PELL_STEPS = 200000   # continued-fraction steps fundamental_solution may take
 POWER_MAX = 12        # largest ideal power principal_power_generator tries
 
 
-def sqrt_m_element(field: NumberField, m: int) -> FieldElement:
-    """The element sqrt(m) in a quadratic field whose discriminant allows it."""
-    c0, c1, _ = field.coeffs
-    disc_poly = c1 * c1 - 4 * c0
-    t2, rest = divmod(disc_poly, m)
-    t = isqrt(t2)
-    if rest or t * t != t2:
-        raise ValueError("polynomial discriminant is not m times a square")
-    # 2*theta + c1 squares to disc_poly
-    theta = field.gen()
-    delta = theta * 2 + field.from_rational(c1)
-    return delta / t
+def fundamental_solution(disc: int) -> tuple[int, int]:
+    """Least (t, u) with t, u > 0 and t^2 - disc*u^2 = +-4, for a positive
+    nonsquare discriminant disc: (t + u*sqrt(disc))/2 is the fundamental
+    unit of the order of discriminant disc.
 
-
-def pell_fundamental(m: int) -> tuple[int, int]:
-    """Fundamental (x, y) with x^2 - m y^2 = +-1, x, y > 0, via sqrt(m) CF."""
-    a0 = isqrt(m)
-    if a0 * a0 == m:
-        raise ValueError("m must be nonsquare")
-    P, Q = 0, 1
-    a = a0
-    p_prev, p = 1, a0
+    Continued fraction of omega = (s + sqrt(disc))/2, s = disc mod 2, on
+    integers (Cohen, GTM 138, 5.7): complete quotients (P + sqrt(disc))/Q,
+    convergents p/q, stopped at the first with N(p - q*omega) = +-1, whose
+    conjugate p - q*omega' is the unit.
+    """
+    s = disc % 2
+    root = isqrt(disc)
+    if root * root == disc:
+        raise ValueError("disc must be nonsquare")
+    c = (disc - s) // 4           # omega^2 = s*omega + c
+    P, Q = s, 2
+    a = (P + root) // Q
+    p_prev, p = 1, a
     q_prev, q = 0, 1
     for _ in range(PELL_STEPS):
-        if p * p - m * q * q in (1, -1):
-            return p, q
+        if p * p - s * p * q - c * q * q in (1, -1):
+            return 2 * p - s * q, q
         P = a * Q - P
-        Q = (m - P * P) // Q
-        a = (P + a0) // Q
+        Q = (disc - P * P) // Q
+        a = (P + root) // Q
         p_prev, p = p, a * p + p_prev
         q_prev, q = q, a * q + q_prev
-    raise SearchExhausted(f"Pell equation for m={m} not solved in {PELL_STEPS} steps")
-
-
-def _canonicalize_real_unit(field, unit: FieldElement) -> FieldElement:
-    """Scale by +-1 and inversion so the last real embedding exceeds 1."""
-    prec = Fraction(1, 2**12)
-    for _ in range(60):
-        iv = embed(unit, prec).reals[-1].abs()
-        if iv.hi < 1:
-            unit = unit.inverse()
-            break
-        if iv.lo > 1:
-            break
-        prec /= 16
-    else:
-        raise SearchExhausted("unit magnitude stuck at 1")
-    prec = Fraction(1, 2**12)
-    for _ in range(60):
-        iv = embed(unit, prec).reals[-1]
-        if iv.hi < 0:
-            return -unit
-        if iv.lo > 0:
-            return unit
-        prec /= 16
-    raise SearchExhausted("unit sign undetermined")
+    raise SearchExhausted(
+        f"unit of discriminant {disc} not found in {PELL_STEPS} steps")
 
 
 def fundamental_unit(field: NumberField) -> FieldElement:
-    """Fundamental unit (> 1 at the first real place) of a real quadratic field."""
+    """Fundamental unit of a real quadratic field, > 1 at the last real place.
+
+    With D the field discriminant, sqrt(D) = (2*theta + c1)/index; the last
+    real place embeds theta as the larger root, where 2*theta + c1 > 0, so
+    (t + u*sqrt(D))/2 with t, u > 0 exceeds 1 there.
+    """
     if field.degree != 2 or field.signature != (2, 0):
         raise UnsupportedDegree("fundamental units only for real quadratic fields")
-    disc = field.discriminant
-    m = squarefree_part(disc)
-    x, y = pell_fundamental(m)
-    sm = sqrt_m_element(field, m)
-    u1 = field.from_rational(x) + sm * y
-    if abs(u1.norm()) != 1:
-        raise AssertionError("Pell solution is not a unit")
-    unit = u1
-    if disc % 4 == 1:
-        cube = _exact_unit_cube_root(field, u1, sm, m)
-        if cube is not None:
-            unit = cube
-    return _canonicalize_real_unit(field, unit)
-
-
-def _exact_unit_cube_root(field, u1, sm, m):
-    """Exact epsilon with epsilon^3 = +-u1, half-integer coordinates, or None."""
-    prec = Fraction(1, 2**30)
-    box = embed(u1, prec)
-    val = float(box.reals[0].mid)
-    if val < 0:
-        val = -val
-    c = val ** (1.0 / 3.0)
-    smf = sqrt(m)
-    for sign_norm in (1, -1):
-        # sigma1 = c, sigma2 = sign_norm / c (norm of the cube root candidate)
-        s1 = c
-        s2 = sign_norm / c
-        a_approx = s1 + s2          # = x for eps = (x + y sqrt(m))/2 times 2... see below
-        b_approx = (s1 - s2) / smf
-        for da in range(-3, 4):
-            for db in range(-3, 4):
-                xx = round(a_approx) + da    # eps = (xx + yy*sqrt(m))/2
-                yy = round(b_approx) + db
-                if (xx - yy) % 2 != 0 and m % 4 == 1:
-                    # for m = 1 mod 4 half-integers need xx = yy mod 2
-                    continue
-                cand = (field.from_rational(xx) + sm * yy) / 2
-                if not all(co.denominator == 1 for co in cand.coords):
-                    continue
-                if cand.is_zero():
-                    continue
-                c3 = cand * cand * cand
-                if c3 == u1 or c3 == -u1:
-                    if abs(cand.norm()) == 1:
-                        return cand
-    return None
+    t, u = fundamental_solution(field.discriminant)
+    c1 = field.coeffs[1]
+    sqrt_d = (field.gen() * 2 + field.from_rational(c1)) / field.index
+    unit = (field.from_rational(t) + sqrt_d * u) / 2
+    if abs(unit.norm()) != 1:
+        raise AssertionError("continued-fraction solution is not a unit")
+    return unit
 
 
 def torsion_generator(field: NumberField) -> tuple[FieldElement, int]:

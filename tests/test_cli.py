@@ -147,6 +147,16 @@ def test_run_command_m_and_snorm():
     assert run_command(cfg, "m")["result"]["value"] == "0/1"
 
 
+def test_info_and_orbit_use_the_fundamental_unit():
+    # Q(sqrt61) as x^2 - x - 15: the unit is 17 + 5*theta, not its cube
+    # 25913 + 7610*theta, and theta/2 has an orbit of three points under it
+    raw = {"field": {"poly": [-15, -1, 1]}, "S": {"primes": []},
+           "ideal": {"gens": [[1, 0]]}, "params": {"xi": ["0", "1/2"]}}
+    cfg = parse_config(json.dumps(raw))
+    assert run_command(cfg, "info")["result"]["unit_gens"] == [["17/1", "5/1"]]
+    assert run_command(cfg, "orbit")["result"]["size"] == 3
+
+
 def test_report_round_trip_and_determinism(tmp_path):
     cfg = parse_config(json.dumps(Z16))
     doc = run_command(cfg, "info")

@@ -1,20 +1,22 @@
+from fractions import Fraction as F
+from math import isqrt
+
 import pytest
 
-from euclidmin import fundamental_unit, ideal_from_gens, make_field, \
-    torsion_generator
+from euclidmin import embed, fundamental_unit, ideal_from_gens, \
+    make_field, torsion_generator
 from euclidmin.errors import UnsupportedDegree
-from euclidmin.units import pell_fundamental, principal_power_generator, \
-    sqrt_m_element
+from euclidmin.qmath import squarefree_part
+from euclidmin.units import fundamental_solution, principal_power_generator
 
 
-def test_pell_fundamental():
-    assert pell_fundamental(2) == (1, 1)
-    assert pell_fundamental(3) == (2, 1)
-    assert pell_fundamental(5) == (2, 1)
-    assert pell_fundamental(46) == (24335, 3588)
-    for m in (2, 3, 5, 6, 7, 10, 11, 13, 46, 61):
-        x, y = pell_fundamental(m)
-        assert x * x - m * y * y in (1, -1)
+def test_fundamental_solution():
+    known = {5: (1, 1), 8: (2, 1), 12: (4, 1), 13: (3, 1), 61: (39, 5),
+             184: (48670, 3588)}
+    for disc, tu in known.items():
+        assert fundamental_solution(disc) == tu
+        t, u = tu
+        assert t * t - disc * u * u in (4, -4)
 
 
 def test_fundamental_unit_examples(field_sqrt2):
@@ -22,13 +24,58 @@ def test_fundamental_unit_examples(field_sqrt2):
     assert u == field_sqrt2.one() + field_sqrt2.gen()
     assert u.norm() == -1
     k5 = make_field([-5, 0, 1])
-    golden = (k5.one() + sqrt_m_element(k5, 5)) / 2
+    golden = (k5.one() + k5.gen()) / 2
     assert fundamental_unit(k5) == golden
     k3 = make_field([-3, 0, 1])
     assert fundamental_unit(k3) == k3.from_rational(2) + k3.gen()
     k13 = make_field([-13, 0, 1])
-    assert fundamental_unit(k13) == (k13.from_rational(3)
-                                     + sqrt_m_element(k13, 13)) / 2
+    assert fundamental_unit(k13) == (k13.from_rational(3) + k13.gen()) / 2
+
+
+def _least_t(du2):
+    """The least t >= 1 with t^2 - du2 = +-4, or None."""
+    for t2 in (du2 - 4, du2 + 4):
+        t = isqrt(max(t2, 0))
+        if t >= 1 and t * t == t2:
+            return t
+    return None
+
+
+UNIT_FAILURES_BEFORE = (61, 69, 93, 109, 133, 149, 157, 181, 205, 213, 237,
+                        253, 277, 301, 309, 317, 341, 397)
+
+
+def test_fundamental_unit_against_brute_force():
+    """Every squarefree d in [2, 400), as x^2 - d and, for d = 1 mod 4, as
+    x^2 - x - (d-1)/4: the unit is (t + u*sqrt(D))/2, > 1 at the last real
+    place, with the least solution of t^2 - D*u^2 = +-4 (least u, searched
+    up to 2000, then least t). The d of UNIT_FAILURES_BEFORE once got the
+    cube of that unit."""
+    checked = set()
+    for d in range(2, 400):
+        if squarefree_part(d) != d:
+            continue
+        polys = [[-d, 0, 1]]
+        if d % 4 == 1:
+            polys.append([-(d - 1) // 4, -1, 1])
+        for poly in polys:
+            field = make_field(poly)
+            disc = field.discriminant
+            u = next((u for u in range(1, 2001)
+                      if _least_t(disc * u * u)), None)
+            if u is None:
+                continue
+            t = _least_t(disc * u * u)
+            unit = fundamental_unit(field)
+            # (t +- u*sqrt(D))/2 are the roots of X^2 - t*X + (t^2 - D*u^2)/4;
+            # at a real place only the + root exceeds 1
+            product = unit * (unit - field.from_rational(t))
+            assert product == field.from_rational(
+                (disc * u * u - t * t) // 4), poly
+            assert embed(unit, F(1, 2**20)).reals[-1].lo > 1, poly
+            checked.add(d)
+    assert set(UNIT_FAILURES_BEFORE) <= checked
+    assert len(checked) == 177
 
 
 def test_fundamental_unit_presentation_independent():

@@ -55,6 +55,16 @@ MUTANTS = (
      "if not lo <= 0 <= hi:", "if True:", None),
     ("shrinking-small",
      "            if iv.hi < 1:", "            if iv.lo < 1:", None),
+    # -- fundamental units (units.fundamental_solution, fundamental_unit)
+    ("unit-cf-stop",
+     "in (1, -1):", "== 1:", None),
+    ("unit-cf-trace",
+     "return 2 * p - s * q, q", "return 2 * p + s * q, q", None),
+    ("unit-norm",
+     "if abs(unit.norm()) != 1:", "if False:",
+     "the continued fraction stops only where N(p - q*omega) = +-1, and "
+     "the unit is that element's conjugate, so the check can only fire "
+     "when the construction of sqrt(D) from theta is wrong"),
     # -- grid rows (fields.grid_row, NumberField.basis_row_bounds)
     ("grid-row-floor",
      "out.append((lo // den, -(-hi // den)))",
