@@ -238,12 +238,14 @@ def _norm_factor(pairs) -> tuple[int, int]:
     return num, den
 
 
-def _finite_factor(terms) -> tuple[int, int]:
-    """Exact upper bound (num, den) of prod |x - gamma|_v for
-    x = center mod P_v^k, over the (place, center - gamma, k) terms."""
-    return _norm_factor(
-        (v.residue_norm(), k if diff.is_zero() else min(k, valuation(diff, v)))
-        for v, diff, k in terms)
+def _finite_factor(diff: FieldElement, places, exponents) -> tuple[int, int]:
+    """Exact upper bound (num, den) of prod |x - gamma|_v over the places v
+    of depths k, for x = center mod P_v^k and diff = center - gamma: each
+    factor is Np^-min(k, v(diff)), the valuation counted with the cap k."""
+    zero = diff.is_zero()
+    return _norm_factor([
+        (v.residue_norm(), k if zero else valuation(diff, v, k))
+        for v, k in zip(places, exponents)])
 
 
 def bound_pair(ctx: TorusContext, arch, center: FieldElement, exponents,
@@ -254,10 +256,11 @@ def bound_pair(ctx: TorusContext, arch, center: FieldElement, exponents,
 
     The one evaluator of recorded bounds: box_bound, and with it every
     certificate entry, and verify_certificate's replay both call it.
+    center - gamma is one subtraction over one denominator, and its
+    valuations stop at the depths (_finite_factor).
     """
-    diff = center - gamma
-    num, den = _finite_factor((v, diff, k) for v, k in
-                              zip(ctx.sconfig.finite_places, exponents))
+    num, den = _finite_factor(center - gamma, ctx.sconfig.finite_places,
+                              exponents)
     return exact_pair(ctx, arch, gamma, num, den)
 
 
@@ -533,7 +536,7 @@ def gamma_in_s_ideal(ctx: TorusContext, gamma: FieldElement) -> bool:
     """Membership of gamma in the S-ideal generated by the a-part."""
     if gamma.is_zero():
         return True
-    lattice = ctx.s_lattice([min(valuation(gamma, v), 0)
+    lattice = ctx.s_lattice([valuation(gamma, v, 0)
                              for v in ctx.sconfig.finite_places])
     return lattice.contains(gamma)
 
@@ -544,12 +547,22 @@ def verify_certificate(ctx: TorusContext, cert: CoveringCertificate,
 
     Checks: bounds below the threshold, bit-exact bound re-derivation from
     (box, gamma), shifts inside the S-ideal, boxes inside the fundamental
-    domain, pairwise disjointness, and total measure exactly 1. Box
-    coordinates, centers and shifts are read once as integers over one
-    denominator each. Every bound is re-derived by bound_pair and compared
-    with the recorded one on integers. The archimedean image of each
-    distinct box and the S-ideal membership of each distinct shift are
-    computed once per call; nothing is kept from one call to the next.
+    domain, finite depths below the number of entries, pairwise
+    disjointness, and total measure exactly 1. Each entry is read in one
+    pass over integers: box coordinates and shifts over one denominator
+    each, and the integral center as numerators. Every bound is re-derived
+    by bound_pair and compared with the recorded one on integers. The
+    archimedean image of each distinct box and the S-ideal membership of
+    each distinct shift are computed once per call; nothing is kept from
+    one call to the next.
+
+    A box of depth k at a place v needs, for each level j < k, another box
+    that covers part of its level-j class outside its level-(j + 1) class
+    over its own archimedean cell: else a set of positive measure there is
+    left uncovered, or is covered twice. Those boxes lie in disjoint
+    classes at v, so a certificate that is disjoint and measures 1 has more
+    than k entries. The depth check therefore rejects no certificate that
+    would pass otherwise, and it comes before any Np^k is taken.
     """
     t = Fraction(threshold) if threshold is not None else cert.threshold
     if cert.threshold > t:
@@ -561,35 +574,39 @@ def verify_certificate(ctx: TorusContext, cert: CoveringCertificate,
     places = ctx.sconfig.finite_places
     nfin = len(places)
     entries = cert.entries
+    count = len(entries)
+    t_num, t_den = t.numerator, t.denominator
     xden = lcm(*[x.denominator for e in entries for x in e.box.lo + e.box.hi])
-    zden = lcm(*[x.denominator for e in entries for x in e.box.center])
     gden = lcm(*[x.denominator for e in entries for x in e.gamma_coords])
     boxes = []      # (lo, hi over xden, center, exponents) per entry
     volumes = {}    # exponents -> sum of prod (hi - lo) over xden^n
     archs = {}      # (lo, hi) -> the arch_image of the box
     shifts = {}     # numerators over gden -> (shift, in the S-ideal)
     for e in entries:
-        box = e.box
-        if (len(box.lo) != n or len(box.hi) != n or len(box.center) != n
-                or len(box.exponents) != nfin or len(e.gamma_coords) != n):
+        box_lo, box_hi, box_center, exponents = e.box
+        gamma_coords = e.gamma_coords
+        if (len(box_lo) != n or len(box_hi) != n or len(box_center) != n
+                or len(exponents) != nfin or len(gamma_coords) != n):
             raise AssertionError("entry shape mismatch")
-        lo = tuple([_scaled(x, xden) for x in box.lo])
-        hi = tuple([_scaled(x, xden) for x in box.hi])
+        lo = tuple([x.numerator * (xden // x.denominator) for x in box_lo])
+        hi = tuple([x.numerator * (xden // x.denominator) for x in box_hi])
         vol = 1
         for a, b in zip(lo, hi):
             if not (0 <= a < b <= xden):
                 raise AssertionError("box outside the fundamental parallelepiped")
             vol *= b - a
-        if any(k < 0 for k in box.exponents):
+        if any([k < 0 for k in exponents]):
             raise AssertionError("negative finite precision")
-        center = tuple([_scaled(x, zden) for x in box.center])
-        if any(c % zden for c in center):
+        if any([k >= count for k in exponents]):
+            raise AssertionError(f"finite depth {max(exponents)} needs more "
+                                 f"than the {count} entries")
+        if any([x.denominator != 1 for x in box_center]):
             raise AssertionError("box center is not integral")
         bound = e.bound
-        if not bound < t:
+        if bound.numerator * t_den >= t_num * bound.denominator:
             raise AssertionError(f"bound {rat_str(bound)} not below "
                                  f"threshold {rat_str(t)}")
-        g = tuple([_scaled(x, gden) for x in e.gamma_coords])
+        g = tuple([x.numerator * (gden // x.denominator) for x in gamma_coords])
         shift = shifts.get(g)
         if shift is None:
             gamma = FieldElement(field, g, gden)
@@ -600,14 +617,14 @@ def verify_certificate(ctx: TorusContext, cert: CoveringCertificate,
         arch = archs.get((lo, hi))
         if arch is None:
             arch = archs[lo, hi] = arch_image(ctx, lo, hi, xden)
-        z = FieldElement(field, tuple([c // zden for c in center]), 1)
-        num, den = bound_pair(ctx, arch, z, box.exponents, gamma)
+        z = FieldElement(field, tuple([x.numerator for x in box_center]), 1)
+        num, den = bound_pair(ctx, arch, z, exponents, gamma)
         if num * bound.denominator != den * bound.numerator:
             raise AssertionError(
                 f"bound replay mismatch: recorded {rat_str(bound)}, "
                 f"got {rat_str(Fraction(num, den))}")
-        volumes[box.exponents] = volumes.get(box.exponents, 0) + vol
-        boxes.append((lo, hi, z, box.exponents))
+        volumes[exponents] = volumes.get(exponents, 0) + vol
+        boxes.append((lo, hi, z, exponents))
     # the boxes of one finite depth measure their volume sum / prod Np^k
     total = sum([Fraction(vol, prod([v.residue_norm() ** k for v, k in zip(
         places, exponents)])) for exponents, vol in volumes.items()])
@@ -625,15 +642,24 @@ def _check_disjoint(ctx, boxes):
     A box meets every box still active in the sweep on the first
     coordinate, so only the others are compared. The classes of two
     integral centers meet exactly when the centers differ by an element of
-    prod P_v^{min k_v}, that is when their coordinates over its HNF basis
-    agree modulo 1; each box's key at each such depth is computed once.
+    prod P_v^{min k_v}, that is when they leave the same residue modulo
+    that integral ideal's HNF basis: the key of a box at those depths,
+    computed once for each.
     """
     idx = sorted(range(len(boxes)), key=lambda i: boxes[i][0][0])
     keys = [{} for _ in boxes]      # per box: depths -> its class key
 
     def key(i, depths):
-        w, d = ctx.s_lattice(depths, over_order=True).int_coords(boxes[i][2])
-        out = keys[i][depths] = tuple([c % d for c in w])
+        # the center minus the multiple of the HNF basis (of an integral
+        # ideal, so over the denominator 1), last column first, that
+        # brings each coordinate into [0, h_cc)
+        h = ctx.s_lattice(depths, over_order=True).hnf
+        r = list(boxes[i][2].nums)
+        for c in range(len(r) - 1, -1, -1):
+            q = r[c] // h[c][c]
+            for row in range(c + 1):
+                r[row] -= q * h[row][c]
+        out = keys[i][depths] = tuple(r)
         return out
 
     active = []
@@ -644,8 +670,8 @@ def _check_disjoint(ctx, boxes):
         active = [j for j in active if boxes[j][1][0] > lo[0]]
         for j in active:
             lo2, hi2, _, exponents2 = boxes[j]
-            if rest and not all(a < d and c < b for (a, b), c, d in zip(
-                    rest, lo2[1:], hi2[1:])):
+            if rest and any([a >= d or c >= b for (a, b), c, d in zip(
+                    rest, lo2[1:], hi2[1:])]):
                 continue
             depths = exponents if exponents == exponents2 else \
                 tuple(map(min, exponents, exponents2))

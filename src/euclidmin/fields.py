@@ -377,7 +377,12 @@ class FieldElement:
             self.den * ma)
 
     def __sub__(self, other):
-        return self + (-other)
+        # as __add__, in one step: no negated copy of other
+        g = gcd(self.den, other.den)
+        ma, mb = other.den // g, self.den // g
+        return FieldElement(self.field, tuple([
+            a * ma - b * mb for a, b in zip(self.nums, other.nums)]),
+            self.den * ma)
 
     def __neg__(self):
         return FieldElement(self.field, tuple([-a for a in self.nums]),

@@ -168,43 +168,39 @@ def places_above(field: NumberField, p: int) -> list[Place]:
     return out
 
 
-def valuation(x: FieldElement, place: Place) -> int:
-    """Exact valuation of x at a finite place.
+def valuation(x: FieldElement, place: Place, cap: int | None = None) -> int:
+    """Exact valuation of x at a finite place, or min(v(x), cap) when a cap
+    is given.
 
     x = y / den with y integral, and v(x) = v(y) - e * v_p(den), where v(y)
     counts how often y <- y * beta / p stays integral (Place.beta): each
-    step lowers v(y) by one and no other valuation above p.
+    step lowers v(y) by one and no other valuation above p. Under a cap the
+    count stops after cap + e * v_p(den) steps.
     """
     if x.is_zero():
         raise ZeroElement("valuation of zero")
     if not place.is_finite():
         raise ValueError("valuation needs a finite place")
-    return _valuation(x.field, x.nums, x.den, place, None)
+    v_den = place.e * int_valuation(x.den, place.p)
+    return _valuation(x.field, x.nums, place,
+                      None if cap is None else cap + v_den) - v_den
 
 
-def _valuation(field: NumberField, nums, den: int, place: Place,
-               norm_exp: int | None) -> int:
-    """valuation of nums / den, nums integral, nonzero and not necessarily
-    prime to den: the count above is v(nums) and runs on integers.
-
-    norm_exp, when the caller knows it, is v_p(N(nums)); since it is the
-    sum over the places w above p of f_w * w(nums), it bounds v(nums) by
-    norm_exp // f, and 0 ends the count before it starts.
-    """
+def _valuation(field: NumberField, nums, place: Place,
+               steps: int | None) -> int:
+    """v(nums) for integral nonzero nums, or min(v(nums), steps) when steps
+    is given: the count above, on integers, stops after steps steps."""
     p = place.p
-    v_den = place.e * int_valuation(den, p)
-    if norm_exp == 0:
-        return -v_den
     beta = place.beta()
     y = nums
     k = 0
-    while norm_exp is None or k < norm_exp // place.f:
+    while steps is None or k < steps:
         z = int_mul(field.mult_table, y, beta)
         if any([c % p for c in z]):
             break
         y = tuple([c // p for c in z])
         k += 1
-    return k - v_den
+    return k
 
 
 def s_norm(x: FieldElement, sconfig: "SConfig") -> Fraction:
@@ -225,11 +221,13 @@ def s_norm_from_norm(field: NumberField, nums, den: int, nrm: int,
 
     nums are integers and need not be prime to den: |N(x)| = nrm / den^n,
     and each finite place of S multiplies by (p^f)^(-v(x)), the valuation
-    counted on nums with v_p(nrm) as its norm bound.
+    counted on nums. v_p(nrm) is the sum over the places w above p of
+    f_w * w(nums), so v(nums) is at most v_p(nrm) // f, the count's steps.
     """
     num, d = nrm, den**field.degree
     for v in sconfig.finite_places:
-        w = _valuation(field, nums, den, v, int_valuation(nrm, v.p))
+        w = (_valuation(field, nums, v, int_valuation(nrm, v.p) // v.f)
+             - v.e * int_valuation(den, v.p))
         if w > 0:
             d *= v.residue_norm()**w
         elif w < 0:

@@ -415,6 +415,8 @@ EVIDENCE_TAMPERS = (
     # integers are read exactly: 1.7 and true are not the exponent 1
     ("cover", ("entries", 0, "box", "exponents", 0), 1.7),
     ("cover", ("entries", 0, "box", "exponents", 0), True),
+    # a depth that no 20-entry certificate reaches: rejected at once
+    ("cover", ("entries", 0, "box", "exponents", 0), 10**7),
     ("cover", ("ideal_den",), 1.0),
     ("cover", ("entries", 0, "box", "lo", 0), "x"),
     ("cover", ("entries",), DROP),

@@ -101,7 +101,7 @@ def test_finite_factor_is_an_integer_pair():
     for diff, want in ((field.element([F(12, 5)]), F(1, 4 * 3)),
                        (field.element([F(1, 6)]), F(6)),
                        (field.zero(), F(1, 8 * 27))):
-        num, den = _finite_factor((v, diff, 3) for v in places)
+        num, den = _finite_factor(diff, places, (3, 3))
         assert (type(num), type(den)) == (int, int) and F(num, den) == want
 
 

@@ -117,6 +117,42 @@ def test_valuation_examples(field_qi, field_q):
         valuation(field_q.zero(), v5)
 
 
+# (poly, primes): split, inert and ramified places. Q at 2, 3 and 5; Q(i)
+# at 2 (ramified); Q(sqrt -5) at 2 (ramified) and 3 (split); x^3 - x - 1
+# at 2 (inert), 5 (degrees 1 and 2) and 23 (e = 2 and e = 1)
+CAP_CASES = (([-1, 1], (2, 3, 5)), ([1, 0, 1], (2,)), ([5, 0, 1], (2, 3)),
+             ([-1, -1, 0, 1], (2, 5, 23)))
+
+
+@pytest.mark.parametrize("poly, primes", CAP_CASES)
+def test_capped_valuation_is_the_min_with_the_cap(poly, primes):
+    field = make_field(poly)
+    places = [v for p in primes for v in places_above(field, p)]
+    sconfig = SConfig(field, places)
+    rng = random.Random(f"capped-valuation:{poly}")
+    seen = set()
+    for _ in range(60):
+        # denominators divisible by p, numerators scaled by powers of p
+        p = rng.choice(primes)
+        den = p ** rng.randint(0, 3) * rng.choice([1, 7, 11])
+        scale = p ** rng.randint(0, 4)
+        x = field.element([F(rng.randint(-40, 40) * scale, den)
+                           for _ in range(field.degree)])
+        if x.is_zero():
+            continue
+        s_part = F(1)
+        for v in places:
+            w = valuation(x, v)
+            seen.add((w > 4) - (w < 0))
+            for cap in range(5):
+                assert valuation(x, v, cap) == min(w, cap), (x, v, cap)
+            s_part *= F(v.residue_norm()) ** -w
+        # s_norm counts each valuation with its norm bound as the step bound
+        assert s_norm(x, sconfig) == abs(x.norm()) * s_part
+    # valuations below 0, inside [0, 4] and above every cap all occur
+    assert seen == {-1, 0, 1}
+
+
 def test_uniformizers(field_qi):
     for p in (2, 3, 5, 13):
         for v in places_above(field_qi, p):

@@ -85,6 +85,10 @@ def _tampers(ctx, cert):
     f = entries[i]
     yield "center_moved", put(i, f._replace(box=f.box._replace(center=(
         f.box.center[0] + shift,) + f.box.center[1:]))), None
+    # the least depth that no certificate of this many entries reaches
+    if box.exponents:
+        yield "depth_forged", put(k, e._replace(box=box._replace(
+            exponents=(len(entries),) + box.exponents[1:]))), None
     yield "threshold_requested", cert, cert.threshold - F(1, 100)
     yield "threshold_recorded", cert._replace(
         threshold=max(f.bound for f in entries)), None
@@ -123,6 +127,8 @@ EXPECTED = {
             "overlapping boxes in certificate",
         "center_moved":
             "bound replay mismatch: recorded 1/8, got 1/12",
+        "depth_forged":
+            "finite depth 20 needs more than the 20 entries",
         "threshold_requested":
             "certificate threshold exceeds requested one",
         "threshold_recorded":
@@ -145,6 +151,8 @@ EXPECTED = {
             "overlapping boxes in certificate",
         "center_moved":
             "bound replay mismatch: recorded 1/8, got 1/16",
+        "depth_forged":
+            "finite depth 64 needs more than the 64 entries",
         "threshold_requested":
             "certificate threshold exceeds requested one",
         "threshold_recorded":
@@ -261,6 +269,11 @@ PARSE_TAMPERS = (
     # read, but not what the entry recorded
     (("entries", 9, "box", "hi", 0), 7, 3,
      "covering replay failed: box outside the fundamental parallelepiped"),
+    # a depth that no certificate of 20 entries reaches, rejected before
+    # any power of 2 is taken
+    (("entries", 0, "box", "exponents", 0), 10**7, 3,
+     "covering replay failed: finite depth 10000000 needs more than the "
+     "20 entries"),
     # the same rational, written otherwise than rat_to_str writes it
     (("threshold",), "42/200", 0,
      "covering certificate with 20 boxes"),

@@ -82,11 +82,33 @@ MUTANTS = (
     ("content-hash",
      'if saved.get("content_hash") != content_hash(saved):', "if False:",
      None),
+    # -- capped valuations (places.valuation)
+    ("valuation-cap-steps",
+     "None if cap is None else cap + v_den)",
+     "None if cap is None else cap)", None),
+    # -- the one bound evaluator (covering._finite_factor, gamma_in_s_ideal)
+    ("finite-factor-cap",
+     "k if zero else valuation(diff, v, k))",
+     "k if zero else valuation(diff, v, k + 1))", None),
+    ("s-ideal-cap",
+     "lattice = ctx.s_lattice([valuation(gamma, v, 0)",
+     "lattice = ctx.s_lattice([valuation(gamma, v)",
+     "the a-part is prime to S, so gamma lies in the a-part times "
+     "prod P_v^e_v exactly when it meets the a-part's conditions outside S "
+     "and v(gamma) >= e_v at each finite v of S: every e_v <= v(gamma) "
+     "gives the same answer, and the cap 0 only keeps the lattice's "
+     "exponents at or below 0"),
     # -- covering certificates (covering.verify_certificate)
     ("cert-threshold",
      "if cert.threshold > t:", "if False:", None),
+    ("depth-bound",
+     "if any([k >= count for k in exponents]):",
+     "if any([k > count for k in exponents]):", None),
+    ("disjoint-key",
+     "            q = r[c] // h[c][c]", "            q = 0", None),
     ("bound-below-threshold",
-     "if not bound < t:", "if False:", None),
+     "if bound.numerator * t_den >= t_num * bound.denominator:",
+     "if False:", None),
     ("measure-sum",
      "if total != xden ** n:", "if total > xden ** n:", None),
     ("bound-replay",
