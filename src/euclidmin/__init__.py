@@ -19,15 +19,14 @@ _EXPORTS = {name: module for module, names in {
     "covering": "CoverBox CoveringCertificate Unresolved verify_certificate",
     "fields": "EmbeddingBox FieldElement FractionalIdeal NumberField "
               "elem_norm_trace embed ideal_from_gens ideal_invert ideal_norm "
-              "make_field",
+              "inverse_different make_field",
     "forms": "BinaryQuadraticForm bsd_check form_disc_primitive "
              "form_from_ideal m_form",
     "minima": "EuclideanVerdict MinimumValue MReport compute_M "
               "covering_verify decide_norm_euclidean m_exact search_lower",
     "places": "Place SConfig make_sconfig places_above s_norm strip_s_part "
               "valuation",
-    "torus": "QmodZ char_pair inverse_different orbit reduce_mod s_trace_dual "
-             "torsion_reps",
+    "torus": "QmodZ char_pair orbit reduce_mod s_trace_dual torsion_reps",
     "units": "fundamental_unit shrinking_unit torsion_generator "
              "verify_s_unit_basis",
 }.items() for name in names.split()}

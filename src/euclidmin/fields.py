@@ -17,9 +17,10 @@ An element is a tuple of integer numerators over one positive denominator
 arithmetic is exact and runs on integers: products contract the integer
 multiplication table, sums work over the common denominator, norms are
 Bareiss determinants of the integer multiplication matrix, and ideal
-membership is integer back-substitution on the HNF. `coords` gives the
-same coordinates as Fractions. Archimedean data lives in certified interval
-boxes only.
+membership reads the integer coordinates over the HNF. Ideal products are
+the HNF of the basis products; one trace dual gives the inverse different
+and inverses. `coords` gives the same coordinates as Fractions.
+Archimedean data lives in certified interval boxes only.
 """
 
 from __future__ import annotations
@@ -30,8 +31,7 @@ from math import gcd, lcm, prod
 from typing import NamedTuple
 
 from .errors import PrecisionUnreachable, UnsupportedDegree, ZeroIdeal
-from .hnf import (fp_kernel, hnf_columns, int_det, int_solve, kernel_int,
-                  mat_vec)
+from .hnf import fp_kernel, hnf_columns, int_det, int_solve, mat_vec
 from .intervals import Iv
 from .polynomials import (certify_irreducible, count_real_roots, deg,
                           poly_mul, root_bound)
@@ -555,19 +555,8 @@ class FractionalIdeal:
         return [self.basis_element(j) for j in range(self.field.degree)]
 
     def contains(self, x: FieldElement) -> bool:
-        # H t = den * x.nums / x.den, back-substituted over the integers
-        h = self.hnf
-        n = len(h)
-        dx = x.den
-        t = [0] * n
-        for i in range(n - 1, -1, -1):
-            r = self.den * x.nums[i] - dx * sum(
-                [h[i][j] * t[j] for j in range(i + 1, n)])
-            q, rem = divmod(r, dx * h[i][i])
-            if rem:
-                return False
-            t[i] = q
-        return True
+        w, d = self.int_coords(x)
+        return not any([c % d for c in w])
 
     def int_coords(self, x: FieldElement) -> tuple[list[int], int]:
         """Integers w and d > 0 with w / d the coordinates of x over this
@@ -620,9 +609,9 @@ class FractionalIdeal:
 
     def __mul__(self, other):
         if isinstance(other, FractionalIdeal):
-            prods = [bi * bj for bi in self.basis_elements()
-                     for bj in other.basis_elements()]
-            return ideal_from_gens(prods)
+            # the basis products span I * J over Z
+            return _lattice([bi * bj for bi in self.basis_elements()
+                             for bj in other.basis_elements()])
         return ideal_from_gens([b * other for b in self.basis_elements()])
 
     def __pow__(self, k: int):
@@ -637,17 +626,21 @@ class FractionalIdeal:
         return out
 
 
+def _lattice(elems) -> FractionalIdeal:
+    """The ideal whose lattice the elements span over Z: the HNF of their
+    numerators over a common denominator."""
+    den = lcm(*[e.den for e in elems])
+    return FractionalIdeal(elems[0].field, hnf_columns(
+        [[a * (den // e.den) for a in e.nums] for e in elems]), den)
+
+
 def ideal_from_gens(gens) -> FractionalIdeal:
     """Canonical HNF of the O-module generated by the given elements."""
     gens = [g for g in gens if not g.is_zero()]
     if not gens:
         raise ZeroIdeal("all generators are zero")
-    field = gens[0].field
-    elems = [g * w for g in gens for w in field.integral_basis]
-    den = lcm(*[e.den for e in elems])
-    cols = [[a * (den // e.den) for a in e.nums] for e in elems]
-    h = hnf_columns(cols)
-    return FractionalIdeal(field, h, den)
+    basis = gens[0].field.integral_basis
+    return _lattice([g * w for g in gens for w in basis])
 
 
 def ideal_norm(ideal: FractionalIdeal) -> Fraction:
@@ -655,35 +648,39 @@ def ideal_norm(ideal: FractionalIdeal) -> Fraction:
     return ideal.norm()
 
 
+def ideal_dual(ideal: FractionalIdeal) -> FractionalIdeal:
+    """The trace dual {x : Tr(x * ideal) <= Z}.
+
+    With H the ideal's HNF over den and G the trace Gram matrix, x with
+    integral-basis coordinates y lies in it when H^T G y is in den * Z^n,
+    so its basis is the solutions of H^T G y = den * e_j.
+    """
+    field = ideal.field
+    h, g = ideal.hnf, field.trace_gram
+    n = len(h)
+    m = [[sum([h[k][i] * g[k][j] for k in range(n)]) for j in range(n)]
+         for i in range(n)]
+    cols = []
+    for j in range(n):
+        y, d = int_solve(m, [ideal.den * (i == j) for i in range(n)])
+        cols.append(y)
+    # d = +-det(m) is the same for every column; the lattice is symmetric
+    return FractionalIdeal(field, hnf_columns(cols), abs(d))
+
+
+@lru_cache(maxsize=64)
+def inverse_different(field: NumberField) -> FractionalIdeal:
+    """The different's inverse: the trace dual of the maximal order."""
+    return ideal_dual(field.maximal_order())
+
+
 def ideal_invert(ideal: FractionalIdeal) -> FractionalIdeal:
     """Inverse fractional ideal, verified by multiplying back to O.
 
-    Solves x * I <= O as an integer kernel problem.
+    I^-1 = (I * D^-1)^perp, with D^-1 the inverse different.
     """
     field = ideal.field
-    n = field.degree
-    m0 = 1
-    for i in range(n):
-        m0 *= ideal.hnf[i][i]
-    # basis element j is column j of the HNF over den, so x = v / m0 lies
-    # in the inverse when B_j v is in den * m0 * Z^n for every j, with
-    # B_j the integer multiplication matrix of column j
-    rows = []
-    for j in range(n):
-        rows += field.int_mult_matrix([ideal.hnf[i][j] for i in range(n)])
-    kern = kernel_int(_augment(rows, ideal.den * m0))
-    vs = [k[:n] for k in kern]
-    h = hnf_columns([v for v in vs if any(v)])
-    inv = FractionalIdeal(field, h, m0)
+    inv = ideal_dual(ideal * inverse_different(field))
     if ideal * inv != field.maximal_order():
         raise AssertionError("inverse verification failed")
     return inv
-
-
-def _augment(rows, modulus):
-    """Rows of [B | modulus * I] for the kernel-mod-lattice computation."""
-    m = len(rows)
-    out = []
-    for i, row in enumerate(rows):
-        out.append(list(row) + [modulus if k == i else 0 for k in range(m)])
-    return out

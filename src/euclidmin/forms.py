@@ -11,14 +11,14 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
-from math import ceil, floor, gcd, lcm
+from math import ceil, floor, gcd
 from typing import NamedTuple
 
 from .errors import (DegenerateForm, NonFundamental, NonFundamentalIndefinite,
                      NotABasis, NotQuadratic, SearchExhausted)
 from .fields import (FieldElement, FractionalIdeal, NumberField,
                      ideal_from_gens, ideal_norm, make_field)
-from .hnf import hnf_columns, int_solve, xgcd
+from .hnf import int_solve, xgcd
 from .minima import m_exact_attained
 from .places import make_sconfig
 from .qmath import is_fundamental_discriminant, sqrt_upper
@@ -68,20 +68,13 @@ def form_from_ideal(ideal: FractionalIdeal, basis) -> BinaryQuadraticForm:
     if not is_fundamental_discriminant(field.discriminant):
         raise NonFundamental(f"discriminant {field.discriminant}")
     alpha1, alpha2 = basis
-    den = lcm(*[c.denominator for c in alpha1.coords + alpha2.coords])
-    cols = [[int(c * den) for c in alpha1.coords],
-            [int(c * den) for c in alpha2.coords]]
-    try:
-        h = hnf_columns(cols)
-    except ValueError:
+    # a Z-basis: integral coordinates over the ideal's HNF, determinant +-1
+    (w1, d1), (w2, d2) = ideal.int_coords(alpha1), ideal.int_coords(alpha2)
+    det = w1[0] * w2[1] - w1[1] * w2[0]
+    if det == 0:
         raise NotABasis("basis elements are linearly dependent")
-    # compare lattices canonically without the O-module check
-    g = den
-    for row in h:
-        for cc in row:
-            g = gcd(g, cc)
-    norm_h = tuple(tuple(cc // g for cc in row) for row in h)
-    if (norm_h, den // g) != (ideal.hnf, ideal.den):
+    if any([c % d1 for c in w1] + [c % d2 for c in w2]) or \
+            abs(det) != d1 * d2:
         raise NotABasis("the pair does not span the ideal lattice")
     nrm = ideal_norm(ideal)
     aa = alpha1.norm() / nrm

@@ -1,4 +1,4 @@
-"""Integer matrix utilities: column HNF, kernels (also over F_p),
+"""Integer matrix utilities: column HNF, kernels over F_p,
 determinants (also of integer interval matrices), solving.
 
 Matrices are lists of rows. The Hermite normal form used throughout is the
@@ -28,48 +28,29 @@ def xgcd(a: int, b: int) -> tuple[int, int, int]:
 def hnf_columns(columns: list[list[int]]) -> list[list[int]]:
     """Upper-triangular column HNF of the lattice spanned by the columns.
 
-    Requires the columns to span a full-rank lattice in Z^n.
+    The column echelon of the rows taken last to first, its first n
+    columns reversed, is upper triangular; each pivot is then made
+    positive and the entries right of it reduced modulo it. Requires the
+    columns to span a full-rank lattice in Z^n.
     """
     if not columns:
         raise ValueError("no columns")
     n = len(columns[0])
-    cols = [list(c) for c in columns]
-    hnf_cols: list[list[int] | None] = [None] * n
-    for i in range(n - 1, -1, -1):
-        live = [c for c in cols if any(c[k] for k in range(i + 1))]
-        cols = []
-        pivot = None
-        for c in live:
-            if c[i] == 0:
-                cols.append(c)
-                continue
-            if pivot is None:
-                pivot = c
-                continue
-            a, b = pivot[i], c[i]
-            g, x, y = xgcd(a, b)
-            u, v = a // g, b // g
-            new_p = [x * pa + y * ca for pa, ca in zip(pivot, c)]
-            new_c = [-v * pa + u * ca for pa, ca in zip(pivot, c)]
-            pivot, _ = new_p, None
-            if new_c[i] != 0:
-                raise AssertionError("column elimination left a nonzero entry")
-            cols.append(new_c)
-        if pivot is None:
-            raise ValueError("columns do not span a full-rank lattice")
-        if pivot[i] < 0:
-            pivot = [-x for x in pivot]
-        hnf_cols[i] = pivot
-    # reduce above-diagonal entries: for row i, entries in columns j > i
-    for j in range(n):
-        cj = hnf_cols[j]
+    a, _, pivots = _column_echelon([[c[i] for c in columns]
+                                    for i in range(n - 1, -1, -1)])
+    if None in pivots:
+        raise ValueError("columns do not span a full-rank lattice")
+    cols = [[a[n - 1 - i][n - 1 - j] for i in range(n)] for j in range(n)]
+    for j, cj in enumerate(cols):
+        if cj[j] < 0:
+            cols[j] = cj = [-x for x in cj]
         for i in range(j - 1, -1, -1):
-            ci = hnf_cols[i]
+            ci = cols[i]
             q = cj[i] // ci[i]
             if q:
                 for k in range(i + 1):
                     cj[k] -= q * ci[k]
-    return [[hnf_cols[j][i] for j in range(n)] for i in range(n)]
+    return [[cols[j][i] for j in range(n)] for i in range(n)]
 
 
 def _column_echelon(rows: list[list[int]]):
@@ -107,14 +88,6 @@ def _column_echelon(rows: list[list[int]]):
         pivots.append(pc)
         pc += 1
     return a, u, pivots
-
-
-def kernel_int(rows: list[list[int]]) -> list[list[int]]:
-    """Basis of the integer kernel {z in Z^m : A z = 0} of a k x m matrix:
-    the columns of the echelon transform that reduce A to zero columns."""
-    _, u, pivots = _column_echelon(rows)
-    rank = sum(p is not None for p in pivots)
-    return [[line[j] for line in u] for j in range(rank, len(u))]
 
 
 def mat_vec(m, v):

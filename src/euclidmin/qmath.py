@@ -33,16 +33,7 @@ def rat_str(q) -> str:
 
 def sqrt_upper(x: Fraction) -> Fraction:
     """Rational upper bound on sqrt(x)."""
-    if x < 0:
-        raise ValueError("sqrt of negative rational")
-    if x == 0:
-        return Fraction(0)
-    s = 1 << (2 * ROOT_BITS)
-    n = -((-x.numerator * s) // x.denominator)  # ceil
-    r = isqrt(n)
-    if r * r < n:
-        r += 1
-    return Fraction(r, 1 << ROOT_BITS)
+    return nth_root_upper(x, 2)
 
 
 def nth_root_upper(x: Fraction, n: int) -> Fraction:
@@ -65,8 +56,6 @@ def nth_root_upper(x: Fraction, n: int) -> Fraction:
 def _int_nth_root(m: int, n: int) -> int:
     """Floor of m^(1/n) for m >= 0."""
     if m < 2:
-        return m
-    if n == 1:
         return m
     if n == 2:
         return isqrt(m)

@@ -13,13 +13,12 @@ from __future__ import annotations
 
 import itertools
 from fractions import Fraction
-from functools import cached_property, lru_cache
+from functools import cached_property
 from math import floor, gcd, lcm
 
 from .errors import UnverifiedUnits
-from .fields import (FieldElement, FractionalIdeal, NumberField,
-                     ideal_from_gens, ideal_invert, ideal_norm)
-from .hnf import echelon_mod_lattice, int_solve, solve_echelon
+from .fields import FieldElement, FractionalIdeal, ideal_dual, ideal_norm
+from .hnf import echelon_mod_lattice, solve_echelon
 from .places import (Place, SConfig, places_above, strip_s_part,
                      times_prime_powers, valuation)
 from .qmath import int_valuation
@@ -307,20 +306,6 @@ def char_pair(alpha: FieldElement, xi: FieldElement, sconfig: SConfig) -> QmodZ:
     return phase
 
 
-@lru_cache(maxsize=64)
-def inverse_different(field: NumberField) -> FractionalIdeal:
-    """Trace dual of the maximal order: spanned by the columns of the
-    inverse trace Gram matrix, column j solving G y = d e_j."""
-    n = field.degree
-    gens = []
-    for j in range(n):
-        y, d = int_solve(field.trace_gram, [int(i == j) for i in range(n)])
-        gens.append(field.element([Fraction(c, d) for c in y]))
-    return ideal_from_gens(gens)
-
-
 def s_trace_dual(a: FractionalIdeal, sconfig: SConfig) -> FractionalIdeal:
     """The dual ideal a^perp = a^{-1} * D^{-1}, prime-to-S convention."""
-    ctx = torus_context(a, sconfig)
-    dual = ideal_invert(ctx.a_part) * inverse_different(a.field)
-    return strip_s_part(dual, sconfig)
+    return strip_s_part(ideal_dual(torus_context(a, sconfig).a_part), sconfig)

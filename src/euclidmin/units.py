@@ -140,9 +140,9 @@ def principal_power_generator(ideal: FractionalIdeal):
         for cand in elements_in_box(basis, field.zero(), targets):
             if cand.is_zero():
                 continue
+            # (cand) <= power with equal norms is power itself
             if abs(cand.norm()) == nrm and power.contains(cand):
-                if ideal_from_gens([cand]) == power:
-                    return h, cand
+                return h, cand
     raise SearchExhausted(f"no principal power up to exponent {POWER_MAX}")
 
 

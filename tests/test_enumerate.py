@@ -10,7 +10,7 @@ rational intervals.
 import itertools
 import random
 from fractions import Fraction as F
-from math import ceil, floor
+from math import ceil, floor, isqrt
 
 import pytest
 
@@ -19,7 +19,8 @@ from euclidmin import SearchExhausted, make_field
 from euclidmin.enumerate import lattice_points_in_box
 from euclidmin.fields import GRID_BITS, embedding_rows, grid_row
 from euclidmin.intervals import Iv
-from euclidmin.qmath import ceil_scaled, dyadic_outward, floor_scaled
+from euclidmin.qmath import (ROOT_BITS, ceil_scaled, dyadic_outward,
+                             floor_scaled, nth_root_upper, sqrt_upper)
 
 FIELDS = ([-1, 1], [1, 0, 1], [-2, 0, 1], [-1, -1, 0, 1], [1, 1, 1, 1, 1])
 
@@ -71,6 +72,37 @@ def test_outward_rounding_encloses_with_dyadic_denominators():
                 assert abs(m).bit_length() <= bits + 1
             assert (lo > 0) == (x > 0) and (hi < 0) == (y < 0)
     assert dyadic_outward(F(0), F(0)) == (0, 0)
+
+
+def _ceil_root(m, n):
+    """ceil(m^(1/n)) for an integer m >= 1 and n in (2, 4), by isqrt:
+    floor(m^(1/4)) = isqrt(isqrt(m))."""
+    r = isqrt(m - 1)
+    return 1 + (r if n == 2 else isqrt(r))
+
+
+def test_root_bounds_are_the_least_on_their_grid():
+    # sqrt_upper(x) and nth_root_upper(x, n) are the least multiples of
+    # 2^-ROOT_BITS at or above the root
+    rng = random.Random(3)
+    one = 1 << ROOT_BITS
+    for _ in range(300):
+        x = F(rng.randint(1, 10**rng.randint(1, 30)),
+              rng.randint(1, 10**rng.randint(1, 30)))
+        m = ceil(x * one**2)
+        assert sqrt_upper(x) == nth_root_upper(x, 2) == F(_ceil_root(m, 2),
+                                                           one)
+        assert nth_root_upper(x, 4) == F(_ceil_root(ceil(x * one**4), 4), one)
+        r = nth_root_upper(x, 3) * one
+        assert r.denominator == 1 and (r - 1)**3 < x * one**3 <= r**3
+        assert nth_root_upper(x, 1) == x
+    for n in (1, 2, 3):
+        assert nth_root_upper(F(0), n) == 0
+        with pytest.raises(ValueError):
+            nth_root_upper(F(-1, 3), n)
+    assert sqrt_upper(F(0)) == 0 and sqrt_upper(F(9, 4)) == F(3, 2)
+    with pytest.raises(ValueError):
+        sqrt_upper(F(-1))
 
 
 @pytest.mark.parametrize("coeffs", FIELDS)

@@ -2,7 +2,7 @@ import hashlib
 import itertools
 import random
 from fractions import Fraction as F
-from math import floor, gcd
+from math import floor, gcd, lcm, prod
 
 import pytest
 
@@ -11,8 +11,9 @@ from euclidmin import (NonMonic, ReduciblePolynomial, SConfig,
                        ideal_from_gens, ideal_invert, ideal_norm, make_field,
                        places_above, s_norm, valuation)
 from euclidmin.covering import _check_disjoint
-from euclidmin.fields import NumberField
-from euclidmin.torus import inverse_different, torus_context
+from euclidmin.fields import NumberField, ideal_dual, inverse_different
+from euclidmin.hnf import _column_echelon, hnf_columns, xgcd
+from euclidmin.torus import torus_context
 
 
 def mat_det(m) -> F:
@@ -261,6 +262,136 @@ def test_ideal_invert_random_all_degrees():
             I = ideal_from_gens([x, field.from_rational(rng.randint(1, 6))])
             assert I * ideal_invert(I) == O
             count += 1
+
+
+# -- the lattice path against the routes it replaced ------------------------
+# The references are the earlier HNF (its own xgcd elimination), products
+# closed again under the integral basis, and the inverse as the kernel of
+# x * I <= O; the HNF, inverse and dual are unique, so they must agree.
+
+def _ref_hnf_columns(columns):
+    """Upper-triangular column HNF by its own xgcd elimination, bottom row
+    first, dropping columns that vanish on the rows still to do."""
+    if not columns:
+        raise ValueError("no columns")
+    n = len(columns[0])
+    cols = [list(c) for c in columns]
+    hnf_cols = [None] * n
+    for i in range(n - 1, -1, -1):
+        live = [c for c in cols if any(c[k] for k in range(i + 1))]
+        cols = []
+        pivot = None
+        for c in live:
+            if c[i] == 0:
+                cols.append(c)
+            elif pivot is None:
+                pivot = c
+            else:
+                g, x, y = xgcd(pivot[i], c[i])
+                u, v = pivot[i] // g, c[i] // g
+                cols.append([-v * pa + u * ca for pa, ca in zip(pivot, c)])
+                pivot = [x * pa + y * ca for pa, ca in zip(pivot, c)]
+        if pivot is None:
+            raise ValueError("columns do not span a full-rank lattice")
+        hnf_cols[i] = pivot if pivot[i] > 0 else [-x for x in pivot]
+    for j in range(n):
+        cj = hnf_cols[j]
+        for i in range(j - 1, -1, -1):
+            q = cj[i] // hnf_cols[i][i]
+            for k in range(i + 1):
+                cj[k] -= q * hnf_cols[i][k]
+    return [[hnf_cols[j][i] for j in range(n)] for i in range(n)]
+
+
+def _ref_ideal(cols, den):
+    """(hnf, den) of the lattice of cols over den, in lowest terms."""
+    h = _ref_hnf_columns(cols)
+    g = gcd(den, *[c for row in h for c in row])
+    return tuple(tuple(c // g for c in row) for row in h), den // g
+
+
+def _ref_product(a, b):
+    elems = [x * y * w for x in a.basis_elements()
+             for y in b.basis_elements() for w in a.field.integral_basis]
+    den = lcm(*[e.den for e in elems])
+    return _ref_ideal([[c * (den // e.den) for c in e.nums] for e in elems],
+                      den)
+
+
+def _ref_invert(ideal):
+    """x = v / m0 lies in the inverse when B_j v is in den * m0 * Z^n for
+    every basis column j, B_j its multiplication matrix: the kernel of
+    [B | den * m0 * I], from the unimodular transform of its echelon."""
+    field = ideal.field
+    n = field.degree
+    m0 = prod(ideal.hnf[i][i] for i in range(n))
+    rows = []
+    for j in range(n):
+        rows += field.int_mult_matrix([ideal.hnf[i][j] for i in range(n)])
+    modulus = ideal.den * m0
+    _, u, pivots = _column_echelon([
+        list(row) + [modulus * (k == i) for k in range(len(rows))]
+        for i, row in enumerate(rows)])
+    rank = sum(p is not None for p in pivots)
+    vs = [[line[j] for line in u[:n]] for j in range(rank, len(u))]
+    return _ref_ideal([v for v in vs if any(v)], m0)
+
+
+LATTICE_FIELDS = ([-1, 1], [1, 0, 1], [5, 0, 1], [-1, -1, 0, 1],
+                  [1, 1, 1, 1, 1])
+
+
+@pytest.mark.parametrize("coeffs", LATTICE_FIELDS)
+def test_ideal_lattices_match_the_references(coeffs):
+    field = make_field(coeffs)
+    rng = random.Random(29)
+    ideals = []
+    while len(ideals) < 5:
+        x = field.element([F(rng.randint(-5, 5), rng.randint(1, 3))
+                           for _ in range(field.degree)])
+        if not x.is_zero():
+            ideals.append(ideal_from_gens([x, field.from_rational(
+                rng.randint(1, 6))]))
+    dinv = inverse_different(field)
+    assert ideal_norm(dinv) == F(1, abs(field.discriminant))
+    for a in ideals:
+        inv = ideal_invert(a)
+        assert (inv.hnf, inv.den) == _ref_invert(a)
+        dual = ideal_dual(a)
+        assert dual == inv * dinv
+        assert all((x * y).trace().denominator == 1
+                   for x in dual.basis_elements() for y in a.basis_elements())
+        for b in ideals:
+            ab = a * b
+            assert (ab.hnf, ab.den) == _ref_product(a, b)
+
+
+def test_hnf_columns_matches_the_reference():
+    rng = random.Random(31)
+    for n in range(1, 5):
+        done = 0
+        while done < 40:
+            cols = [[rng.randint(-9, 9) for _ in range(n)]
+                    for _ in range(rng.randint(n, 2 * n + 2))]
+            try:
+                ref = _ref_hnf_columns(cols)
+            except ValueError:
+                continue
+            assert hnf_columns(cols) == ref
+            done += 1
+        if n > 1:
+            # combinations of n - 1 columns span a lattice of rank < n
+            base = [[rng.randint(-9, 9) for _ in range(n)]
+                    for _ in range(n - 1)]
+            coeffs = [[rng.randint(-3, 3) for _ in base] for _ in range(n + 2)]
+            cols = [[sum(c * b[i] for c, b in zip(cs, base))
+                     for i in range(n)] for cs in coeffs]
+            with pytest.raises(ValueError):
+                hnf_columns(cols)
+    with pytest.raises(ValueError):
+        hnf_columns([[1, 0], [3, 0]])
+    with pytest.raises(ValueError):
+        hnf_columns([])
 
 
 # -- differential test of the integer element kernel ---------------------------

@@ -28,9 +28,19 @@ def test_form_from_ideal_examples(field_sqrt2, field_qi, field_sqrtm5):
 
 
 def test_form_errors(field_sqrt2, field_q):
-    with pytest.raises(NotABasis):
-        form_from_ideal(field_sqrt2.maximal_order(),
-                        (field_sqrt2.one(), field_sqrt2.one() * 2))
+    O, one, r2 = (field_sqrt2.maximal_order(), field_sqrt2.one(),
+                  field_sqrt2.gen())
+    with pytest.raises(NotABasis, match="linearly dependent"):
+        form_from_ideal(O, (one, one * 2))
+    span = "the pair does not span the ideal lattice"
+    # (1, 2 sqrt 2) spans index 2 in Z[sqrt 2]; 1 is not in (2); (1/2, 2
+    # sqrt 2) has determinant 1 over Z[sqrt 2] but 1/2 is not in it
+    with pytest.raises(NotABasis, match=span):
+        form_from_ideal(O, (one, r2 * 2))
+    with pytest.raises(NotABasis, match=span):
+        form_from_ideal(O, (one / 2, r2 * 2))
+    with pytest.raises(NotABasis, match=span):
+        form_from_ideal(ideal_from_gens([one * 2]), (one, r2))
     with pytest.raises(NotQuadratic):
         form_from_ideal(field_q.maximal_order(), (field_q.one(), field_q.one()))
     assert form_disc_primitive(BinaryQuadraticForm(2, 0, 4)) == (-32, False)

@@ -210,9 +210,9 @@ def test_minimum_value_is_a_dataclass():
     assert dataclasses.is_dataclass(MinimumValue)
 
 
-def _calls_by_scope(path, callee):
-    """'module.Class.function:line' for each call of callee in path, a name
-    called directly or as an attribute (x.callee(...))."""
+def _nodes_by_scope(path, match):
+    """'module.Class.function:line' for each node of path that match
+    accepts."""
     tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
     found = []
 
@@ -222,16 +222,25 @@ def _calls_by_scope(path, callee):
                                   ast.ClassDef)):
                 visit(child, f"{scope}.{child.name}")
                 continue
-            if isinstance(child, ast.Call):
-                func = child.func
-                name = func.attr if isinstance(func, ast.Attribute) \
-                    else getattr(func, "id", None)
-                if name == callee:
-                    found.append(f"{scope}:{child.lineno}")
+            if match(child):
+                found.append(f"{scope}:{child.lineno}")
             visit(child, scope)
 
     visit(tree, path.stem)
     return found
+
+
+def _calls_by_scope(path, callee):
+    """Each call of callee in path, a name called directly or as an
+    attribute (x.callee(...)), as _nodes_by_scope gives it."""
+    def match(node):
+        if not isinstance(node, ast.Call):
+            return False
+        func = node.func
+        return (func.attr if isinstance(func, ast.Attribute)
+                else getattr(func, "id", None)) == callee
+
+    return _nodes_by_scope(path, match)
 
 
 def _scopes_calling(callee):
@@ -248,3 +257,23 @@ def test_one_prime_power_product_and_one_congruence_solver():
     # one solver for S-ideal points; the local idempotent is the other system
     systems = {hit.split(":")[0] for hit in _scopes_calling("CongruenceSystem")}
     assert systems == {"torus.shift_into_depths", "torus.local_trace_polar"}
+
+
+def test_one_lattice_path_for_ideals():
+    modules = sorted(PACKAGE.glob("*.py"))
+    defined = {node.name for path in modules
+               for node in ast.walk(ast.parse(path.read_text("utf-8")))
+               if isinstance(node, ast.FunctionDef)}
+    assert not defined & {"kernel_int", "_augment"}
+    # one xgcd elimination serves the HNF and the congruence solver
+    echelons = {hit.split(":")[0] for hit in _scopes_calling("_column_echelon")}
+    assert echelons == {"hnf.hnf_columns", "hnf.echelon_mod_lattice"}
+
+    # one trace dual serves the inverse different, inverses and S-duals
+    def reads_gram(node):
+        return isinstance(node, ast.Attribute) and \
+            node.attr == "trace_gram" and isinstance(node.ctx, ast.Load)
+
+    readers = {hit.split(":")[0] for path in modules
+               for hit in _nodes_by_scope(path, reads_gram)}
+    assert readers == {"fields.NumberField.__init__", "fields.ideal_dual"}

@@ -76,6 +76,20 @@ MUTANTS = (
      "floor_scaled(iv.lo, bits)", "ceil_scaled(iv.lo, bits)", None),
     ("basis-rows-ceiling",
      "ceil_scaled(iv.hi, bits)", "floor_scaled(iv.hi, bits)", None),
+    # -- ideal lattices (hnf.hnf_columns, fields, forms.form_from_ideal)
+    ("hnf-pivot-sign",
+     "        if cj[j] < 0:", "        if False:", None),
+    ("hnf-reduce",
+     "            q = cj[i] // ci[i]", "            q = 0", None),
+    ("dual-den-sign",
+     "hnf_columns(cols), abs(d))", "hnf_columns(cols), d)", None),
+    ("contains-divisible",
+     "return not any([c % d for c in w])", "return True", None),
+    ("form-span-integral",
+     "if any([c % d1 for c in w1] + [c % d2 for c in w2]) or",
+     "if False or", None),
+    ("form-span-det",
+     "abs(det) != d1 * d2:", "False:", None),
     # -- report replay (cli)
     ("config-units",
      '("S", {}), ("units", None)):', '("S", {})):', None),

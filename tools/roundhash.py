@@ -25,8 +25,9 @@ For `fields`, it covers, for every field of the three benchmark panels, the
 root enclosures of refinement levels 0..70, the embeddings of every
 integral basis element at the covering's BOUND_WIDTH and at 2^-64,
 basis_row_bounds(64), the integral basis over the power basis, the
-multiplication table, the index, the discriminant, the trace Gram matrix
-and the HNF of the inverse different.
+multiplication table, the index, the discriminant, the trace Gram matrix,
+the HNF of the inverse different, and the HNFs of the pairwise products
+and the inverses of IDEALS seeded ideals.
 For `cli`, it covers the canonical payload (the report without its timing,
 as `run_command` makes it at the default budget) of every `decide` and `M`
 command of `cli-reports` round 0: the 18 decide fixtures and the two M
@@ -44,6 +45,7 @@ source of this checkout.
 import hashlib
 import json
 import os
+import random
 import sys
 import tempfile
 from fractions import Fraction
@@ -62,10 +64,10 @@ from euclidmin.cli import parse_config, rat_to_str, run_command  # noqa: E402
 from euclidmin.cli import witness_to_json as wit  # noqa: E402
 from euclidmin.covering import BOUND_WIDTH  # noqa: E402
 from euclidmin.intervals import Iv  # noqa: E402
-from euclidmin.torus import inverse_different  # noqa: E402
 from workloads import DECIDE, Bounds, CliReports, Minima  # noqa: E402
 
 LEVELS = 70
+IDEALS = 4     # seeded ideals per field of `fields`
 
 
 def rat(q):
@@ -79,10 +81,24 @@ def box(b):
     return [box(b.re), box(b.im)]
 
 
+def seeded_ideals(field, rng):
+    """IDEALS ideals (x, q): x with small fractional coordinates, q a small
+    integer."""
+    out = []
+    while len(out) < IDEALS:
+        x = field.element([Fraction(rng.randint(-5, 5), rng.randint(1, 3))
+                           for _ in range(field.degree)])
+        if not x.is_zero():
+            out.append(em.ideal_from_gens([x, field.from_rational(
+                rng.randint(1, 6))]))
+    return out
+
+
 def fields():
     polys = sorted({c.poly for c in Minima.cases + Bounds.cases} |
                    {poly for _, poly, *_ in DECIDE}, key=lambda f: (len(f), f))
     docs, boxes = [], 0
+    rng = random.Random(1)
     for poly in polys:
         field = em.make_field(poly)
         roots = field.roots()
@@ -93,13 +109,18 @@ def fields():
                    for e in (em.embed(w, BOUND_WIDTH),
                              em.embed(w, Fraction(1, 2**64)))]
                   for w in field.integral_basis]
-        inv = inverse_different(field)
+        inv = em.inverse_different(field)
+        ideals = seeded_ideals(field, rng)
+        lattices = [ideals[i] * ideals[j] for i in range(IDEALS)
+                    for j in range(i, IDEALS)]
+        lattices += [em.ideal_invert(a) for a in ideals]
         docs.append([list(poly), levels, embeds,
                      [list(map(list, row))
                       for row in field.basis_row_bounds(64)],
                      [[rat(c) for c in row] for row in field.basis_pb],
                      field.mult_table, field.index, field.discriminant,
-                     field.trace_gram, [inv.hnf, inv.den]])
+                     field.trace_gram, [inv.hnf, inv.den],
+                     [[a.hnf, a.den] for a in lattices]])
         boxes += sum(map(len, levels))
     print(len(docs), "fields,", boxes, "level boxes")
     return docs
